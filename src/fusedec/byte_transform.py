@@ -11,9 +11,15 @@ with a given byte string:
   token boundary, which needs at most S model forwards.
 
 ``refresh_cache`` / ``next_byte_scores`` are the incremental form of the
-approximation used by the decoder: one cache per (beam, model), S+1
-model forwards per scoring call, joint (unnormalized) scores per
-candidate next byte plus a terminal score for ending the sequence.
+approximation used by the decoder: one cache per (beam, model), joint
+(unnormalized) scores per candidate next byte plus a terminal score for
+ending the sequence. A cache holds one distribution slot per token
+boundary; a child cache takes over its parent's slots on their shared
+token prefix, so a cold cache costs at most S+1 model forwards and an
+extended one evaluates only the depths past that prefix.
+``approx_byte_log_score`` and
+``next_byte_scores`` score each depth through one kernel,
+``_restricted_mass``.
 
 All accumulation is in log space with max-shift (via logsumexp), so
 long sequences do not underflow rolling products.
@@ -22,7 +28,7 @@ long sequences do not underflow rolling products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -141,41 +147,27 @@ def exact_terminal_mass(
 
 
 @dataclass
-class _ScoreMemo:
-    """Results of the last next_byte_scores call, for reuse on the next step."""
-
-    main_ids: tuple[int, ...]
-    dists: list[np.ndarray]
-    confidence: float
-    depth_bucket_mass: list[float]
-
-
-@dataclass
 class ModelCache:
     """Per-beam, per-model decoding state for a committed byte string.
 
     ``alternatives[s]`` holds the tokens covering the whole byte suffix
     after the first ``s`` main tokens; ``log_rolling[s]`` is the log of
     the cumulative product of the first ``s`` main-token probabilities
-    (``log_rolling[0] == 0``). Depth count is S+1: every token boundary
-    plus the post-sequence boundary with the empty suffix.
+    (``log_rolling[0] == 0``); ``dists[s]`` is the model distribution
+    after those ``s`` tokens, evaluated on first use (see ``_dist_at``).
+    Depth count is S+1: every token boundary plus the post-sequence
+    boundary with the empty suffix.
     """
 
     main: MainSequence
-    alternatives: list[list[tuple[int, int]]]
-    prefix_lengths: list[int]
+    alternatives: list[list[int]]
     log_rolling: list[float]
     states: list[Any]
-    rolling_dists: dict[int, np.ndarray] = field(default_factory=dict)
-    memo: _ScoreMemo | None = None
+    dists: list[np.ndarray | None]
 
     @property
     def depth_count(self) -> int:
         return len(self.main.token_ids) + 1
-
-    @property
-    def rolling(self) -> list[float]:
-        return [math.exp(lr) for lr in self.log_rolling]
 
 
 @dataclass(frozen=True)
@@ -199,6 +191,20 @@ class ByteScore:
         return 0.0 if self.log_terminal == NEG_INF else math.exp(self.log_terminal)
 
 
+def _suffix_start(main: MainSequence, s: int) -> int:
+    """Byte offset after the first ``s`` main tokens."""
+    return main.boundary_offsets[s] if s < len(main) else len(main.source_bytes)
+
+
+def _dist_at(model: TokenModel, cache: ModelCache, s: int, ctx: Context) -> np.ndarray:
+    """Distribution after the first ``s`` main tokens; one forward per slot."""
+    dist = cache.dists[s]
+    if dist is None:
+        dist = model.dist_from_state(cache.states[s], ctx)
+        cache.dists[s] = dist
+    return dist
+
+
 def refresh_cache(
     model: TokenModel,
     data: bytes,
@@ -207,75 +213,68 @@ def refresh_cache(
 ) -> ModelCache:
     """Build (or rebuild) the decoding cache for a committed byte string.
 
-    Incremental state, rolling products, and previously evaluated
-    distributions are reused from ``old`` for the longest token prefix
-    shared with the new main sequence. ``old`` must have been built with
-    the same model and context.
+    States, rolling products and evaluated distributions are carried over
+    from ``old`` for every depth up to the longest token prefix shared
+    with the new main sequence: a model is deterministic in its token
+    prefix, so they are exactly what a cold build would compute. ``old``
+    must have been built with the same model and context.
     """
-    vocab = model.vocabulary
-    main = tokenize(vocab, data)
+    main = tokenize(model.vocabulary, data)
     s_count = len(main.token_ids)
-    idx = vocab.prefix_index
 
-    shared = 0
-    if old is not None:
+    if old is None:
+        keep = 1
+        states, log_rolling, dists = [model.initial_state(ctx)], [0.0], [None]
+    else:
+        shared = 0
         limit = min(s_count, len(old.main.token_ids))
         while shared < limit and main.token_ids[shared] == old.main.token_ids[shared]:
             shared += 1
+        keep = shared + 1
+        states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
-    # carry over every distribution still valid for the shared prefix
-    rolling_dists: dict[int, np.ndarray] = {}
-    if old is not None:
-        for depth, dist in old.rolling_dists.items():
-            if depth <= shared:
-                rolling_dists[depth] = dist
-        if old.memo is not None:
-            # a depth-d distribution conditions on the first d tokens of the
-            # memo's main sequence, so it is reusable only while those agree
-            memo_ids = old.memo.main_ids
-            memo_shared = 0
-            limit = min(len(memo_ids), s_count)
-            while memo_shared < limit and memo_ids[memo_shared] == main.token_ids[memo_shared]:
-                memo_shared += 1
-            for depth in range(min(len(old.memo.dists), memo_shared + 1, shared + 1)):
-                rolling_dists.setdefault(depth, old.memo.dists[depth])
-
-    states: list[Any] = [None] * (s_count + 1)
-    log_rolling: list[float] = [0.0] * (s_count + 1)
-    for s in range(s_count + 1):
-        if old is not None and s <= shared:
-            states[s] = old.states[s]
-            log_rolling[s] = old.log_rolling[s]
-            continue
-        if s == 0:
-            states[0] = model.initial_state(ctx)
-            continue
-        tid = main.token_ids[s - 1]
-        states[s] = model.advance_state(states[s - 1], tid)
-        dist = rolling_dists.get(s - 1)
-        if dist is None:
-            dist = model.dist_from_state(states[s - 1], ctx)
-            rolling_dists[s - 1] = dist
-        p = float(dist[tid])
-        log_rolling[s] = log_rolling[s - 1] + (math.log(p) if p > 0.0 else NEG_INF)
-
-    alternatives: list[list[tuple[int, int]]] = []
-    prefix_lengths: list[int] = []
-    for s in range(s_count + 1):
-        offset = main.boundary_offsets[s] if s < s_count else len(main.source_bytes)
-        suffix = main.source_bytes[offset:]
-        alternatives.append(alternatives_for_suffix(idx, suffix))
-        prefix_lengths.append(len(suffix))
-
-    return ModelCache(
+    idx = model.vocabulary.prefix_index
+    cache = ModelCache(
         main=main,
-        alternatives=alternatives,
-        prefix_lengths=prefix_lengths,
+        alternatives=[
+            alternatives_for_suffix(idx, main.source_bytes[_suffix_start(main, s):])
+            for s in range(s_count + 1)
+        ],
         log_rolling=log_rolling,
         states=states,
-        rolling_dists=rolling_dists,
-        memo=old.memo if old is not None else None,
+        dists=dists,
     )
+    for s in range(keep, s_count + 1):
+        tid = main.token_ids[s - 1]
+        lr = log_rolling[s - 1]
+        if lr > NEG_INF:
+            p = float(_dist_at(model, cache, s - 1, ctx)[tid])
+            lr = (lr + math.log(p)) if p > 0.0 else NEG_INF
+        states.append(model.advance_state(states[s - 1], tid))
+        log_rolling.append(lr)
+        dists.append(None)
+    return cache
+
+
+def _restricted_mass(
+    model: TokenModel, cache: ModelCache, s: int, ctx: Context
+) -> dict[int, float]:
+    """Positive next-byte mass of the alternatives at depth ``s``, by byte.
+
+    The depth-``s`` distribution is restricted to the tokens covering the
+    whole remaining suffix and routed to the byte each proposes past it.
+    Tokens that match the suffix exactly complete it through an off-main
+    segmentation; the main-sequence approximation drops them.
+    """
+    dist = _dist_at(model, cache, s, ctx)
+    members = cache.alternatives[s]
+    buckets = group_by_next_byte(
+        model.vocabulary,
+        members,
+        [float(dist[tid]) for tid in members],
+        len(cache.main.source_bytes) - _suffix_start(cache.main, s),
+    )
+    return {b: mass for b, mass in buckets.items() if mass > 0.0}
 
 
 def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> float:
@@ -295,124 +294,47 @@ def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -
     if not data:
         return 0.0
     cache = refresh_cache(model, data, ctx)
-    return _approx_log_from_cache(model, cache, ctx)
-
-
-def _approx_log_from_cache(model: TokenModel, cache: ModelCache, ctx: Context) -> float:
-    vocab = model.vocabulary
     s_count = len(cache.main.token_ids)
     parts = [cache.log_rolling[s_count]]
     for s in range(s_count):
-        if cache.log_rolling[s] == NEG_INF:
+        lr = cache.log_rolling[s]
+        if lr == NEG_INF:
             continue
-        dist = cache.rolling_dists.get(s)
-        if dist is None:
-            dist = model.dist_from_state(cache.states[s], ctx)
-            cache.rolling_dists[s] = dist
-        # every bucketed member covers the whole remaining suffix and more;
-        # exact completions are off-main segmentations the approximation drops
-        members = cache.alternatives[s]
-        buckets, _exact = group_by_next_byte(
-            vocab, members, [float(dist[tid]) for tid, _ in members]
-        )
-        mass = sum(buckets.values())
+        mass = sum(_restricted_mass(model, cache, s, ctx).values())
         if mass > 0.0:
-            parts.append(cache.log_rolling[s] + math.log(mass))
+            parts.append(lr + math.log(mass))
     return _logsumexp(parts)
 
 
-def next_byte_scores(
-    model: TokenModel,
-    cache: ModelCache,
-    ctx: Context = None,
-    skip_threshold: float | None = None,
-) -> ByteScore:
+def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) -> ByteScore:
     """Joint scores for every candidate next byte, plus the terminal score.
 
-    For each depth s the model distribution at the main prefix of length
-    s is restricted to the cached covering alternatives, weighted by the
-    rolling product, and routed to the byte each alternative proposes
-    just past the committed suffix. Alternatives that match the suffix
-    exactly at a non-final depth are off-main segmentations and are
-    dropped. EOS mass at the final depth becomes the terminal score.
+    For each depth s the restricted next-byte mass (``_restricted_mass``)
+    is weighted by the rolling product and added to its byte's score.
+    EOS mass at the final depth becomes the terminal score.
 
-    Exactly S+1 model forwards are issued. With ``skip_threshold`` set
-    and the previous call's confidence at or above it, distributions for
-    all but the final depth are reused from that call when the main
-    sequence extends the previous one by a single token, reducing the
-    call to one forward (results are identical by determinism).
+    A cold cache needs at most S+1 model forwards between
+    ``refresh_cache`` and this call; distributions the cache already
+    holds cost none.
     """
-    vocab = model.vocabulary
-    eos = vocab.eos_id
+    eos = model.vocabulary.eos_id
     s_count = len(cache.main.token_ids)
-
-    memo = cache.memo
-    reuse = (
-        skip_threshold is not None
-        and memo is not None
-        and memo.confidence >= skip_threshold
-        and s_count >= 1
-        and cache.main.token_ids[:-1] == memo.main_ids
-        and len(memo.dists) == s_count
-    )
-
     log_buckets: dict[int, list[float]] = {}
-    log_terminal_parts: list[float] = []
-    depth_mass: list[float] = []
-    dists: list[np.ndarray] = []
     for s in range(s_count + 1):
-        if reuse and s < s_count:
-            dist = memo.dists[s]
-        else:
-            dist = model.dist_from_state(cache.states[s], ctx)
-        dists.append(dist)
         lr = cache.log_rolling[s]
-        mass_here = 0.0
-        if lr > NEG_INF:
-            members = cache.alternatives[s]
-            buckets, _exact = group_by_next_byte(
-                vocab, members, [float(dist[tid]) for tid, _ in members]
-            )
-            # exact completions (non-final depths only) are off-main
-            # segmentation paths the approximation drops
-            for b in sorted(buckets):
-                mass = buckets[b]
-                if mass > 0.0:
-                    log_buckets.setdefault(b, []).append(lr + math.log(mass))
-                    mass_here += mass
-            mass_here *= math.exp(lr)
-            if s == s_count and eos is not None:
-                p = float(dist[eos])
-                if p > 0.0:
-                    log_terminal_parts.append(lr + math.log(p))
-        depth_mass.append(mass_here)
+        if lr == NEG_INF:
+            continue
+        for b, mass in _restricted_mass(model, cache, s, ctx).items():
+            log_buckets.setdefault(b, []).append(lr + math.log(mass))
 
-    total_mass = sum(depth_mass)
-    confidence = depth_mass[-1] / total_mass if total_mass > 0.0 else 0.0
-    cache.memo = _ScoreMemo(
-        main_ids=tuple(cache.main.token_ids),
-        dists=dists,
-        confidence=confidence,
-        depth_bucket_mass=depth_mass,
-    )
+    log_terminal = NEG_INF
+    lr = cache.log_rolling[s_count]
+    if eos is not None and lr > NEG_INF:
+        p = float(_dist_at(model, cache, s_count, ctx)[eos])
+        if p > 0.0:
+            log_terminal = lr + math.log(p)
 
     return ByteScore(
         log_scores={b: _logsumexp(parts) for b, parts in sorted(log_buckets.items())},
-        log_terminal=_logsumexp(log_terminal_parts),
+        log_terminal=log_terminal,
     )
-
-
-def speculative_confidence(cache: ModelCache) -> float:
-    """Share of next-byte mass proposed at the deepest boundary.
-
-    Computed from the cache's last scoring call: final-depth bucket mass
-    over total bucket mass across all depths (0.0 when no mass, or when
-    the cache has not been scored yet). High values mean the shallower
-    look-ahead boundaries contribute almost nothing, so their model
-    forwards can be skipped on the next step.
-    """
-    if cache.depth_count < 2:
-        raise ValueError("confidence needs at least two depths (one committed token)")
-    if cache.memo is None:
-        return 0.0
-    return cache.memo.confidence

@@ -11,10 +11,15 @@ first model proposes bytes while the second scores a prefix lagging
 behind the proposal, re-ranking beams on past bytes instead of reacting
 to the newest one; the lag is either a fixed byte count or the byte
 length of the proposer's most recent main-sequence token.
+
+Each beam keeps one cache per scoring model. A surviving candidate's
+cache is rebuilt from its parent's, which hands over every distribution
+on their shared token prefix, so a lineage evaluates each of them once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +60,6 @@ class FusionConfig:
     lag_policy: str = LAG_LAST_TOKEN
     lag_k: int = 0
     length_penalty: float = 0.0
-    speculative_threshold: float | None = None
     repetition_ngram: int = 0
     repetition_penalty: float = 0.0
 
@@ -66,8 +70,18 @@ class FusionConfig:
             raise ValueError("max_bytes must be >= 0")
         if self.r is not None and not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if self.weights is not None and any(w < 0 for w in self.weights):
-            raise ValueError("model weights must be non-negative")
+        if self.weights is not None and not all(
+            math.isfinite(w) and w >= 0 for w in self.weights
+        ):
+            raise ValueError(f"model weights must be finite and non-negative, got {self.weights}")
+        if not math.isfinite(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
+        if not (math.isfinite(self.repetition_penalty) and self.repetition_penalty >= 0):
+            raise ValueError(
+                f"repetition_penalty must be finite and non-negative, got {self.repetition_penalty}"
+            )
+        if self.repetition_ngram < 0:
+            raise ValueError("repetition_ngram must be >= 0")
         if self.feedback not in (SYNCHRONOUS, DELAYED):
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.lag_policy not in (LAG_LAST_TOKEN, LAG_FIXED):
@@ -111,10 +125,14 @@ def fuse_scores(per_model: Sequence[float], weights: Sequence[float]) -> float:
 
 @dataclass
 class Beam:
-    """One hypothesis: committed bytes plus per-model caches and scores."""
+    """One hypothesis: committed bytes plus per-model caches and scores.
+
+    ``caches[i]`` is None for a model that never scores through
+    ``next_byte_scores`` (see ``decode``).
+    """
 
     data: bytes
-    caches: list[ModelCache]
+    caches: list[ModelCache | None]
     per_model_scores: list[float]
     fused_score: float
     finished: bool = False
@@ -172,6 +190,11 @@ def decode(
     when terminal mass wins a slot; anything still live at ``max_bytes``
     is finished with its main-sequence joint score. Finished beams keep
     competing by final score. Deterministic throughout.
+
+    Only models that score through ``next_byte_scores`` keep a per-beam
+    cache: the positively weighted ones in synchronous mode, the proposer
+    alone in delayed mode. Other models are never asked about the bytes a
+    beam commits, so a byte they cannot tokenize cannot fail the decode.
     """
     if not models:
         raise ValueError("decode needs at least one model")
@@ -189,9 +212,21 @@ def decode(
             lm_log_memo[prefix] = cached
         return cached
 
+    # the proposer always scores in delayed mode, since it defines the
+    # candidate byte set; the rescorer only ever scores lagged prefixes
+    scoring = [
+        i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))
+    ]
+
+    def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None]:
+        return [
+            refresh_cache(m, data, ctx, old=old[i]) if scoring[i] else None
+            for i, (m, ctx) in enumerate(models)
+        ]
+
     root = Beam(
         data=b"",
-        caches=[refresh_cache(m, b"", ctx) for m, ctx in models],
+        caches=refreshed(b"", [None] * len(models)),
         per_model_scores=[0.0] * len(models),
         fused_score=0.0,
     )
@@ -206,20 +241,10 @@ def decode(
         before = [m.forward_count for m, _ in models]
         candidates: list[_Candidate] = []
         for beam in live:
-            scores = []
-            for i, (model, ctx) in enumerate(models):
-                # the rescorer never proposes in delayed mode; the proposer
-                # always does, since it defines the candidate byte set
-                proposer = delayed and i == 0
-                if (weights[i] == 0.0 and not proposer) or (delayed and i == 1):
-                    scores.append(None)
-                    continue
-                scores.append(
-                    next_byte_scores(
-                        model, beam.caches[i], ctx,
-                        skip_threshold=cfg.speculative_threshold,
-                    )
-                )
+            scores = [
+                next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
+                for i, (model, ctx) in enumerate(models)
+            ]
 
             cand_bytes: set[int] = set()
             for sc in scores:
@@ -288,12 +313,9 @@ def decode(
                          cand.fused, finished=True)
                 )
             else:
-                caches = [
-                    refresh_cache(m, cand.data, ctx, old=cand.parent.caches[i])
-                    for i, (m, ctx) in enumerate(models)
-                ]
                 new_live.append(
-                    Beam(cand.data, caches, list(cand.per_model), cand.fused)
+                    Beam(cand.data, refreshed(cand.data, cand.parent.caches),
+                         list(cand.per_model), cand.fused)
                 )
         live, finished = new_live, new_finished
         trace.append([(c.data, c.fused) for c in top])

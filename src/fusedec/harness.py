@@ -17,7 +17,7 @@ import configparser
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import __version__
@@ -28,6 +28,15 @@ from .vocab import Vocabulary, build_vocabulary, escape_token, load_vocabulary, 
 
 SEED_ENV_VAR = "FUSEDEC_SEED"
 DECODERS = ("greedy", "beam", "fused")
+# the keys each config section accepts; any other key in them is an error
+CONFIG_KEYS = {
+    "experiment": {"seed", "out", "max_bytes_margin"},
+    "corpus": {"path", "alphabet", "utterances", "train_utterances", "min_len", "max_len"},
+    "noise": {"grid", "confusions"},
+    "lm": {"vocab", "order", "alpha"},
+    "tr": {"vocab"},
+    "fusion": {"r", "num_beams", "feedback", "lag_policy", "lag_k", "length_penalty"},
+}
 
 
 @dataclass(frozen=True)
@@ -76,12 +85,20 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
 
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    corpus_sec = parser["corpus"] if parser.has_section("corpus") else {}
-    noise_sec = parser["noise"] if parser.has_section("noise") else {}
-    fusion_sec = parser["fusion"] if parser.has_section("fusion") else {}
-    lm_sec = parser["lm"] if parser.has_section("lm") else {}
-    tr_sec = parser["tr"] if parser.has_section("tr") else {}
+    def section(name: str):
+        if not parser.has_section(name):
+            return {}
+        unknown = sorted(set(parser[name]) - CONFIG_KEYS[name])
+        if unknown:
+            raise ValueError(f"{path}: unknown key {unknown[0]!r} in section [{name}]")
+        return parser[name]
+
+    exp = section("experiment")
+    corpus_sec = section("corpus")
+    noise_sec = section("noise")
+    fusion_sec = section("fusion")
+    lm_sec = section("lm")
+    tr_sec = section("tr")
 
     base = os.path.dirname(os.path.abspath(path))
 
@@ -102,7 +119,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         float(x) for x in noise_sec.get("grid", "0.0, 0.1, 0.2, 0.4").split(",") if x.strip()
     )
     confusions = _parse_confusions(noise_sec.get("confusions", ""))
-    spec_thresh = fusion_sec.get("speculative_threshold", "").strip()
     fusion = FusionConfig(
         r=float(fusion_sec.get("r", 0.2)),
         num_beams=int(fusion_sec.get("num_beams", 5)),
@@ -110,7 +126,6 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         lag_policy=fusion_sec.get("lag_policy", "last-tr-token"),
         lag_k=int(fusion_sec.get("lag_k", 0)),
         length_penalty=float(fusion_sec.get("length_penalty", 1.0)),
-        speculative_threshold=float(spec_thresh) if spec_thresh else None,
     )
     return ExperimentConfig(
         seed=int(exp.get("seed", 0)),
@@ -319,6 +334,25 @@ def read_lines(path: str) -> list[bytes]:
         return [unescape_token(ln.rstrip("\n")) for ln in fh]
 
 
+def _decoder_config(decoder: str, fusion: FusionConfig, max_bytes: int) -> FusionConfig:
+    """Search settings of one decoder variant.
+
+    ``fused`` runs the experiment's fusion settings; ``greedy`` and
+    ``beam`` decode with the proposer alone, one beam or the fusion's
+    beam width, under the same length penalty.
+    """
+    if decoder == "fused":
+        return replace(fusion, max_bytes=max_bytes)
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    return FusionConfig(
+        weights=[1.0],
+        num_beams=1 if decoder == "greedy" else fusion.num_beams,
+        max_bytes=max_bytes,
+        length_penalty=fusion.length_penalty,
+    )
+
+
 def decode_corpus(
     decoder: str,
     setup: ExperimentSetup,
@@ -328,43 +362,17 @@ def decode_corpus(
     """Decode every test utterance under one (decoder, noise) condition."""
     confusions = cfg.confusions if noise > 0.0 else frozenset()
     max_bytes = max(len(r) for r in setup.test) + cfg.max_bytes_margin
+    run_cfg = _decoder_config(decoder, cfg.fusion, max_bytes)
     hyps: list[bytes] = []
     failures = 0
     before = (setup.tr_model.forward_count, setup.lm_model.forward_count)
     for ref in setup.test:
         ctx = SignalContext(signal=ref, noise=noise, confusions=confusions)
+        models = [(setup.tr_model, ctx)]
+        if decoder == "fused":
+            models.append((setup.lm_model, None))
         try:
-            if decoder == "greedy":
-                run_cfg = FusionConfig(
-                    weights=[1.0],
-                    num_beams=1,
-                    max_bytes=max_bytes,
-                    length_penalty=cfg.fusion.length_penalty,
-                )
-                result = decode([(setup.tr_model, ctx)], run_cfg)
-            elif decoder == "beam":
-                run_cfg = FusionConfig(
-                    weights=[1.0],
-                    num_beams=cfg.fusion.num_beams,
-                    max_bytes=max_bytes,
-                    length_penalty=cfg.fusion.length_penalty,
-                    speculative_threshold=cfg.fusion.speculative_threshold,
-                )
-                result = decode([(setup.tr_model, ctx)], run_cfg)
-            elif decoder == "fused":
-                run_cfg = FusionConfig(
-                    r=cfg.fusion.r,
-                    num_beams=cfg.fusion.num_beams,
-                    max_bytes=max_bytes,
-                    feedback=cfg.fusion.feedback,
-                    lag_policy=cfg.fusion.lag_policy,
-                    lag_k=cfg.fusion.lag_k,
-                    length_penalty=cfg.fusion.length_penalty,
-                    speculative_threshold=cfg.fusion.speculative_threshold,
-                )
-                result = decode([(setup.tr_model, ctx), (setup.lm_model, None)], run_cfg)
-            else:
-                raise ValueError(f"unknown decoder {decoder!r}")
+            result = decode(models, run_cfg)
             hyps.append(result.best)
         except DecodeFailure:
             hyps.append(b"")
@@ -428,6 +436,5 @@ def _echo(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("feedback", cfg.fusion.feedback),
         ("length_penalty", repr(cfg.fusion.length_penalty)),
         ("lag_policy", cfg.fusion.lag_policy),
-        ("speculative_threshold", repr(cfg.fusion.speculative_threshold)),
     ]
     return pairs

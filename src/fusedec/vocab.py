@@ -182,45 +182,39 @@ def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
     return MainSequence(tuple(ids), tuple(offsets), data)
 
 
-def alternatives_for_suffix(
-    idx: PrefixIndex, suffix: bytes
-) -> list[tuple[int, int]]:
-    """Tokens whose bytes start with ``suffix``, as (token_id, matched_len) pairs.
+def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> list[int]:
+    """Ids of the tokens whose bytes start with ``suffix``, ascending.
 
-    The matched length is ``len(suffix)`` for every member; the empty
-    suffix returns every non-EOS token with matched length 0.
+    The empty suffix returns every non-EOS token.
     """
-    return [(tid, len(suffix)) for tid in idx.tokens_with_prefix(suffix)]
+    return idx.tokens_with_prefix(suffix)
 
 
 def group_by_next_byte(
     vocab: Vocabulary,
-    members: Sequence[tuple[int, int]],
+    members: Sequence[int],
     weights: Sequence[float],
-) -> tuple[dict[int, float], float]:
-    """Route prefix-matched token mass to next-byte buckets.
+    matched_len: int,
+) -> dict[int, float]:
+    """Route the mass of tokens matching ``matched_len`` bytes to next-byte buckets.
 
-    Members whose byte length exceeds their matched length contribute
-    their weight to the bucket of the byte right after the match; members
-    that match exactly contribute to ``exact_mass`` instead (they complete
-    the suffix and propose no new byte). Mass is conserved.
+    Members longer than the match add their weight to the bucket of the
+    byte right after it. Members that match exactly complete the match
+    and propose no new byte, so their weight is left out.
     """
     if len(members) != len(weights):
         raise ValueError("members and weights must have equal length")
     buckets: dict[int, float] = {}
-    exact_mass = 0.0
-    for (tid, matched_len), w in zip(members, weights):
+    for tid, w in zip(members, weights):
         tb = vocab.bytes_of(tid)
         if matched_len > len(tb):
             raise AssertionError(
                 f"matched_len {matched_len} exceeds byte length of token {tid}"
             )
-        if len(tb) == matched_len:
-            exact_mass += w
-        else:
+        if len(tb) > matched_len:
             b = tb[matched_len]
             buckets[b] = buckets.get(b, 0.0) + w
-    return buckets, exact_mass
+    return buckets
 
 
 # --- vocabulary file format ------------------------------------------------

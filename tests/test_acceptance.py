@@ -30,6 +30,7 @@ from fusedec import (
     refresh_cache,
     score_corpus,
 )
+from fusedec import fusion
 from fusedec.cli import cli_main
 from fusedec.harness import (
     CorpusSpec,
@@ -238,8 +239,8 @@ def test_criterion_06_exhaustive_beam_optimality():
     report(6, failures == 0, f"50 instances, {failures} argmax mismatches")
 
 
-def test_criterion_07_forward_count_bound_and_speculative_skip():
-    """At most S+1 forwards per scoring call; skipping actually saves work."""
+def test_criterion_07_forward_count_bound_and_prefix_reuse(monkeypatch):
+    """At most S+1 forwards for a cold cache; prefix reuse saves work exactly."""
     # structural bound on random caches
     rng = random.Random(7007)
     bound_ok = True
@@ -247,45 +248,53 @@ def test_criterion_07_forward_count_bound_and_speculative_skip():
         vocab = random_vocab(rng, b"ab", max_tokens=10, max_len=3, eos=True)
         model = random_model(rng, vocab)
         data = random_coverable_bytes(rng, b"ab", 6)
-        cache = refresh_cache(model, data)
         before = model.forward_count
+        cache = refresh_cache(model, data)
         next_byte_scores(model, cache)
         used = model.forward_count - before
         if used > len(cache.main.token_ids) + 1:
             bound_ok = False
 
-    # speculative skip over a 100-utterance run
+    # prefix reuse over a 100-utterance run, against a baseline whose
+    # caches are always built cold
     cfg, setup = _degeneracy_setup(100)
     tr = setup.tr_model
 
-    def run(threshold):
-        hyps, per_step = [], []
+    def run():
+        hyps, traces, per_step = [], [], []
         for ref in setup.test:
             ctx = SignalContext(ref, noise=0.2, confusions=cfg.confusions)
             res = decode(
                 [(tr, ctx)],
                 FusionConfig(
                     weights=[1.0], num_beams=5, max_bytes=len(ref) + 6,
-                    length_penalty=1.0, speculative_threshold=threshold,
+                    length_penalty=1.0,
                 ),
             )
             hyps.append(res.best)
+            traces.append(res.trace)
             per_step.extend(n for (n,) in res.step_forwards)
-        return hyps, per_step
+        return hyps, traces, per_step
 
-    hyps_off, steps_off = run(None)
-    hyps_on, steps_on = run(0.99)
+    hyps_on, traces_on, steps_on = run()
+    cold_refresh = fusion.refresh_cache
+    monkeypatch.setattr(
+        fusion, "refresh_cache",
+        lambda model, data, ctx=None, old=None: cold_refresh(model, data, ctx),
+    )
+    hyps_off, traces_off, steps_off = run()
     assert len(steps_off) == len(steps_on)
     decreased = sum(on < off for on, off in zip(steps_on, steps_off))
     increased = sum(on > off for on, off in zip(steps_on, steps_off))
     frac = decreased / len(steps_off)
-    cer_off = score_corpus(setup.test, hyps_off, unit="byte").cer
-    cer_on = score_corpus(setup.test, hyps_on, unit="byte").cer
     report(
         7,
-        bound_ok and frac >= 0.10 and increased == 0 and abs(cer_on - cer_off) <= 0.005,
-        f"bound ok={bound_ok}; skip reduced forwards on {frac:.1%} of "
-        f"{len(steps_off)} steps; CER {cer_off:.4f} -> {cer_on:.4f}",
+        bound_ok and frac >= 0.10 and increased == 0
+        and hyps_on == hyps_off and traces_on == traces_off,
+        f"bound ok={bound_ok}; reuse reduced forwards on {frac:.1%} of "
+        f"{len(steps_off)} steps ({sum(steps_on)} vs {sum(steps_off)} forwards), "
+        f"{increased} steps increased; identical hypotheses and traces="
+        f"{hyps_on == hyps_off and traces_on == traces_off}",
     )
 
 

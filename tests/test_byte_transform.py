@@ -15,7 +15,6 @@ from fusedec import (
     exact_terminal_mass,
     next_byte_scores,
     refresh_cache,
-    speculative_confidence,
 )
 
 from conftest import random_coverable_bytes, random_model, random_vocab
@@ -114,17 +113,17 @@ class TestRefreshCache:
         cache = refresh_cache(tiny_model, b"ab")
         assert cache.main.token_ids == (2,)
         assert cache.depth_count == 2
-        assert cache.alternatives[0] == [(2, 2)]
-        assert set(cache.alternatives[1]) == {(0, 0), (1, 0), (2, 0)}
-        assert cache.prefix_lengths == [2, 0]
-        assert cache.rolling == pytest.approx([1.0, 0.2])
+        assert cache.alternatives[0] == [2]
+        assert set(cache.alternatives[1]) == {0, 1, 2}
+        assert _suffix_lengths(cache) == [2, 0]
+        assert [math.exp(lr) for lr in cache.log_rolling] == pytest.approx([1.0, 0.2])
 
     def test_empty_bytes(self, tiny_model):
         cache = refresh_cache(tiny_model, b"")
         assert cache.main.token_ids == ()
         assert cache.depth_count == 1
-        assert cache.prefix_lengths == [0]
-        assert set(cache.alternatives[0]) == {(0, 0), (1, 0), (2, 0)}
+        assert _suffix_lengths(cache) == [0]
+        assert set(cache.alternatives[0]) == {0, 1, 2}
 
     def test_extension_may_retokenize_the_tail(self, tiny_model):
         old = refresh_cache(tiny_model, b"a")
@@ -141,7 +140,21 @@ class TestRefreshCache:
         before = tiny_model.forward_count
         extended = refresh_cache(tiny_model, b"aba", old=cache)
         assert extended.main.token_ids == (2, 0)
-        assert tiny_model.forward_count == before  # rolling reused the memo
+        assert tiny_model.forward_count == before  # rolling reused the parent's slots
+
+    def test_extension_scores_with_one_forward_and_is_exact(self):
+        v = build_vocabulary([b"a", b"b"])
+        m = TableModel(v, [0.6, 0.4])
+        cache = refresh_cache(m, b"ab")
+        next_byte_scores(m, cache)
+        extended = refresh_cache(m, b"aba", old=cache)
+
+        fresh = next_byte_scores(m, refresh_cache(m, b"aba"))
+        before = m.forward_count
+        reused = next_byte_scores(m, extended)
+        assert m.forward_count - before == 1  # only the new final depth
+        assert reused.log_scores == fresh.log_scores
+        assert reused.log_terminal == fresh.log_terminal
 
 
 class TestNextByteScores:
@@ -175,10 +188,11 @@ class TestNextByteScores:
         assert sc.terminal == pytest.approx(0.1 * rolling, abs=1e-12)
 
     def test_exactly_s_plus_one_forwards(self, tiny_model):
+        # a cold cache: refresh_cache evaluates depths 0..S-1 for the rolling
+        # product, next_byte_scores reuses them and adds depth S
         for data, s in ((b"", 0), (b"a", 1), (b"ab", 1), (b"aab", 2), (b"abab", 2)):
-            cache = refresh_cache(tiny_model, data)
             before = tiny_model.forward_count
-            next_byte_scores(tiny_model, cache)
+            next_byte_scores(tiny_model, refresh_cache(tiny_model, data))
             assert tiny_model.forward_count - before == s + 1
 
     def test_incremental_equals_from_scratch_bitwise(self):
@@ -212,57 +226,33 @@ class TestNextByteScores:
         )
 
 
-class TestSpeculative:
-    def test_confidence_of_worked_example(self, tiny_model):
-        cache = refresh_cache(tiny_model, b"a")
-        next_byte_scores(tiny_model, cache)
-        # final depth carries 0.5 of the 0.7 total bucket mass
-        assert speculative_confidence(cache) == pytest.approx(0.5 / 0.7, abs=1e-12)
+class TestIncrementalAgainstOracle:
+    """Byte-by-byte walks on caches refreshed from their parent (``old=``)."""
 
-    def test_all_mass_at_final_depth(self):
-        v = build_vocabulary([b"a", b"b"])
-        m = TableModel(v, [0.6, 0.4])
-        cache = refresh_cache(m, b"ab")
-        next_byte_scores(m, cache)
-        assert speculative_confidence(cache) == 1.0
-
-    def test_zero_total_mass_is_zero(self):
-        v = build_vocabulary([b"a", b"b"], eos=True)
-        m = NoisyChannelModel(v)
-        ctx = SignalContext(b"ab", noise=0.0)
-        cache = refresh_cache(m, b"ab", ctx)
-        next_byte_scores(m, cache, ctx)  # only EOS mass remains
-        assert speculative_confidence(cache) == 0.0
-
-    def test_unscored_cache_reports_zero(self, tiny_model):
-        cache = refresh_cache(tiny_model, b"a")
-        assert speculative_confidence(cache) == 0.0
-
-    def test_needs_two_depths(self, tiny_model):
-        with pytest.raises(ValueError):
-            speculative_confidence(refresh_cache(tiny_model, b""))
-
-    def test_skip_reuses_forwards_and_is_exact(self):
-        v = build_vocabulary([b"a", b"b"])
-        m = TableModel(v, [0.6, 0.4])
-        cache = refresh_cache(m, b"ab")
-        next_byte_scores(m, cache)  # confidence becomes 1.0
-        extended = refresh_cache(m, b"aba", old=cache)
-
-        fresh = next_byte_scores(m, refresh_cache(m, b"aba"))
-        before = m.forward_count
-        skipped = next_byte_scores(m, extended, skip_threshold=0.99)
-        assert m.forward_count - before == 1  # only the new final depth
-        assert skipped.log_scores == fresh.log_scores
-        assert skipped.log_terminal == fresh.log_terminal
-
-    def test_skip_declines_when_confidence_low(self, tiny_model):
-        cache = refresh_cache(tiny_model, b"a")
-        next_byte_scores(tiny_model, cache)  # confidence ~0.714
-        extended = refresh_cache(tiny_model, b"aa", old=cache)
-        before = tiny_model.forward_count
-        next_byte_scores(tiny_model, extended, skip_threshold=0.99)
-        assert tiny_model.forward_count - before == 3  # S+1, no skip
+    def test_dominance_and_bitwise_match_with_cold_caches(self):
+        rng = random.Random(4004)
+        checked = 0
+        for _ in range(150):
+            alphabet = rng.choice([b"ab", b"abc"])
+            v = random_vocab(rng, alphabet, max_tokens=10, max_len=3,
+                             eos=rng.random() < 0.5)
+            m = random_model(rng, v)
+            data = b""
+            cache = refresh_cache(m, data)
+            for _ in range(rng.randint(1, 6)):
+                sc = next_byte_scores(m, cache)
+                fresh = next_byte_scores(m, refresh_cache(m, data))
+                assert sc.log_scores == fresh.log_scores
+                assert sc.log_terminal == fresh.log_terminal
+                assert sc.terminal <= exact_terminal_mass(m, data) + 1e-12
+                for b, p in sc.scores.items():
+                    assert p <= exact_byte_marginal(m, data + bytes([b])) + 1e-12
+                    checked += 1
+                if not sc.log_scores:
+                    break
+                data += bytes([rng.choice(sorted(sc.log_scores))])
+                cache = refresh_cache(m, data, old=cache)
+        assert checked >= 500
 
 
 class TestConservation:
@@ -282,6 +272,12 @@ class TestConservation:
                 except Exception:
                     raise
             assert total == pytest.approx(exact_byte_marginal(m, data), abs=1e-9)
+
+
+def _suffix_lengths(cache):
+    """Byte length of the suffix after each of the cache's S+1 depths."""
+    data = cache.main.source_bytes
+    return [len(data) - off for off in cache.main.boundary_offsets] + [0]
 
 
 def _rand_dist(rng, size):

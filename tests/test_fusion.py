@@ -62,6 +62,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FusionConfig(r=0.2).resolve_weights(3)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"r": float("nan")},
+            {"r": float("inf")},
+            {"weights": [float("nan"), 1.0]},
+            {"weights": [float("inf"), 1.0]},
+            {"weights": [-0.5, 1.0]},
+            {"length_penalty": float("nan")},
+            {"length_penalty": float("-inf")},
+            {"repetition_penalty": float("nan")},
+            {"repetition_penalty": float("inf")},
+            {"repetition_penalty": -1.0},
+            {"repetition_ngram": -1},
+        ],
+    )
+    def test_non_finite_or_negative_numbers_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FusionConfig(**kwargs)
+
     def test_delayed_needs_two_models(self):
         v = build_vocabulary([b"a"])
         m = TableModel(v, [1.0])
@@ -145,6 +165,25 @@ class TestDegeneracy:
             assert fused.best == solo.best
             assert fused.trace == solo.trace
             assert [b[0] for b in fused.all_beams] == [b[0] for b in solo.all_beams]
+
+
+    @pytest.mark.parametrize("feedback", ["synchronous", "delayed"])
+    def test_zero_weight_model_never_tokenizes_the_hypotheses(self, feedback):
+        # the rescorer cannot tokenize "c"; with weight 0 it must not matter
+        tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c"], eos=True))
+        lm = NgramModel(
+            build_vocabulary([b"a", b"b", b"ab"], eos=True), 2, corpus=[b"abab"]
+        )
+        ctx = SignalContext(b"abca", noise=0.2)
+        fused = decode(
+            [(tr, ctx), (lm, None)],
+            FusionConfig(r=0.0, num_beams=3, max_bytes=8, feedback=feedback),
+        )
+        solo = decode([(tr, ctx)], FusionConfig(weights=[1.0], num_beams=3, max_bytes=8))
+        assert fused.best == solo.best == b"abca"
+        assert fused.trace == solo.trace
+        assert [b[0] for b in fused.all_beams] == [b[0] for b in solo.all_beams]
+        assert fused.forward_counts[1] == 0
 
 
 class TestMonotoneScores:

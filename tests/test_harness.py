@@ -70,6 +70,21 @@ class TestConfigFile:
         assert cfg.fusion.feedback == "synchronous"
         assert cfg.fusion.length_penalty == 0.5
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("fusion", "speculative_threshold"), ("corpus", "utterance"), ("lm", "vocab_path")],
+    )
+    def test_unknown_key_rejected_with_section_and_key(self, tmp_path, section, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[experiment]\nseed = 1\n[{section}]\n{key} = 0.99\n")
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in section \[{section}\]"):
+            load_experiment_config(str(path))
+
+    def test_demo_config_loads(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = load_experiment_config(os.path.join(root, "configs", "demo.cfg"))
+        assert cfg.fusion.feedback == "delayed" and cfg.fusion.r == 0.2
+
     def test_bad_noise_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(noise_grid=(0.0, 1.5))

@@ -76,16 +76,16 @@ class TestTokenize:
 class TestAlternativesForSuffix:
     def test_single_byte_suffix(self, tiny_vocab):
         alts = alternatives_for_suffix(tiny_vocab.prefix_index, b"a")
-        assert set(alts) == {(0, 1), (2, 1)}
+        assert set(alts) == {0, 2}
 
     def test_full_token_suffix(self, tiny_vocab):
         alts = alternatives_for_suffix(tiny_vocab.prefix_index, b"ab")
-        assert set(alts) == {(2, 2)}
+        assert set(alts) == {2}
 
     def test_empty_suffix_returns_all_non_eos(self):
         v = build_vocabulary([b"a", b"b", b"ab"], eos=True)
         alts = alternatives_for_suffix(v.prefix_index, b"")
-        assert set(alts) == {(0, 0), (1, 0), (2, 0)}
+        assert set(alts) == {0, 1, 2}
 
     def test_unmatched_suffix_is_empty(self, tiny_vocab):
         assert alternatives_for_suffix(tiny_vocab.prefix_index, b"ba") == []
@@ -101,7 +101,7 @@ class TestAlternativesForSuffix:
             )
             got = set(alternatives_for_suffix(idx, suffix))
             want = {
-                (t, len(suffix))
+                t
                 for t in v.non_eos_ids
                 if v.bytes_of(t).startswith(suffix)
             }
@@ -110,25 +110,22 @@ class TestAlternativesForSuffix:
 
 class TestGroupByNextByte:
     def test_single_bucket(self, tiny_vocab):
-        buckets, exact = group_by_next_byte(tiny_vocab, [(2, 1)], [0.2])
+        buckets = group_by_next_byte(tiny_vocab, [2], [0.2], 1)
         assert buckets == {ord("b"): 0.2}
-        assert exact == 0.0
 
     def test_exact_match_routed_to_exact_mass(self, tiny_vocab):
-        buckets, exact = group_by_next_byte(tiny_vocab, [(0, 1), (2, 1)], [0.5, 0.2])
+        # "a" matches exactly: its 0.5 completes the match and is left out
+        buckets = group_by_next_byte(tiny_vocab, [0, 2], [0.5, 0.2], 1)
         assert buckets == {ord("b"): 0.2}
-        assert exact == 0.5
+        assert 0.5 + 0.2 - sum(buckets.values()) == pytest.approx(0.5)
 
     def test_first_byte_grouping(self, tiny_vocab):
-        buckets, exact = group_by_next_byte(
-            tiny_vocab, [(0, 0), (1, 0), (2, 0)], [0.5, 0.3, 0.2]
-        )
+        buckets = group_by_next_byte(tiny_vocab, [0, 1, 2], [0.5, 0.3, 0.2], 0)
         assert buckets == {ord("a"): 0.7, ord("b"): 0.3}
-        assert exact == 0.0
 
     def test_matched_len_beyond_token_is_invariant_violation(self, tiny_vocab):
         with pytest.raises(AssertionError):
-            group_by_next_byte(tiny_vocab, [(0, 2)], [0.5])
+            group_by_next_byte(tiny_vocab, [0], [0.5], 2)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
@@ -136,13 +133,12 @@ class TestGroupByNextByte:
         rng = random.Random(seed)
         v = random_vocab(rng, b"abc", max_tokens=16, max_len=3)
         suffix_len = rng.randint(0, 2)
-        members = [
-            (t, suffix_len)
-            for t in v.non_eos_ids
-            if len(v.bytes_of(t)) >= suffix_len
-        ]
+        members = [t for t in v.non_eos_ids if len(v.bytes_of(t)) >= suffix_len]
         weights = [rng.random() for _ in members]
-        buckets, exact = group_by_next_byte(v, members, weights)
+        buckets = group_by_next_byte(v, members, weights, suffix_len)
+        exact = sum(
+            w for t, w in zip(members, weights) if len(v.bytes_of(t)) == suffix_len
+        )
         assert abs(sum(buckets.values()) + exact - sum(weights)) <= 1e-12
 
 
