@@ -16,8 +16,11 @@ approximation used by the decoder: one cache per (beam, model), joint
 ending the sequence. A cache holds one distribution slot per token
 boundary; a child cache takes over its parent's slots on their shared
 token prefix, so a cold cache costs at most S+1 model forwards and an
-extended one evaluates only the depths past that prefix.
-``approx_byte_log_score`` and
+extended one evaluates only the depths past that prefix; it also
+tokenizes only the unstable tail of the parent's main sequence.
+``approx_byte_log_score`` accepts such a parent cache too (``old``), so
+a prefix that shares tokens with a cached one is scored at the cost of
+the depths it does not share. ``approx_byte_log_score`` and
 ``next_byte_scores`` score each depth through one kernel,
 ``_restricted_mass``.
 
@@ -34,7 +37,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from .models import Context, TokenModel
-from .vocab import MainSequence, alternatives_for_suffix, group_by_next_byte, tokenize
+from .vocab import (
+    MainSequence,
+    _suffix_start,
+    alternatives_for_suffix,
+    group_by_next_byte,
+    tokenize,
+)
 
 NEG_INF = float("-inf")
 
@@ -191,11 +200,6 @@ class ByteScore:
         return 0.0 if self.log_terminal == NEG_INF else math.exp(self.log_terminal)
 
 
-def _suffix_start(main: MainSequence, s: int) -> int:
-    """Byte offset after the first ``s`` main tokens."""
-    return main.boundary_offsets[s] if s < len(main) else len(main.source_bytes)
-
-
 def _dist_at(model: TokenModel, cache: ModelCache, s: int, ctx: Context) -> np.ndarray:
     """Distribution after the first ``s`` main tokens; one forward per slot."""
     dist = cache.dists[s]
@@ -216,10 +220,12 @@ def refresh_cache(
     States, rolling products and evaluated distributions are carried over
     from ``old`` for every depth up to the longest token prefix shared
     with the new main sequence: a model is deterministic in its token
-    prefix, so they are exactly what a cold build would compute. ``old``
-    must have been built with the same model and context.
+    prefix, so they are exactly what a cold build would compute. When
+    ``old`` covers a prefix of ``data``, only the unstable tail of its
+    main sequence is tokenized again (see ``tokenize``). ``old`` must
+    have been built with the same model and context.
     """
-    main = tokenize(model.vocabulary, data)
+    main = tokenize(model.vocabulary, data, None if old is None else old.main)
     s_count = len(main.token_ids)
 
     if old is None:
@@ -233,12 +239,16 @@ def refresh_cache(
         keep = shared + 1
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
+    # no token covers a suffix longer than the longest token, so only the
+    # last few depths walk the trie
     idx = model.vocabulary.prefix_index
+    data, max_len = main.source_bytes, model.vocabulary.max_token_len
+    starts = [_suffix_start(main, s) for s in range(s_count + 1)]
     cache = ModelCache(
         main=main,
         alternatives=[
-            alternatives_for_suffix(idx, main.source_bytes[_suffix_start(main, s):])
-            for s in range(s_count + 1)
+            alternatives_for_suffix(idx, data[start:]) if len(data) - start <= max_len else []
+            for start in starts
         ],
         log_rolling=log_rolling,
         states=states,
@@ -266,8 +276,10 @@ def _restricted_mass(
     Tokens that match the suffix exactly complete it through an off-main
     segmentation; the main-sequence approximation drops them.
     """
-    dist = _dist_at(model, cache, s, ctx)
     members = cache.alternatives[s]
+    if not members:
+        return {}
+    dist = _dist_at(model, cache, s, ctx)
     buckets = group_by_next_byte(
         model.vocabulary,
         members,
@@ -288,12 +300,22 @@ def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> fl
     return math.exp(approx_byte_log_score(model, data, ctx))
 
 
-def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -> float:
-    """Log-space form of :func:`approx_byte_score` (beam search ranks in logs)."""
+def approx_byte_log_score(
+    model: TokenModel,
+    data: bytes,
+    ctx: Context = None,
+    old: ModelCache | None = None,
+) -> float:
+    """Log-space form of :func:`approx_byte_score` (beam search ranks in logs).
+
+    ``old`` is handed to ``refresh_cache``: the score is the same, but
+    only the depths past the token prefix shared with ``old`` cost
+    forwards.
+    """
     data = bytes(data)
     if not data:
         return 0.0
-    cache = refresh_cache(model, data, ctx)
+    cache = refresh_cache(model, data, ctx, old=old)
     s_count = len(cache.main.token_ids)
     parts = [cache.log_rolling[s_count]]
     for s in range(s_count):

@@ -12,9 +12,15 @@ behind the proposal, re-ranking beams on past bytes instead of reacting
 to the newest one; the lag is either a fixed byte count or the byte
 length of the proposer's most recent main-sequence token.
 
-Each beam keeps one cache per scoring model. A surviving candidate's
-cache is rebuilt from its parent's, which hands over every distribution
-on their shared token prefix, so a lineage evaluates each of them once.
+Each beam keeps one cache per positively weighted model, in both modes.
+A surviving candidate's cache is rebuilt from its parent's, which hands
+over every distribution on their shared token prefix and all but the
+last ``max_token_len`` bytes of its tokenization, so a lineage evaluates
+each distribution once. The modes differ only in who reads the caches:
+``next_byte_scores`` for every cached model in synchronous mode; in
+delayed mode the proposer through ``next_byte_scores`` and the rescorer
+through ``approx_byte_log_score`` on the lagged prefix, seeded with the
+beam's cache, so a step's cost does not grow with hypothesis length.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .byte_transform import (
     refresh_cache,
 )
 from .models import Context, TokenModel
-from .vocab import tokenize
+from .vocab import MainSequence, TokenizationError, tokenize
 
 SYNCHRONOUS = "synchronous"
 DELAYED = "delayed"
@@ -127,8 +133,9 @@ def fuse_scores(per_model: Sequence[float], weights: Sequence[float]) -> float:
 class Beam:
     """One hypothesis: committed bytes plus per-model caches and scores.
 
-    ``caches[i]`` is None for a model that never scores through
-    ``next_byte_scores`` (see ``decode``).
+    ``caches[i]`` is None for a zero-weight model that does not propose,
+    and for a delayed rescorer that cannot tokenize ``data`` (see
+    ``decode``).
     """
 
     data: bytes
@@ -166,11 +173,17 @@ class _Candidate:
     finished_beam: Beam | None = None
 
 
-def _lagged_prefix(cfg: FusionConfig, tr_model: TokenModel, data: bytes) -> bytes:
-    """Prefix the rescoring model sees for a (candidate) byte string."""
+def _lagged_prefix(
+    cfg: FusionConfig, tr_model: TokenModel, data: bytes, prev: MainSequence | None = None
+) -> bytes:
+    """Prefix the rescoring model sees for a (candidate) byte string.
+
+    ``prev``, the proposer's main sequence of a prefix of ``data``, makes
+    the tokenization incremental.
+    """
     if cfg.lag_policy == LAG_FIXED:
         return data[: max(0, len(data) - cfg.lag_k)]
-    main = tokenize(tr_model.vocabulary, data)
+    main = tokenize(tr_model.vocabulary, data, prev)
     if len(main) == 0:
         return b""
     last_len = len(data) - main.boundary_offsets[-1]
@@ -191,10 +204,17 @@ def decode(
     is finished with its main-sequence joint score. Finished beams keep
     competing by final score. Deterministic throughout.
 
-    Only models that score through ``next_byte_scores`` keep a per-beam
-    cache: the positively weighted ones in synchronous mode, the proposer
-    alone in delayed mode. Other models are never asked about the bytes a
-    beam commits, so a byte they cannot tokenize cannot fail the decode.
+    Every positively weighted model keeps a per-beam cache of the bytes
+    the beam commits, built from its parent's cache. In synchronous mode
+    each of them scores through ``next_byte_scores``. In delayed mode the
+    proposer does so (always, since it defines the candidate bytes) and
+    the rescorer scores lagged and complete prefixes through
+    ``approx_byte_log_score`` from that cache, which shares their stable
+    token prefix. A zero-weight model keeps no cache and is never asked
+    about a beam's bytes, so a byte it cannot tokenize cannot fail the
+    decode. A prefix the rescorer cannot tokenize scores -inf; a beam
+    whose bytes it cannot tokenize keeps no rescorer cache, and its
+    prefixes are scored cold.
     """
     if not models:
         raise ValueError("decode needs at least one model")
@@ -203,26 +223,42 @@ def decode(
     if delayed and len(models) != 2:
         raise ValueError("delayed feedback needs exactly two models (proposer, rescorer)")
 
+    def joint_log_score(i: int, data: bytes, old: ModelCache | None) -> float:
+        """Model ``i``'s approximate joint score of ``data``; -inf if untokenizable."""
+        model, ctx = models[i]
+        try:
+            return approx_byte_log_score(model, data, ctx, old=old)
+        except TokenizationError:
+            return NEG_INF
+
+    # the candidates of a beam mostly share one lagged prefix, so each
+    # distinct prefix is scored once per decode
     lm_log_memo: dict[bytes, float] = {b"": 0.0}
 
-    def lm_lagged_score(prefix: bytes) -> float:
+    def lm_lagged_score(prefix: bytes, old: ModelCache | None) -> float:
         cached = lm_log_memo.get(prefix)
         if cached is None:
-            cached = approx_byte_log_score(models[1][0], prefix, models[1][1])
+            cached = joint_log_score(1, prefix, old)
             lm_log_memo[prefix] = cached
         return cached
 
-    # the proposer always scores in delayed mode, since it defines the
-    # candidate byte set; the rescorer only ever scores lagged prefixes
     scoring = [
         i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))
     ]
+    keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
 
     def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None]:
-        return [
-            refresh_cache(m, data, ctx, old=old[i]) if scoring[i] else None
-            for i, (m, ctx) in enumerate(models)
-        ]
+        caches: list[ModelCache | None] = []
+        for i, (m, ctx) in enumerate(models):
+            cache = None
+            if keeps_cache[i]:
+                try:
+                    cache = refresh_cache(m, data, ctx, old=old[i])
+                except TokenizationError:
+                    if scoring[i]:
+                        raise
+            caches.append(cache)
+        return caches
 
     root = Beam(
         data=b"",
@@ -258,9 +294,8 @@ def decode(
                     if scores[i] is not None:
                         per_model.append(scores[i].log_scores.get(b, NEG_INF))
                     elif delayed and i == 1 and weights[i] > 0.0:
-                        per_model.append(
-                            lm_lagged_score(_lagged_prefix(cfg, models[0][0], child))
-                        )
+                        lagged = _lagged_prefix(cfg, models[0][0], child, beam.caches[0].main)
+                        per_model.append(lm_lagged_score(lagged, beam.caches[1]))
                     else:
                         per_model.append(NEG_INF)
                 fused = fuse_scores(per_model, weights)
@@ -279,7 +314,7 @@ def decode(
                 if scores[i] is not None:
                     per_model_term.append(scores[i].log_terminal)
                 elif delayed and i == 1 and weights[i] > 0.0:
-                    per_model_term.append(lm_lagged_score(beam.data))
+                    per_model_term.append(lm_lagged_score(beam.data, beam.caches[1]))
                 else:
                     per_model_term.append(NEG_INF)
             fused_term = fuse_scores(per_model_term, weights)
@@ -326,14 +361,11 @@ def decode(
     # anything still live ran into the byte budget: finish it with the
     # cache-consistent joint score of its committed bytes
     for beam in live:
-        per_model = []
-        for i, (model, ctx) in enumerate(models):
-            if weights[i] == 0.0:
-                per_model.append(NEG_INF)
-            else:
-                per_model.append(approx_byte_log_score(model, beam.data, ctx))
-        beam.per_model_scores = per_model
-        beam.fused_score = fuse_scores(per_model, weights)
+        beam.per_model_scores = [
+            joint_log_score(i, beam.data, beam.caches[i]) if weights[i] > 0.0 else NEG_INF
+            for i in range(len(models))
+        ]
+        beam.fused_score = fuse_scores(beam.per_model_scores, weights)
         beam.finished = True
         finished.append(beam)
 

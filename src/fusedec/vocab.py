@@ -8,6 +8,7 @@ never sees it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,23 +41,29 @@ class MainSequence:
         return len(self.token_ids)
 
 
+def _suffix_start(main: MainSequence, s: int) -> int:
+    """Byte offset after the first ``s`` tokens of ``main``."""
+    return main.boundary_offsets[s] if s < len(main) else len(main.source_bytes)
+
+
 class _TrieNode:
-    __slots__ = ("children", "ids")
+    __slots__ = ("children", "ids", "terminal")
 
     def __init__(self):
         self.children: dict[int, _TrieNode] = {}
         self.ids: list[int] = []
+        self.terminal: int | None = None  # id of the token ending here
 
 
 class PrefixIndex:
     """Byte trie answering "which tokens start with this prefix" queries.
 
     Each node stores every token id whose bytes pass through or end at
-    that node, so a query is a walk plus a copy. EOS is excluded.
+    that node, so a query is a walk plus a copy, and the id of the token
+    ending exactly there, if any. EOS is excluded.
     """
 
     def __init__(self, vocab: Vocabulary):
-        self._vocab = vocab
         self._root = _TrieNode()
         for tid in vocab.non_eos_ids:
             node = self._root
@@ -64,6 +71,7 @@ class PrefixIndex:
             for b in vocab.bytes_of(tid):
                 node = node.children.setdefault(b, _TrieNode())
                 node.ids.append(tid)
+            node.terminal = tid
         # ids were appended in increasing tid order, so node.ids are sorted
 
     def tokens_with_prefix(self, prefix: bytes) -> list[int]:
@@ -79,17 +87,12 @@ class PrefixIndex:
         """Id of the longest token whose bytes match ``data`` at ``start``."""
         node = self._root
         best: int | None = None
-        length = 0
         for pos in range(start, len(data)):
             node = node.children.get(data[pos])
             if node is None:
                 break
-            length += 1
-            # a token ends exactly here iff its byte length equals the depth
-            for tid in node.ids:
-                if len(self._vocab.bytes_of(tid)) == length:
-                    best = tid
-                    break
+            if node.terminal is not None:
+                best = node.terminal
         return best
 
 
@@ -100,20 +103,25 @@ class Vocabulary:
         self._tokens = tuple(tokens)
         self.eos_id = eos_id
         self._index: PrefixIndex | None = None
+        self._ids: dict[bytes, int] = {}
+        for tid, token in enumerate(self._tokens):
+            self._ids.setdefault(token, tid)
+        self._non_eos: range | tuple[int, ...] = range(self.size)
+        if eos_id is not None:
+            self._non_eos = tuple(t for t in range(self.size) if t != eos_id)
+        self._max_len = max((len(t) for t in self._tokens), default=0)
 
     @property
     def size(self) -> int:
         return len(self._tokens)
 
     @property
-    def non_eos_ids(self) -> range | list[int]:
-        if self.eos_id is None:
-            return range(self.size)
-        return [t for t in range(self.size) if t != self.eos_id]
+    def non_eos_ids(self) -> range | tuple[int, ...]:
+        return self._non_eos
 
     @property
     def max_token_len(self) -> int:
-        return max((len(t) for t in self._tokens), default=0)
+        return self._max_len
 
     def bytes_of(self, token_id: int) -> bytes:
         if not 0 <= token_id < self.size:
@@ -122,8 +130,8 @@ class Vocabulary:
 
     def id_of(self, token_bytes: bytes) -> int:
         try:
-            return self._tokens.index(token_bytes)
-        except ValueError:
+            return self._ids[token_bytes]
+        except KeyError:
             raise VocabError(f"no token with bytes {token_bytes!r}") from None
 
     @property
@@ -161,13 +169,29 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     return Vocabulary(tokens, eos_id)
 
 
-def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
-    """Greedy longest-match left-to-right segmentation of ``data``."""
+def tokenize(
+    vocab: Vocabulary, data: bytes, prev: MainSequence | None = None
+) -> MainSequence:
+    """Greedy longest-match left-to-right segmentation of ``data``.
+
+    ``prev``, the segmentation of a prefix of ``data``, makes the call
+    incremental. Every token that could match where a token of ``prev``
+    starts at least ``max_token_len`` bytes before the end of ``prev``
+    lies inside ``prev``, so appending bytes cannot change that token or
+    any before it; those are kept and only the tail is matched again. A
+    ``prev`` that is not a prefix of ``data`` is ignored.
+    """
     data = bytes(data)
     idx = vocab.prefix_index
     ids: list[int] = []
     offsets: list[int] = []
     pos = 0
+    if prev is not None and data.startswith(prev.source_bytes):
+        keep = bisect_right(
+            prev.boundary_offsets, len(prev.source_bytes) - vocab.max_token_len
+        )
+        ids, offsets = list(prev.token_ids[:keep]), list(prev.boundary_offsets[:keep])
+        pos = _suffix_start(prev, keep)
     while pos < len(data):
         tid = idx.longest_match(data, pos)
         if tid is None:

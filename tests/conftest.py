@@ -48,6 +48,24 @@ def random_vocab(
     return build_vocabulary(entries, eos=eos)
 
 
+def random_partial_vocab(
+    rng: random.Random,
+    alphabet: bytes,
+    max_tokens: int = 8,
+    max_len: int = 3,
+    eos: bool = True,
+) -> Vocabulary:
+    """Random vocabulary that may lack any of the alphabet's singletons.
+
+    Inputs over the alphabet may then fail to tokenize, which is the
+    point: it models a vocabulary with partial byte coverage.
+    """
+    entries = {bytes([b]) for b in alphabet if rng.random() < 0.5}
+    for _ in range(rng.randint(1, max_tokens)):
+        entries.add(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, max_len))))
+    return build_vocabulary(sorted(entries), eos=eos)
+
+
 def random_dist(rng: random.Random, size: int, zeros: bool = True) -> list[float]:
     weights = [rng.random() + 1e-3 for _ in range(size)]
     if zeros and size > 2 and rng.random() < 0.3:

@@ -30,7 +30,7 @@ from fusedec import (
     refresh_cache,
     score_corpus,
 )
-from fusedec import fusion
+from fusedec import byte_transform, fusion
 from fusedec.cli import cli_main
 from fusedec.harness import (
     CorpusSpec,
@@ -295,6 +295,51 @@ def test_criterion_07_forward_count_bound_and_prefix_reuse(monkeypatch):
         f"{len(steps_off)} steps ({sum(steps_on)} vs {sum(steps_off)} forwards), "
         f"{increased} steps increased; identical hypotheses and traces="
         f"{hyps_on == hyps_off and traces_on == traces_off}",
+    )
+
+
+def test_criterion_07_delayed_rescorer_prefix_reuse(monkeypatch):
+    """Delayed mode: the rescorer scores from its per-beam cache, exactly."""
+    cfg, setup = _degeneracy_setup(100)
+
+    def run():
+        results = []
+        for ref in setup.test:
+            ctx = SignalContext(ref, noise=0.2, confusions=cfg.confusions)
+            results.append(decode(
+                [(setup.tr_model, ctx), (setup.lm_model, None)],
+                FusionConfig(
+                    r=0.2, num_beams=5, max_bytes=len(ref) + 6,
+                    feedback="delayed", length_penalty=1.0,
+                ),
+            ))
+        return results
+
+    on = run()
+    cold_refresh = byte_transform.refresh_cache
+
+    def cold(model, data, ctx=None, old=None):
+        return cold_refresh(model, data, ctx)
+
+    monkeypatch.setattr(fusion, "refresh_cache", cold)
+    monkeypatch.setattr(byte_transform, "refresh_cache", cold)
+    off = run()
+    same = all(
+        a.best == b.best and a.all_beams == b.all_beams and a.trace == b.trace
+        for a, b in zip(on, off)
+    )
+    total_on = sum(r.forward_counts[1] for r in on)
+    total_off = sum(r.forward_counts[1] for r in off)
+    steps_on = [n[1] for r in on for n in r.step_forwards]
+    steps_off = [n[1] for r in off for n in r.step_forwards]
+    assert len(steps_on) == len(steps_off)
+    increased = sum(a > b for a, b in zip(steps_on, steps_off))
+    report(
+        7,
+        same and total_on < total_off and increased == 0,
+        f"delayed r=0.2: {total_on} vs {total_off} rescorer forwards over "
+        f"{len(steps_off)} steps, {increased} steps increased; identical "
+        f"best, beams and traces={same}",
     )
 
 

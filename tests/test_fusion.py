@@ -19,7 +19,13 @@ from fusedec import (
 )
 from fusedec.fusion import _lagged_prefix
 
-from conftest import random_bigram_model, random_iid_model, random_vocab
+from conftest import (
+    random_bigram_model,
+    random_iid_model,
+    random_model,
+    random_partial_vocab,
+    random_vocab,
+)
 
 NEG_INF = float("-inf")
 
@@ -152,6 +158,13 @@ def _fusion_instance(seed):
     return tr, ctx, lm
 
 
+def _rescorer_gap_instance():
+    """Proposer over {a, b, c}; the rescorer's {a, b, ab} cannot tokenize "c"."""
+    tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c"], eos=True))
+    lm = NgramModel(build_vocabulary([b"a", b"b", b"ab"], eos=True), 2, corpus=[b"abab"])
+    return tr, SignalContext(b"abca", noise=0.2), lm
+
+
 class TestDegeneracy:
     @pytest.mark.parametrize("feedback", ["synchronous", "delayed"])
     def test_r_zero_matches_proposer_only(self, feedback):
@@ -170,11 +183,7 @@ class TestDegeneracy:
     @pytest.mark.parametrize("feedback", ["synchronous", "delayed"])
     def test_zero_weight_model_never_tokenizes_the_hypotheses(self, feedback):
         # the rescorer cannot tokenize "c"; with weight 0 it must not matter
-        tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c"], eos=True))
-        lm = NgramModel(
-            build_vocabulary([b"a", b"b", b"ab"], eos=True), 2, corpus=[b"abab"]
-        )
-        ctx = SignalContext(b"abca", noise=0.2)
+        tr, ctx, lm = _rescorer_gap_instance()
         fused = decode(
             [(tr, ctx), (lm, None)],
             FusionConfig(r=0.0, num_beams=3, max_bytes=8, feedback=feedback),
@@ -184,6 +193,65 @@ class TestDegeneracy:
         assert fused.trace == solo.trace
         assert [b[0] for b in fused.all_beams] == [b[0] for b in solo.all_beams]
         assert fused.forward_counts[1] == 0
+
+
+    @pytest.mark.parametrize("lag_policy", ["last-tr-token", "fixed"])
+    @pytest.mark.parametrize("max_bytes", [3, 8])
+    def test_delayed_rescorer_scores_untokenizable_prefixes_minus_inf(
+        self, max_bytes, lag_policy
+    ):
+        # lagged prefixes, terminal scores and the max_bytes finishing pass
+        # that reach "c" score -inf for the rescorer instead of raising
+        tr, ctx, lm = _rescorer_gap_instance()
+        result = decode(
+            [(tr, ctx), (lm, None)],
+            FusionConfig(r=0.2, num_beams=3, max_bytes=max_bytes, feedback="delayed",
+                         lag_policy=lag_policy, lag_k=1),
+        )
+        assert any(data == b"abc" for step in result.trace for data, _ in step)
+        for data, fused, (_, lm_score) in result.all_beams:
+            if b"c" in data:
+                assert lm_score == fused == NEG_INF
+            else:
+                assert lm_score == approx_byte_log_score(lm, data)
+
+    def test_synchronous_rescorer_gap_still_decodes(self):
+        tr, ctx, lm = _rescorer_gap_instance()
+        result = decode(
+            [(tr, ctx), (lm, None)], FusionConfig(r=0.2, num_beams=3, max_bytes=8)
+        )
+        assert result.best == b"ab"
+
+
+class TestDecodeFuzz:
+    @pytest.mark.parametrize("lag_policy", ["last-tr-token", "fixed"])
+    @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, 1.0])
+    def test_partial_rescorer_coverage_raises_only_decode_failure(self, r, lag_policy):
+        # the proposer covers every byte of the alphabet, the rescorer only
+        # some; a decode either returns a self-consistent result or raises
+        # DecodeFailure
+        rng = random.Random(int(r * 10) * 2 + (lag_policy == "fixed"))
+        alphabet = b"abcd"
+        finished = partial = 0
+        for _ in range(40):
+            tr_vocab = random_vocab(rng, alphabet, max_tokens=10, max_len=3, eos=True)
+            lm_vocab = random_partial_vocab(rng, alphabet)
+            surfaces = {lm_vocab.bytes_of(t) for t in lm_vocab.non_eos_ids}
+            partial += any(bytes([b]) not in surfaces for b in alphabet)
+            tr, lm = random_model(rng, tr_vocab), random_model(rng, lm_vocab)
+            cfg = FusionConfig(
+                r=r, num_beams=rng.randint(1, 4), max_bytes=rng.randint(0, 7),
+                feedback="delayed", lag_policy=lag_policy, lag_k=rng.randint(0, 3),
+            )
+            try:
+                result = decode([(tr, None), (lm, None)], cfg)
+            except DecodeFailure:
+                continue
+            finished += 1
+            weights = cfg.resolve_weights(2)
+            for _, fused, per_model in result.all_beams:
+                assert fused == fuse_scores(per_model, weights)
+        assert finished > 0 and partial > 0
 
 
 class TestMonotoneScores:

@@ -15,7 +15,7 @@ from fusedec import (
 )
 from fusedec.vocab import escape_token, load_vocabulary, save_vocabulary, unescape_token
 
-from conftest import random_vocab
+from conftest import random_partial_vocab, random_vocab
 
 
 class TestBuildVocabulary:
@@ -71,6 +71,77 @@ class TestTokenize:
         seq = tokenize(v, data)
         assert b"".join(v.bytes_of(t) for t in seq.token_ids) == data
         assert list(seq.boundary_offsets) == sorted(set(seq.boundary_offsets))
+
+
+def _tokenize_outcome(vocab, data, prev=None):
+    """Tokenization of ``data``, or the offset its TokenizationError names."""
+    try:
+        return tokenize(vocab, data, prev)
+    except TokenizationError as err:
+        return err.offset
+
+
+_WALK = st.text(alphabet="abc", max_size=24).map(str.encode)
+
+
+class TestIncrementalTokenize:
+    def test_extension_past_a_lookahead_token(self, tiny_vocab):
+        # "a" then "b": the kept "a" is within max_token_len of the end, so
+        # it is matched again and merges into "ab"
+        assert tokenize(tiny_vocab, b"ab", tokenize(tiny_vocab, b"a")) == tokenize(
+            tiny_vocab, b"ab"
+        )
+
+    @given(st.integers(0, 2**32 - 1), _WALK, _WALK, _WALK)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cold_run(self, seed, head, tail, other):
+        rng = random.Random(seed)
+        v = random_partial_vocab(rng, b"abc", eos=rng.random() < 0.5)
+        prev = _tokenize_outcome(v, head)
+        if isinstance(prev, int):
+            # greedy matching stopped at a token boundary, so the bytes
+            # before it tokenize on their own
+            head = head[:prev]
+            prev = tokenize(v, head)
+        data = head + tail
+        cold = _tokenize_outcome(v, data)
+        assert _tokenize_outcome(v, data, prev) == cold
+        # a prev that does not segment a prefix of data is ignored
+        unrelated = _tokenize_outcome(v, other)
+        if not isinstance(unrelated, int):
+            assert _tokenize_outcome(v, data, unrelated) == cold
+
+
+class TestVocabularyLookups:
+    def test_lookups_match_linear_scans(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            alphabet = bytes(rng.sample(range(256), rng.randint(1, 5)))
+            v = random_partial_vocab(rng, alphabet, eos=rng.random() < 0.5)
+            surfaces = [v.bytes_of(t) for t in range(v.size)]
+            assert v.max_token_len == max(len(t) for t in surfaces)
+            assert list(v.non_eos_ids) == [t for t in range(v.size) if t != v.eos_id]
+            assert all(v.id_of(tb) == t for t, tb in enumerate(surfaces))
+        with pytest.raises(VocabError, match="no token"):
+            v.id_of(b"\x00" * 9)
+
+    def test_non_eos_ids_is_immutable(self):
+        v = build_vocabulary([b"a", b"b"], eos=True)
+        assert v.non_eos_ids is v.non_eos_ids
+        assert isinstance(v.non_eos_ids, tuple)
+
+    def test_longest_match_against_brute_force(self):
+        rng = random.Random(31337)
+        for _ in range(1000):
+            alphabet = bytes(rng.sample(range(256), rng.randint(1, 4)))
+            v = random_partial_vocab(rng, alphabet, eos=rng.random() < 0.5)
+            data = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            start = rng.randint(0, len(data))
+            matches = [
+                t for t in v.non_eos_ids if data[start:].startswith(v.bytes_of(t))
+            ]
+            want = max(matches, key=lambda t: len(v.bytes_of(t)), default=None)
+            assert v.prefix_index.longest_match(data, start) == want
 
 
 class TestAlternativesForSuffix:
