@@ -39,6 +39,7 @@ import numpy as np
 from .models import Context, TokenModel
 from .vocab import (
     MainSequence,
+    NextByteGroups,
     _suffix_start,
     alternatives_for_suffix,
     group_by_next_byte,
@@ -160,7 +161,9 @@ class ModelCache:
     """Per-beam, per-model decoding state for a committed byte string.
 
     ``alternatives[s]`` holds the tokens covering the whole byte suffix
-    after the first ``s`` main tokens; ``log_rolling[s]`` is the log of
+    after the first ``s`` main tokens, as the trie node's shared
+    ``NextByteGroups`` record (empty when the suffix is longer than any
+    token); ``log_rolling[s]`` is the log of
     the cumulative product of the first ``s`` main-token probabilities
     (``log_rolling[0] == 0``); ``dists[s]`` is the model distribution
     after those ``s`` tokens, evaluated on first use (see ``_dist_at``).
@@ -169,7 +172,7 @@ class ModelCache:
     """
 
     main: MainSequence
-    alternatives: list[list[int]]
+    alternatives: list[NextByteGroups | list[int]]
     log_rolling: list[float]
     states: list[Any]
     dists: list[np.ndarray | None]
@@ -283,7 +286,7 @@ def _restricted_mass(
     buckets = group_by_next_byte(
         model.vocabulary,
         members,
-        [float(dist[tid]) for tid in members],
+        dist[members.ids],
         len(cache.main.source_bytes) - _suffix_start(cache.main, s),
     )
     return {b: mass for b, mass in buckets.items() if mass > 0.0}

@@ -46,7 +46,28 @@ LAG_FIXED = "fixed"
 
 
 class DecodeFailure(RuntimeError):
-    """Every beam lost all fused probability mass before finishing."""
+    """The search ran out of beams before any finished.
+
+    ``step`` is the step it happened at, when known. ``skipped`` names,
+    as (model index, byte offset, byte), each tokenization failure that
+    dropped a candidate at that step (see ``decode``); the message lists
+    them too.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step: int | None = None,
+        skipped: Sequence[tuple[int, int, int]] = (),
+    ):
+        self.step = step
+        self.skipped = tuple(skipped)
+        if self.skipped:
+            message += ": " + "; ".join(
+                f"model {i} cannot tokenize byte 0x{b:02x} at offset {o}"
+                for i, o, b in self.skipped
+            )
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -215,6 +236,16 @@ def decode(
     decode. A prefix the rescorer cannot tokenize scores -inf; a beam
     whose bytes it cannot tokenize keeps no rescorer cache, and its
     prefixes are scored cold.
+
+    A model that scores through ``next_byte_scores`` can propose a byte
+    through a longer token and then be unable to tokenize the candidate
+    that byte makes. Slots are therefore filled in rank order: each
+    selected candidate's caches are refreshed, one that such a model
+    cannot tokenize scores -inf for it and is dropped, and the next
+    candidate takes its slot. ``trace`` records the candidates kept. In
+    delayed mode a candidate the proposer cannot tokenize is dropped as
+    soon as its lag is computed. If a step keeps no candidate,
+    ``DecodeFailure`` names each model, byte offset and byte that failed.
     """
     if not models:
         raise ValueError("decode needs at least one model")
@@ -247,18 +278,31 @@ def decode(
     ]
     keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
 
-    def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None]:
+    # (model, byte offset, byte) of each tokenization failure that dropped
+    # a candidate in the current step
+    skipped: list[tuple[int, int, int]] = []
+
+    def note_skip(i: int, data: bytes, err: TokenizationError) -> None:
+        entry = (i, err.offset, data[err.offset])
+        if entry not in skipped:
+            skipped.append(entry)
+
+    def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None] | None:
+        """Caches for ``data``; None if a model that scores through its
+        cache cannot tokenize it (noted in ``skipped``)."""
         caches: list[ModelCache | None] = []
+        tokenized = True
         for i, (m, ctx) in enumerate(models):
             cache = None
             if keeps_cache[i]:
                 try:
                     cache = refresh_cache(m, data, ctx, old=old[i])
-                except TokenizationError:
+                except TokenizationError as err:
                     if scoring[i]:
-                        raise
+                        note_skip(i, data, err)
+                        tokenized = False
             caches.append(cache)
-        return caches
+        return caches if tokenized else None
 
     root = Beam(
         data=b"",
@@ -276,6 +320,7 @@ def decode(
     while live and steps < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
         candidates: list[_Candidate] = []
+        skipped.clear()
         for beam in live:
             scores = [
                 next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
@@ -294,8 +339,14 @@ def decode(
                     if scores[i] is not None:
                         per_model.append(scores[i].log_scores.get(b, NEG_INF))
                     elif delayed and i == 1 and weights[i] > 0.0:
-                        lagged = _lagged_prefix(cfg, models[0][0], child, beam.caches[0].main)
-                        per_model.append(lm_lagged_score(lagged, beam.caches[1]))
+                        try:
+                            lagged = _lagged_prefix(cfg, models[0][0], child, beam.caches[0].main)
+                        except TokenizationError as err:
+                            # the proposer could not keep this candidate as a beam
+                            note_skip(0, child, err)
+                            per_model.append(NEG_INF)
+                        else:
+                            per_model.append(lm_lagged_score(lagged, beam.caches[1]))
                     else:
                         per_model.append(NEG_INF)
                 fused = fuse_scores(per_model, weights)
@@ -332,14 +383,19 @@ def decode(
         candidates = [c for c in candidates if c.fused > NEG_INF]
         if not candidates:
             raise DecodeFailure(
-                f"all beams lost fused probability mass at step {steps}"
+                f"all beams lost fused probability mass at step {steps}", steps, skipped
             )
         candidates.sort(key=lambda c: (-c.fused, c.data))
-        top = candidates[: cfg.num_beams]
 
+        # fill the slots in rank order; a candidate whose bytes a scoring
+        # model cannot tokenize has no next-byte scores for that model, so
+        # it is dropped and the next candidate takes its slot
+        kept: list[_Candidate] = []
         new_live: list[Beam] = []
         new_finished: list[Beam] = []
-        for cand in top:
+        for cand in candidates:
+            if len(kept) == cfg.num_beams:
+                break
             if cand.finished_beam is not None:
                 new_finished.append(cand.finished_beam)
             elif cand.new_byte is None:
@@ -348,12 +404,16 @@ def decode(
                          cand.fused, finished=True)
                 )
             else:
-                new_live.append(
-                    Beam(cand.data, refreshed(cand.data, cand.parent.caches),
-                         list(cand.per_model), cand.fused)
-                )
+                caches = refreshed(cand.data, cand.parent.caches)
+                if caches is None:
+                    continue
+                new_live.append(Beam(cand.data, caches, list(cand.per_model), cand.fused))
+            kept.append(cand)
+        if not kept:
+            raise DecodeFailure(f"no selected candidate could be kept at step {steps}",
+                                steps, skipped)
         live, finished = new_live, new_finished
-        trace.append([(c.data, c.fused) for c in top])
+        trace.append([(c.data, c.fused) for c in kept])
         after = [m.forward_count for m, _ in models]
         step_forwards.append(tuple(a - b for a, b in zip(after, before)))
         steps += 1
@@ -368,9 +428,6 @@ def decode(
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)
         beam.finished = True
         finished.append(beam)
-
-    if not finished:
-        raise DecodeFailure("no finished beams")
 
     alpha = cfg.length_penalty
 

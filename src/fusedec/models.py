@@ -240,6 +240,12 @@ class NoisyChannelModel(TokenModel):
         return state + len(self.vocabulary.bytes_of(self._check_id(token_id)))
 
     def _matching_ids(self, state: int, ctx: SignalContext) -> tuple[int, ...]:
+        """Ids of the tokens matching the signal at byte ``state``, ascending.
+
+        Found by walking the vocabulary's prefix trie along the signal,
+        following each signal byte and its confusion partners, so the
+        cost is the number of matches rather than the vocabulary size.
+        """
         key = (ctx.signal, ctx.confusions, state)
         cached = self._match_cache.get(key)
         if cached is not None:
@@ -248,16 +254,16 @@ class NoisyChannelModel(TokenModel):
         if state >= len(sig):
             ids = (self.vocabulary.eos_id,) if self.vocabulary.eos_id is not None else ()
         else:
-            out = []
-            for tid in self.vocabulary.non_eos_ids:
-                tb = self.vocabulary.bytes_of(tid)
-                if state + len(tb) > len(sig):
-                    continue
-                if all(
-                    ctx.bytes_match(tb[i], sig[state + i]) for i in range(len(tb))
-                ):
-                    out.append(tid)
-            ids = tuple(out)
+            partners: dict[int, set[int]] = {}
+            for a, b in ctx.confusions:
+                if a != b:
+                    partners.setdefault(a, set()).add(b)
+                    partners.setdefault(b, set()).add(a)
+            ids = tuple(
+                self.vocabulary.prefix_index.matching_ids(
+                    sig, state, {b: tuple(sorted(p)) for b, p in partners.items()}
+                )
+            )
         self._match_cache[key] = ids
         return ids
 

@@ -9,8 +9,10 @@ never sees it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class VocabError(ValueError):
@@ -46,42 +48,100 @@ def _suffix_start(main: MainSequence, s: int) -> int:
     return main.boundary_offsets[s] if s < len(main) else len(main.source_bytes)
 
 
+class NextByteGroups:
+    """Token ids sharing a byte prefix, grouped by the byte that follows it.
+
+    Iterates the member ids (``ids``, a read-only array) and has their
+    count as its length. For the members longer than the prefix
+    (``depth`` bytes) it holds their positions among the members
+    (``longer``) and the slot of each one's next byte in ``keys``, the
+    distinct next bytes in order of first appearance. Summing weights
+    per slot with ``np.bincount`` in member order is then the whole of
+    ``group_by_next_byte``.
+    """
+
+    __slots__ = ("ids", "longer", "slot", "keys", "depth")
+
+    def __init__(self, tokens: Sequence[bytes], ids: Sequence[int], depth: int):
+        longer: list[int] = []
+        slot: list[int] = []
+        slot_of: dict[int, int] = {}
+        for pos, tid in enumerate(ids):
+            tb = tokens[tid]
+            if depth > len(tb):
+                raise AssertionError(f"matched_len {depth} exceeds byte length of token {tid}")
+            if len(tb) > depth:
+                longer.append(pos)
+                slot.append(slot_of.setdefault(tb[depth], len(slot_of)))
+        self.ids = _frozen(ids)
+        self.longer = _frozen(longer)
+        self.slot = _frozen(slot)
+        self.keys = tuple(slot_of)
+        self.depth = depth
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids.tolist())
+
+
+def _frozen(values: Sequence[int]) -> np.ndarray:
+    arr = np.array(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
+_NO_GROUPS = NextByteGroups((), (), 0)
+
+
 class _TrieNode:
-    __slots__ = ("children", "ids", "terminal")
+    __slots__ = ("children", "ids", "terminal", "groups")
 
     def __init__(self):
         self.children: dict[int, _TrieNode] = {}
         self.ids: list[int] = []
         self.terminal: int | None = None  # id of the token ending here
+        self.groups: NextByteGroups | None = None  # built on the first query
 
 
 class PrefixIndex:
     """Byte trie answering "which tokens start with this prefix" queries.
 
     Each node stores every token id whose bytes pass through or end at
-    that node, so a query is a walk plus a copy, and the id of the token
-    ending exactly there, if any. EOS is excluded.
+    that node and the id of the token ending exactly there, if any. EOS
+    is excluded. The first query that reaches a node builds its
+    :class:`NextByteGroups` record; later queries return the same
+    record, so a query is a walk. Building the records lazily keeps the
+    index cheap to construct. The index holds the token tuple, not the
+    vocabulary, so the vocabulary and its index form no reference cycle.
     """
 
     def __init__(self, vocab: Vocabulary):
+        self._tokens = vocab._tokens
         self._root = _TrieNode()
         for tid in vocab.non_eos_ids:
             node = self._root
             node.ids.append(tid)
-            for b in vocab.bytes_of(tid):
+            for b in self._tokens[tid]:
                 node = node.children.setdefault(b, _TrieNode())
                 node.ids.append(tid)
             node.terminal = tid
         # ids were appended in increasing tid order, so node.ids are sorted
 
-    def tokens_with_prefix(self, prefix: bytes) -> list[int]:
-        """All non-EOS token ids whose bytes start with ``prefix``, ascending."""
+    def tokens_with_prefix(self, prefix: bytes) -> NextByteGroups:
+        """All non-EOS token ids whose bytes start with ``prefix``, ascending.
+
+        The result is the node's shared, read-only grouping record.
+        """
         node = self._root
         for b in prefix:
             node = node.children.get(b)
             if node is None:
-                return []
-        return list(node.ids)
+                return _NO_GROUPS
+        if node.groups is None:
+            node.groups = NextByteGroups(self._tokens, node.ids, len(prefix))
+        return node.groups
 
     def longest_match(self, data: bytes, start: int) -> int | None:
         """Id of the longest token whose bytes match ``data`` at ``start``."""
@@ -94,6 +154,32 @@ class PrefixIndex:
             if node.terminal is not None:
                 best = node.terminal
         return best
+
+    def matching_ids(
+        self, data: bytes, start: int, partners: Mapping[int, tuple[int, ...]]
+    ) -> list[int]:
+        """Ids of the tokens whose bytes match ``data`` at ``start``, ascending.
+
+        A token byte matches the data byte ``b`` when it is ``b`` or one of
+        ``partners[b]``, distinct bytes other than ``b``; tokens running
+        past the end of ``data`` do not match. The walk follows every matching
+        child, so it costs O(matches), not O(vocabulary).
+        """
+        frontier = [self._root]
+        found: list[int] = []
+        for pos in range(start, len(data)):
+            b = data[pos]
+            frontier = [
+                child
+                for node in frontier
+                for c in (b, *partners.get(b, ()))
+                if (child := node.children.get(c)) is not None
+            ]
+            if not frontier:
+                break
+            found.extend(node.terminal for node in frontier if node.terminal is not None)
+        found.sort()
+        return found
 
 
 class Vocabulary:
@@ -206,17 +292,18 @@ def tokenize(
     return MainSequence(tuple(ids), tuple(offsets), data)
 
 
-def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> list[int]:
+def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:
     """Ids of the tokens whose bytes start with ``suffix``, ascending.
 
-    The empty suffix returns every non-EOS token.
+    The empty suffix returns every non-EOS token. The result is the trie
+    node's shared grouping record, not a copy.
     """
     return idx.tokens_with_prefix(suffix)
 
 
 def group_by_next_byte(
     vocab: Vocabulary,
-    members: Sequence[int],
+    members: NextByteGroups | Sequence[int],
     weights: Sequence[float],
     matched_len: int,
 ) -> dict[int, float]:
@@ -224,21 +311,21 @@ def group_by_next_byte(
 
     Members longer than the match add their weight to the bucket of the
     byte right after it. Members that match exactly complete the match
-    and propose no new byte, so their weight is left out.
+    and propose no new byte, so their weight is left out. Buckets are
+    keyed in order of first appearance and each sums its weights in
+    member order. ``members`` is usually a :class:`NextByteGroups`
+    record of depth ``matched_len``; any other id sequence is grouped
+    into one first.
     """
+    if not (isinstance(members, NextByteGroups) and members.depth == matched_len):
+        members = NextByteGroups(vocab._tokens, members, matched_len)
+    weights = np.asarray(weights, dtype=np.float64)
     if len(members) != len(weights):
         raise ValueError("members and weights must have equal length")
-    buckets: dict[int, float] = {}
-    for tid, w in zip(members, weights):
-        tb = vocab.bytes_of(tid)
-        if matched_len > len(tb):
-            raise AssertionError(
-                f"matched_len {matched_len} exceeds byte length of token {tid}"
-            )
-        if len(tb) > matched_len:
-            b = tb[matched_len]
-            buckets[b] = buckets.get(b, 0.0) + w
-    return buckets
+    sums = np.bincount(
+        members.slot, weights=weights[members.longer], minlength=len(members.keys)
+    )
+    return dict(zip(members.keys, sums.tolist()))
 
 
 # --- vocabulary file format ------------------------------------------------

@@ -113,7 +113,7 @@ class TestRefreshCache:
         cache = refresh_cache(tiny_model, b"ab")
         assert cache.main.token_ids == (2,)
         assert cache.depth_count == 2
-        assert cache.alternatives[0] == [2]
+        assert list(cache.alternatives[0]) == [2]
         assert set(cache.alternatives[1]) == {0, 1, 2}
         assert _suffix_lengths(cache) == [2, 0]
         assert [math.exp(lr) for lr in cache.log_rolling] == pytest.approx([1.0, 0.2])

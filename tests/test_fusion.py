@@ -222,6 +222,24 @@ class TestDegeneracy:
         )
         assert result.best == b"ab"
 
+    def test_synchronous_candidate_a_scorer_cannot_tokenize_is_dropped(self):
+        # the rescorer {a, ab, bc} proposes "b" through "bc" but cannot
+        # tokenize "b"; that candidate gives its slot to the next one
+        tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c"], eos=True))
+        lm = NgramModel(build_vocabulary([b"a", b"ab", b"bc"], eos=True), 2,
+                        corpus=[b"a", b"aab"])
+        ctx = SignalContext(b"abca", noise=0.1)
+        cfg = FusionConfig(r=0.2, num_beams=5)
+        result = decode([(tr, ctx), (lm, None)], cfg)
+        assert result.best == b"a"
+        assert [data for data, _ in result.trace[0]] == [b"a", b""]
+        for step in result.trace:
+            assert len(step) <= cfg.num_beams
+            for data, _ in step:
+                tokenize(lm.vocabulary, data)  # every kept candidate is tokenizable
+        for _, fused, per_model in result.all_beams:
+            assert fused == fuse_scores(per_model, cfg.resolve_weights(2))
+
 
 class TestDecodeFuzz:
     @pytest.mark.parametrize("lag_policy", ["last-tr-token", "fixed"])
@@ -252,6 +270,31 @@ class TestDecodeFuzz:
             for _, fused, per_model in result.all_beams:
                 assert fused == fuse_scores(per_model, weights)
         assert finished > 0 and partial > 0
+
+
+    @pytest.mark.parametrize("feedback", ["synchronous", "delayed"])
+    @pytest.mark.parametrize("r", [0.2, 0.5, 1.0])
+    def test_partial_coverage_of_both_models_raises_only_decode_failure(self, r, feedback):
+        # both models cover the alphabet only partly, so a model can propose
+        # a byte through a longer token that it cannot tokenize on its own
+        rng = random.Random(1000 + int(r * 10) + 100 * (feedback == "delayed"))
+        alphabet = b"abcd"
+        finished = 0
+        for _ in range(40):
+            tr_vocab = random_partial_vocab(rng, alphabet)
+            lm_vocab = random_partial_vocab(rng, alphabet)
+            tr, lm = random_model(rng, tr_vocab), random_model(rng, lm_vocab)
+            cfg = FusionConfig(r=r, num_beams=rng.randint(1, 4), max_bytes=rng.randint(0, 7),
+                               feedback=feedback)
+            try:
+                result = decode([(tr, None), (lm, None)], cfg)
+            except DecodeFailure:
+                continue
+            finished += 1
+            weights = cfg.resolve_weights(2)
+            for _, fused, per_model in result.all_beams:
+                assert fused == fuse_scores(per_model, weights)
+        assert finished > 0
 
 
 class TestMonotoneScores:
@@ -351,6 +394,18 @@ class TestDelayedFeedback:
 
 
 class TestFailureAndEdges:
+    def test_failure_names_step_model_offset_and_byte(self):
+        # {ab} proposes "a" but cannot tokenize it, and there is no EOS to end on
+        tr = NoisyChannelModel(build_vocabulary([b"a", b"b"], eos=True))
+        lm = TableModel(build_vocabulary([b"ab"]), [1.0])
+        cfg = FusionConfig(r=0.5, num_beams=2, max_bytes=4)
+        with pytest.raises(DecodeFailure) as info:
+            decode([(tr, SignalContext(b"ab")), (lm, None)], cfg)
+        assert info.value.step == 0
+        assert info.value.skipped == ((1, 0, ord("a")),)
+        assert "step 0" in str(info.value)
+        assert "model 1 cannot tokenize byte 0x61 at offset 0" in str(info.value)
+
     def test_disjoint_supports_fail_cleanly(self):
         va = build_vocabulary([b"a"])
         vb = build_vocabulary([b"b"])

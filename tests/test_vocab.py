@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusedec import (
+    NoisyChannelModel,
     PrefixIndex,
+    SignalContext,
     TokenizationError,
     VocabError,
     alternatives_for_suffix,
@@ -159,7 +162,7 @@ class TestAlternativesForSuffix:
         assert set(alts) == {0, 1, 2}
 
     def test_unmatched_suffix_is_empty(self, tiny_vocab):
-        assert alternatives_for_suffix(tiny_vocab.prefix_index, b"ba") == []
+        assert list(alternatives_for_suffix(tiny_vocab.prefix_index, b"ba")) == []
 
     def test_matches_linear_scan_on_random_vocabularies(self):
         rng = random.Random(20240917)
@@ -211,6 +214,106 @@ class TestGroupByNextByte:
             w for t, w in zip(members, weights) if len(v.bytes_of(t)) == suffix_len
         )
         assert abs(sum(buckets.values()) + exact - sum(weights)) <= 1e-12
+
+
+def _brute_force_grouping(vocab, members, weights, matched_len):
+    """The per-member loop the grouping record replaced, kept as the oracle."""
+    buckets = {}
+    for tid, w in zip(members, weights):
+        tb = vocab.bytes_of(tid)
+        if len(tb) > matched_len:
+            b = tb[matched_len]
+            buckets[b] = buckets.get(b, 0.0) + float(w)
+    return buckets
+
+
+def _trie_prefixes(vocab):
+    """Every byte prefix that reaches a trie node, the empty one included."""
+    return sorted(
+        {vocab.bytes_of(t)[:k] for t in vocab.non_eos_ids
+         for k in range(len(vocab.bytes_of(t)) + 1)}
+    )
+
+
+class TestNextByteGroups:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_grouping_matches_brute_force_at_every_node(self, seed):
+        # values bit for bit and keys in the same order, for the shared
+        # record and for a plain id list grouped through the same kernel
+        rng = random.Random(seed)
+        v = random_partial_vocab(rng, b"abcd", max_tokens=24, max_len=4, eos=rng.random() < 0.5)
+        # shuffled ids, so first-appearance key order is not byte order
+        tokens = [v.bytes_of(t) for t in v.non_eos_ids]
+        rng.shuffle(tokens)
+        v = build_vocabulary(tokens, eos=v.eos_id is not None)
+        dist = np.array([rng.choice([0.0, 1e-300, rng.random(), rng.random() * 1e-9])
+                         for _ in range(v.size)])
+        idx = v.prefix_index
+        for prefix in _trie_prefixes(v):
+            record = alternatives_for_suffix(idx, prefix)
+            ids = list(record)
+            assert ids == sorted(t for t in v.non_eos_ids if v.bytes_of(t).startswith(prefix))
+            want = list(_brute_force_grouping(v, ids, dist[ids], len(prefix)).items())
+            assert list(group_by_next_byte(v, record, dist[record.ids], len(prefix)).items()) == want
+            weights = [float(dist[t]) for t in ids]
+            assert list(group_by_next_byte(v, ids, weights, len(prefix)).items()) == want
+
+    def test_repeated_query_returns_the_same_read_only_record(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            v = random_partial_vocab(rng, b"abc", max_tokens=16, max_len=3)
+            idx = v.prefix_index
+            for prefix in _trie_prefixes(v):
+                record = alternatives_for_suffix(idx, prefix)
+                assert alternatives_for_suffix(idx, prefix) is record
+                assert len(record) == len(list(record))
+                for arr in (record.ids, record.longer, record.slot):
+                    assert not arr.flags.writeable
+                    if len(arr):
+                        with pytest.raises(ValueError):
+                            arr[0] = 0
+
+    def test_record_fields_for_the_root(self, tiny_vocab):
+        record = alternatives_for_suffix(tiny_vocab.prefix_index, b"")
+        assert list(record) == [0, 1, 2] and len(record) == 3
+        assert record.keys == (ord("a"), ord("b"))
+        assert list(record.longer) == [0, 1, 2] and list(record.slot) == [0, 1, 0]
+
+
+class TestMatchingIds:
+    @staticmethod
+    def _linear_scan(vocab, state, ctx):
+        """The O(V) scan the trie walk replaced, kept as the oracle."""
+        sig = ctx.signal
+        if state >= len(sig):
+            return (vocab.eos_id,) if vocab.eos_id is not None else ()
+        out = []
+        for tid in vocab.non_eos_ids:
+            tb = vocab.bytes_of(tid)
+            if state + len(tb) > len(sig):
+                continue
+            if all(ctx.bytes_match(tb[i], sig[state + i]) for i in range(len(tb))):
+                out.append(tid)
+        return tuple(out)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_trie_walk_matches_linear_scan(self, seed):
+        rng = random.Random(seed)
+        alphabet = b"abcd"
+        v = random_partial_vocab(rng, alphabet, max_tokens=24, max_len=4, eos=rng.random() < 0.5)
+        pairs = frozenset(
+            (rng.choice(alphabet), rng.choice(alphabet)) for _ in range(rng.randint(0, 4))
+        )
+        ctx = SignalContext(
+            bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 8))),
+            noise=0.1,
+            confusions=pairs,
+        )
+        model = NoisyChannelModel(v)
+        for state in range(len(ctx.signal) + 2):
+            assert model._matching_ids(state, ctx) == self._linear_scan(v, state, ctx)
 
 
 class TestVocabularyFile:
