@@ -31,6 +31,7 @@ long sequences do not underflow rolling products.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -38,8 +39,10 @@ import numpy as np
 
 from .models import Context, TokenModel
 from .vocab import (
+    _NO_GROUPS,
     MainSequence,
     NextByteGroups,
+    _stable_prefix,
     _suffix_start,
     alternatives_for_suffix,
     group_by_next_byte,
@@ -56,6 +59,8 @@ class BudgetExceededError(RuntimeError):
 def _logsumexp(parts: Sequence[float]) -> float:
     if not parts:
         return NEG_INF
+    if len(parts) == 1:
+        return parts[0]  # what the general form gives: x + log(1.0) == x
     m = max(parts)
     if m == NEG_INF:
         return NEG_INF
@@ -162,8 +167,12 @@ class ModelCache:
 
     ``alternatives[s]`` holds the tokens covering the whole byte suffix
     after the first ``s`` main tokens, as the trie node's shared
-    ``NextByteGroups`` record (empty when the suffix is longer than any
-    token); ``log_rolling[s]`` is the log of
+    ``NextByteGroups`` record. No token covers a suffix longer than
+    ``max_token_len``, so only the depths from ``first_live`` on, the
+    first whose suffix is at most that long, can have alternatives; the
+    slots before it hold one shared empty record and are never scanned,
+    which keeps a step's cost independent of the hypothesis length.
+    ``log_rolling[s]`` is the log of
     the cumulative product of the first ``s`` main-token probabilities
     (``log_rolling[0] == 0``); ``dists[s]`` is the model distribution
     after those ``s`` tokens, evaluated on first use (see ``_dist_at``).
@@ -172,10 +181,11 @@ class ModelCache:
     """
 
     main: MainSequence
-    alternatives: list[NextByteGroups | list[int]]
+    alternatives: list[NextByteGroups]
     log_rolling: list[float]
     states: list[Any]
     dists: list[np.ndarray | None]
+    first_live: int
 
     @property
     def depth_count(self) -> int:
@@ -224,18 +234,21 @@ def refresh_cache(
     from ``old`` for every depth up to the longest token prefix shared
     with the new main sequence: a model is deterministic in its token
     prefix, so they are exactly what a cold build would compute. When
-    ``old`` covers a prefix of ``data``, only the unstable tail of its
-    main sequence is tokenized again (see ``tokenize``). ``old`` must
-    have been built with the same model and context.
+    ``old`` covers a prefix or an extension of ``data``, only the
+    unstable tail of its main sequence is tokenized again, and the
+    search for the shared token prefix starts past the tokens kept (see
+    ``tokenize``). ``old`` must have been built with the same model and
+    context.
     """
-    main = tokenize(model.vocabulary, data, None if old is None else old.main)
-    s_count = len(main.token_ids)
+    vocab = model.vocabulary
+    main = tokenize(vocab, data, None if old is None else old.main)
+    data, s_count = main.source_bytes, len(main.token_ids)
 
     if old is None:
         keep = 1
         states, log_rolling, dists = [model.initial_state(ctx)], [0.0], [None]
     else:
-        shared = 0
+        shared = _stable_prefix(vocab, data, old.main)[0]
         limit = min(s_count, len(old.main.token_ids))
         while shared < limit and main.token_ids[shared] == old.main.token_ids[shared]:
             shared += 1
@@ -243,19 +256,22 @@ def refresh_cache(
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
     # no token covers a suffix longer than the longest token, so only the
-    # last few depths walk the trie
-    idx = model.vocabulary.prefix_index
-    data, max_len = main.source_bytes, model.vocabulary.max_token_len
-    starts = [_suffix_start(main, s) for s in range(s_count + 1)]
+    # depths from the first live one walk the trie
+    idx = vocab.prefix_index
+    first_live = bisect_left(main.boundary_offsets, len(data) - vocab.max_token_len)
+    alternatives = [_NO_GROUPS] * first_live
+    alternatives.extend(
+        alternatives_for_suffix(idx, data[start:])
+        for start in main.boundary_offsets[first_live:]
+    )
+    alternatives.append(alternatives_for_suffix(idx, b""))
     cache = ModelCache(
         main=main,
-        alternatives=[
-            alternatives_for_suffix(idx, data[start:]) if len(data) - start <= max_len else []
-            for start in starts
-        ],
+        alternatives=alternatives,
         log_rolling=log_rolling,
         states=states,
         dists=dists,
+        first_live=first_live,
     )
     for s in range(keep, s_count + 1):
         tid = main.token_ids[s - 1]
@@ -321,7 +337,7 @@ def approx_byte_log_score(
     cache = refresh_cache(model, data, ctx, old=old)
     s_count = len(cache.main.token_ids)
     parts = [cache.log_rolling[s_count]]
-    for s in range(s_count):
+    for s in range(cache.first_live, s_count):
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue
@@ -336,7 +352,10 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
 
     For each depth s the restricted next-byte mass (``_restricted_mass``)
     is weighted by the rolling product and added to its byte's score.
-    EOS mass at the final depth becomes the terminal score.
+    EOS mass at the final depth becomes the terminal score. Only the
+    depths from ``cache.first_live`` on are scanned: the earlier ones
+    have no alternatives, so a step costs O(``max_token_len``) depths
+    whatever the length of the committed bytes.
 
     A cold cache needs at most S+1 model forwards between
     ``refresh_cache`` and this call; distributions the cache already
@@ -345,7 +364,7 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
     eos = model.vocabulary.eos_id
     s_count = len(cache.main.token_ids)
     log_buckets: dict[int, list[float]] = {}
-    for s in range(s_count + 1):
+    for s in range(cache.first_live, s_count + 1):
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue

@@ -20,7 +20,15 @@ each distribution once. The modes differ only in who reads the caches:
 ``next_byte_scores`` for every cached model in synchronous mode; in
 delayed mode the proposer through ``next_byte_scores`` and the rescorer
 through ``approx_byte_log_score`` on the lagged prefix, seeded with the
-beam's cache, so a step's cost does not grow with hypothesis length.
+beam's cache.
+
+A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
+whatever the hypothesis length: tokenizing re-matches only the last
+``max_token_len`` bytes, scoring scans only the depths whose suffix is
+at most that long (``ModelCache.first_live``), and the last-token lag
+is found from the proposer's tail (``vocab.last_token_start``). What
+does grow with length is copying: building a candidate's bytes and a
+cache's per-depth lists, done in C.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ from .byte_transform import (
     refresh_cache,
 )
 from .models import Context, TokenModel
-from .vocab import MainSequence, TokenizationError, tokenize
+from .vocab import MainSequence, TokenizationError, last_token_start
+# not called here, but kept bound: the benchmark tracer patches fusion.tokenize
+from .vocab import tokenize  # noqa: F401
 
 SYNCHRONOUS = "synchronous"
 DELAYED = "delayed"
@@ -199,16 +209,14 @@ def _lagged_prefix(
 ) -> bytes:
     """Prefix the rescoring model sees for a (candidate) byte string.
 
-    ``prev``, the proposer's main sequence of a prefix of ``data``, makes
-    the tokenization incremental.
+    Under the last-token policy it ends where the proposer's last main
+    token starts. ``prev``, the proposer's main sequence of a prefix of
+    ``data``, limits the matching to the bytes after its stable prefix
+    (see ``last_token_start``).
     """
     if cfg.lag_policy == LAG_FIXED:
         return data[: max(0, len(data) - cfg.lag_k)]
-    main = tokenize(tr_model.vocabulary, data, prev)
-    if len(main) == 0:
-        return b""
-    last_len = len(data) - main.boundary_offsets[-1]
-    return data[: len(data) - last_len]
+    return data[: last_token_start(tr_model.vocabulary, data, prev)]
 
 
 def decode(
@@ -223,7 +231,9 @@ def decode(
     renormalization), and survivors refresh their caches. Beams finish
     when terminal mass wins a slot; anything still live at ``max_bytes``
     is finished with its main-sequence joint score. Finished beams keep
-    competing by final score. Deterministic throughout.
+    competing by final score. Deterministic throughout. A step costs
+    O(beams x (candidate bytes + ``max_token_len``)) work, independent
+    of the hypothesis length (see the module docstring).
 
     Every positively weighted model keeps a per-beam cache of the bytes
     the beam commits, built from its parent's cache. In synchronous mode

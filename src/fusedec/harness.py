@@ -14,6 +14,7 @@ to a separate sidecar file so it cannot break that guarantee.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import random
 import time
@@ -55,6 +56,8 @@ class CorpusSpec:
             raise ValueError("alphabet must be non-empty")
         if not 0 < self.min_len <= self.max_len:
             raise ValueError("need 0 < min_len <= max_len")
+        if self.utterances < 1:
+            raise ValueError(f"utterances must be >= 1 (the test split), got {self.utterances}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,10 @@ class ExperimentConfig:
         for eps in self.noise_grid:
             if not 0.0 <= eps <= 1.0:
                 raise ValueError(f"noise level {eps} outside [0, 1]")
+        if not (math.isfinite(self.lm_alpha) and self.lm_alpha > 0):
+            raise ValueError(f"lm alpha must be positive and finite, got {self.lm_alpha}")
+        if self.max_bytes_margin < 0:
+            raise ValueError(f"max_bytes_margin must be >= 0, got {self.max_bytes_margin}")
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -218,6 +225,11 @@ def build_corpora(cfg: ExperimentConfig, seed: int) -> tuple[list[bytes], list[b
     if spec.path is not None:
         with open(spec.path, "rb") as fh:
             lines = [ln.rstrip(b"\n") for ln in fh if ln.strip()]
+        if len(lines) < 2:
+            raise ValueError(
+                f"corpus file {spec.path} has {len(lines)} non-empty line(s); it needs "
+                "at least two non-empty lines (training and test references)"
+            )
         split = max(1, len(lines) * spec.train_utterances
                     // max(1, spec.train_utterances + spec.utterances))
         return lines[:split], lines[split:]

@@ -162,8 +162,10 @@ class NgramModel(TokenModel):
         super().__init__(vocabulary)
         if order < 1:
             raise ValueError("order must be >= 1")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive (zero-count contexts need mass)")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(
+                f"alpha must be positive and finite (zero-count contexts need mass), got {alpha}"
+            )
         self.order = order
         self.alpha = alpha
         self._counts: dict[tuple[int, ...], dict[int, float]] = {}
@@ -227,11 +229,19 @@ class NoisyChannelModel(TokenModel):
     context's confusion pairs), and ``noise`` is spread uniformly over the
     whole vocabulary. Once the signal is consumed the matching set is
     {EOS}. The offset is the byte length of the committed token prefix.
+
+    Beams at one offset share a distribution, so the distributions of
+    the last context seen are kept, keyed by offset (every offset past
+    the signal's end has the same one), and returned read-only; a new
+    context drops them. They take at most (len(signal) + 1) x V floats.
+    ``forward_count`` still counts every request.
     """
 
     def __init__(self, vocabulary: Vocabulary):
         super().__init__(vocabulary)
         self._match_cache: dict[tuple, tuple[int, ...]] = {}
+        self._memo_ctx: Context = None
+        self._memo: dict[int, np.ndarray] = {}
 
     def initial_state(self, ctx: Context = None) -> int:
         return 0  # byte offset into the signal
@@ -270,6 +280,16 @@ class NoisyChannelModel(TokenModel):
     def _dist(self, state: int, ctx: Context) -> np.ndarray:
         if not isinstance(ctx, SignalContext):
             raise ValueError("NoisyChannelModel requires a SignalContext")
+        if ctx is not self._memo_ctx and ctx != self._memo_ctx:
+            self._memo_ctx, self._memo = ctx, {}
+        key = min(state, len(ctx.signal))
+        dist = self._memo.get(key)
+        if dist is None:
+            dist = self._memo[key] = self._fresh_dist(key, ctx)
+            dist.flags.writeable = False
+        return dist
+
+    def _fresh_dist(self, state: int, ctx: SignalContext) -> np.ndarray:
         v = self.vocabulary.size
         dist = np.full(v, ctx.noise / v, dtype=np.float64)
         matching = self._matching_ids(state, ctx)

@@ -255,31 +255,39 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     return Vocabulary(tokens, eos_id)
 
 
-def tokenize(
-    vocab: Vocabulary, data: bytes, prev: MainSequence | None = None
-) -> MainSequence:
-    """Greedy longest-match left-to-right segmentation of ``data``.
+def _stable_prefix(
+    vocab: Vocabulary, data: bytes, prev: MainSequence | None
+) -> tuple[int, int]:
+    """Leading tokens of ``prev`` that segment ``data`` unchanged.
 
-    ``prev``, the segmentation of a prefix of ``data``, makes the call
-    incremental. Every token that could match where a token of ``prev``
-    starts at least ``max_token_len`` bytes before the end of ``prev``
-    lies inside ``prev``, so appending bytes cannot change that token or
-    any before it; those are kept and only the tail is matched again. A
-    ``prev`` that is not a prefix of ``data`` is ignored.
+    Returns their count and the byte offset where greedy matching
+    resumes after them. Matching at a token start reads at most
+    ``max_token_len`` bytes, so a token of ``prev`` that starts at least
+    that many bytes before the end of the bytes ``prev`` and ``data``
+    share matches again in ``data``, and so does every token before it.
+    Only a prefix relation counts as sharing: when neither byte string
+    starts the other, no token is kept.
     """
-    data = bytes(data)
-    idx = vocab.prefix_index
-    ids: list[int] = []
-    offsets: list[int] = []
-    pos = 0
-    if prev is not None and data.startswith(prev.source_bytes):
-        keep = bisect_right(
-            prev.boundary_offsets, len(prev.source_bytes) - vocab.max_token_len
-        )
-        ids, offsets = list(prev.token_ids[:keep]), list(prev.boundary_offsets[:keep])
-        pos = _suffix_start(prev, keep)
+    if prev is None:
+        return 0, 0
+    src = prev.source_bytes
+    if data.startswith(src):
+        shared = len(src)
+    elif src.startswith(data):
+        shared = len(data)
+    else:
+        return 0, 0
+    keep = bisect_right(prev.boundary_offsets, shared - vocab.max_token_len)
+    return keep, _suffix_start(prev, keep)
+
+
+def _match_tail(
+    vocab: Vocabulary, data: bytes, pos: int, ids: list[int], offsets: list[int]
+) -> None:
+    """Greedy longest-match of ``data[pos:]``, appended to ``ids`` and ``offsets``."""
+    longest_match, tokens = vocab.prefix_index.longest_match, vocab._tokens
     while pos < len(data):
-        tid = idx.longest_match(data, pos)
+        tid = longest_match(data, pos)
         if tid is None:
             raise TokenizationError(
                 f"no token matches input at byte offset {pos} "
@@ -288,8 +296,46 @@ def tokenize(
             )
         ids.append(tid)
         offsets.append(pos)
-        pos += len(vocab.bytes_of(tid))
+        pos += len(tokens[tid])  # ids come from the trie, so no range check
+
+
+def tokenize(
+    vocab: Vocabulary, data: bytes, prev: MainSequence | None = None
+) -> MainSequence:
+    """Greedy longest-match left-to-right segmentation of ``data``.
+
+    ``prev``, the segmentation of a prefix or an extension of ``data``,
+    makes the call incremental: the tokens of ``prev`` that lie at least
+    ``max_token_len`` bytes before the end of the shared bytes are kept
+    (see ``_stable_prefix``) and only the rest is matched again. A
+    ``prev`` whose bytes neither start nor extend ``data`` is ignored.
+    """
+    data = bytes(data)
+    keep, pos = _stable_prefix(vocab, data, prev)
+    ids: list[int] = list(prev.token_ids[:keep]) if keep else []
+    offsets: list[int] = list(prev.boundary_offsets[:keep]) if keep else []
+    _match_tail(vocab, data, pos, ids, offsets)
     return MainSequence(tuple(ids), tuple(offsets), data)
+
+
+def last_token_start(
+    vocab: Vocabulary, data: bytes, prev: MainSequence | None = None
+) -> int:
+    """Byte offset where the last token of ``tokenize(vocab, data, prev)`` starts.
+
+    0 for empty ``data``. Only the tail after the stable prefix of
+    ``prev`` is matched and no :class:`MainSequence` is built, so the
+    matching does not grow with ``len(data)``. Raises
+    ``TokenizationError`` exactly where ``tokenize`` would.
+    """
+    data = bytes(data)
+    keep, pos = _stable_prefix(vocab, data, prev)
+    ids: list[int] = []
+    offsets: list[int] = []
+    _match_tail(vocab, data, pos, ids, offsets)
+    if offsets:
+        return offsets[-1]
+    return prev.boundary_offsets[keep - 1] if keep else 0
 
 
 def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:

@@ -3,21 +3,32 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fusedec import (
     BudgetExceededError,
     NgramModel,
     NoisyChannelModel,
+    PrefixIndex,
     SignalContext,
     TableModel,
+    TokenizationError,
+    approx_byte_log_score,
     approx_byte_score,
     build_vocabulary,
     exact_byte_marginal,
     exact_terminal_mass,
+    group_by_next_byte,
     next_byte_scores,
     refresh_cache,
+    tokenize,
 )
+from fusedec import byte_transform
 
-from conftest import random_coverable_bytes, random_model, random_vocab
+from conftest import random_coverable_bytes, random_model, random_partial_vocab, random_vocab
+
+NEG_INF = float("-inf")
 
 
 class TestExactByteMarginal:
@@ -253,6 +264,143 @@ class TestIncrementalAgainstOracle:
                 data += bytes([rng.choice(sorted(sc.log_scores))])
                 cache = refresh_cache(m, data, old=cache)
         assert checked >= 500
+
+
+class TestLiveDepthWindow:
+    """Scoring scans only the depths whose suffix a token can cover.
+
+    The references below rebuild everything from scratch and scan every
+    depth 0..S, finding each depth's alternatives by a linear scan of the
+    vocabulary; the fast path must agree with them bit for bit.
+    """
+
+    @given(st.integers(0, 2**32 - 1), st.text(alphabet="abc", max_size=40).map(str.encode))
+    @settings(max_examples=150, deadline=None)
+    def test_incremental_scores_equal_a_full_depth_scan_bitwise(self, seed, walk):
+        rng = random.Random(seed)
+        v = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=rng.random() < 0.7)
+        if rng.random() < 0.3:
+            m, ctx = NoisyChannelModel(v), SignalContext(walk, noise=0.1)
+        else:
+            m, ctx = random_model(rng, v), None
+        data, cache = b"", refresh_cache(m, b"", ctx)
+        for b in walk:
+            _assert_matches_reference(m, cache, ctx)
+            try:
+                extended = refresh_cache(m, data + bytes([b]), ctx, old=cache)
+            except TokenizationError:
+                break
+            prev_data, data = data, data + bytes([b])
+            assert approx_byte_log_score(m, data, ctx, old=cache) == _reference_approx(m, data, ctx)
+            cache = extended
+            # a shorter prefix scored from a longer cache (the delayed rescorer's case)
+            cut = rng.randint(0, len(prev_data))
+            assert approx_byte_log_score(m, data[:cut], ctx, old=cache) == _reference_approx(
+                m, data[:cut], ctx
+            )
+        _assert_matches_reference(m, cache, ctx)
+
+    def test_step_scans_at_most_max_token_len_plus_one_depths(self, monkeypatch):
+        rng = random.Random(2405)
+        v = random_vocab(rng, b"ab", max_tokens=12, max_len=3, eos=True)
+        m = random_model(rng, v)
+        data = bytes(rng.choice(b"ab") for _ in range(240))
+        cache = refresh_cache(m, b"")
+        for i in range(len(data)):
+            cache = refresh_cache(m, data[: i + 1], old=cache)
+        assert len(data) >= 200 and len(cache.main) >= 80
+        calls = []
+        kernel = byte_transform._restricted_mass
+
+        def counted(model, cache, s, ctx):
+            calls.append(s)
+            return kernel(model, cache, s, ctx)
+
+        monkeypatch.setattr(byte_transform, "_restricted_mass", counted)
+        next_byte_scores(m, cache)
+        assert 0 < len(calls) <= v.max_token_len + 1
+
+        # the delayed rescorer scores a shorter prefix from the longer cache:
+        # only the last max_token_len bytes are matched again
+        matches = []
+        longest_match = PrefixIndex.longest_match
+
+        def counted_match(index, data, start):
+            matches.append(start)
+            return longest_match(index, data, start)
+
+        monkeypatch.setattr(PrefixIndex, "longest_match", counted_match)
+        calls.clear()
+        approx_byte_log_score(m, data[:-2], old=cache)
+        assert len(matches) <= v.max_token_len + 1
+        assert len(calls) <= v.max_token_len + 1
+
+
+def _reference_logsumexp(parts):
+    if not parts:
+        return NEG_INF
+    top = max(parts)
+    if top == NEG_INF:
+        return NEG_INF
+    return top + math.log(sum(math.exp(p - top) for p in parts))
+
+
+def _reference_depths(model, data, ctx):
+    """(log rolling, distribution, next-byte masses) at every depth 0..S, cold."""
+    v = model.vocabulary
+    main = tokenize(v, data)
+    starts = list(main.boundary_offsets) + [len(data)]
+    state, lr, depths = model.initial_state(ctx), 0.0, []
+    for s, start in enumerate(starts):
+        dist = model.dist_from_state(state, ctx)
+        suffix = data[start:]
+        members = [t for t in v.non_eos_ids if v.bytes_of(t).startswith(suffix)]
+        masses = {}
+        if members:
+            buckets = group_by_next_byte(v, members, dist[members], len(suffix))
+            masses = {b: mass for b, mass in buckets.items() if mass > 0.0}
+        depths.append((lr, dist, masses))
+        if s < len(main):
+            tid = main.token_ids[s]
+            if lr > NEG_INF:
+                p = float(dist[tid])
+                lr = (lr + math.log(p)) if p > 0.0 else NEG_INF
+            state = model.advance_state(state, tid)
+    return depths
+
+
+def _reference_approx(model, data, ctx):
+    if not data:
+        return 0.0
+    depths = _reference_depths(model, data, ctx)
+    parts = [depths[-1][0]]
+    for lr, _, masses in depths[:-1]:
+        if lr == NEG_INF:
+            continue
+        mass = sum(masses.values())
+        if mass > 0.0:
+            parts.append(lr + math.log(mass))
+    return _reference_logsumexp(parts)
+
+
+def _assert_matches_reference(model, cache, ctx):
+    depths = _reference_depths(model, cache.main.source_bytes, ctx)
+    log_buckets = {}
+    for lr, _, masses in depths:
+        if lr == NEG_INF:
+            continue
+        for b, mass in masses.items():
+            log_buckets.setdefault(b, []).append(lr + math.log(mass))
+    want = {b: _reference_logsumexp(parts) for b, parts in sorted(log_buckets.items())}
+    lr, dist, _ = depths[-1]
+    eos = model.vocabulary.eos_id
+    want_terminal = NEG_INF
+    if eos is not None and lr > NEG_INF and float(dist[eos]) > 0.0:
+        want_terminal = lr + math.log(float(dist[eos]))
+    got = next_byte_scores(model, cache, ctx)
+    assert got.log_scores == want
+    assert list(got.log_scores) == list(want)
+    assert got.log_terminal == want_terminal
 
 
 class TestConservation:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedec import (
     DecodeFailure,
@@ -10,6 +12,7 @@ from fusedec import (
     NoisyChannelModel,
     SignalContext,
     TableModel,
+    TokenizationError,
     approx_byte_log_score,
     build_vocabulary,
     decode,
@@ -355,6 +358,40 @@ class TestDelayedFeedback:
         assert _lagged_prefix(cfg, m, b"aab") == b"a"
         assert _lagged_prefix(cfg, m, b"a") == b""
         assert _lagged_prefix(cfg, m, b"") == b""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.text(alphabet="abc", max_size=30).map(str.encode),
+        st.text(alphabet="abc", max_size=8).map(str.encode),
+        st.sampled_from(["none", "prefix", "extension", "unrelated"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tail_only_lag_equals_whole_tokenization(self, seed, data, other, prev_kind):
+        rng = random.Random(seed)
+        v = random_partial_vocab(rng, b"abc", eos=rng.random() < 0.5)
+        m = NoisyChannelModel(v)
+        cfg = FusionConfig(r=0.2, feedback="delayed")
+        try:
+            main = tokenize(v, data)
+            want = data[: main.boundary_offsets[-1]] if data else b""
+        except TokenizationError as err:
+            want = err.offset
+        prev_bytes = {
+            "prefix": data[: rng.randint(0, len(data))],
+            "extension": data + other,
+            "unrelated": other,
+        }.get(prev_kind)
+        prev = None
+        if prev_bytes is not None:
+            try:
+                prev = tokenize(v, prev_bytes)
+            except TokenizationError as err:
+                prev = tokenize(v, prev_bytes[: err.offset])
+        try:
+            got = _lagged_prefix(cfg, m, data, prev)
+        except TokenizationError as err:
+            got = err.offset
+        assert got == want
 
     def test_lagged_prefix_fixed_policy(self):
         v = build_vocabulary([b"a", b"b"])

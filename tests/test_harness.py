@@ -80,6 +80,22 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=rf"unknown key '{key}' in section \[{section}\]"):
             load_experiment_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("lm", "alpha", "nan"),
+            ("lm", "alpha", "inf"),
+            ("lm", "alpha", "0"),
+            ("experiment", "max_bytes_margin", "-50"),
+            ("corpus", "utterances", "0"),
+        ],
+    )
+    def test_invalid_value_rejected_at_load(self, tmp_path, section, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=key):
+            load_experiment_config(str(path))
+
     def test_demo_config_loads(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         cfg = load_experiment_config(os.path.join(root, "configs", "demo.cfg"))
@@ -119,6 +135,13 @@ class TestSyntheticData:
         train, test = build_corpora(cfg, seed=7)
         assert train == [b"aaa", b"bbb"]
         assert test == [b"ccc", b"ddd"]
+
+    def test_one_line_corpus_file_rejected(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_bytes(b"aaa\n\n")
+        cfg = small_config(corpus=CorpusSpec(path=str(path)))
+        with pytest.raises(ValueError, match=r"refs\.txt.*at least two non-empty lines"):
+            build_corpora(cfg, seed=7)
 
     def test_default_vocabularies_are_mismatched(self):
         va = default_vocabulary(b"abcd", seed=1, n_merges=2)

@@ -178,6 +178,11 @@ class TestNgramModel:
         m = NgramModel(v, 1, corpus=[b"aab"], alpha=0.1)
         assert np.array_equal(m.next_token_dist([]), m.next_token_dist([1, 2]))
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            NgramModel(_vocab(), 2, corpus=[b"ab"], alpha=alpha)
+
 
 class TestNoisyChannel:
     def test_zero_noise_uniform_over_consistent_tokens(self):
@@ -229,6 +234,23 @@ class TestNoisyChannel:
     def test_noise_level_validated(self):
         with pytest.raises(ValueError):
             SignalContext(b"ab", noise=1.5)
+
+    def test_memoized_distributions_equal_a_fresh_model(self):
+        v = build_vocabulary([b"a", b"b", b"ab", b"ba"], eos=True)
+        contexts = [
+            SignalContext(b"abab", noise=0.2),
+            SignalContext(b"ba", noise=0.0, confusions=frozenset({(ord("a"), ord("b"))})),
+            SignalContext(b"abab", noise=0.2),  # equal to the first, another object
+        ]
+        memo = NoisyChannelModel(v)
+        for _ in range(2):  # alternate contexts, so the memo is dropped and rebuilt
+            for ctx in contexts:
+                for state in range(len(ctx.signal) + 3):
+                    got = memo.dist_from_state(state, ctx)
+                    assert not got.flags.writeable
+                    assert np.array_equal(got, NoisyChannelModel(v).dist_from_state(state, ctx))
+        # every request is a forward, memoized or not
+        assert memo.forward_count == 2 * sum(len(c.signal) + 3 for c in contexts)
 
 
 class TestSequenceLogProb:

@@ -109,6 +109,9 @@ class TestIncrementalTokenize:
         data = head + tail
         cold = _tokenize_outcome(v, data)
         assert _tokenize_outcome(v, data, prev) == cold
+        # an extension of data hands over its stable tokens too
+        if not isinstance(cold, int):
+            assert tokenize(v, head, cold) == prev
         # a prev that does not segment a prefix of data is ignored
         unrelated = _tokenize_outcome(v, other)
         if not isinstance(unrelated, int):
