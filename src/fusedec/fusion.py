@@ -5,6 +5,10 @@ Each model scores candidate next bytes in its own token space through
 scores with per-model weights and runs a beam search over bytes, so
 models never need to share a tokenizer.
 
+The search has one kind of candidate: a beam extended by one byte, or
+ended where it is; a finished beam competes as its own ending. Ranking
+by fused score, then bytes, is a total order (see ``decode``).
+
 Two feedback modes are supported. In ``synchronous`` mode every model
 scores the full candidate prefix each step. In ``delayed`` mode the
 first model proposes bytes while the second scores a prefix lagging
@@ -39,6 +43,7 @@ from typing import Sequence
 
 from .byte_transform import (
     NEG_INF,
+    ByteScore,
     ModelCache,
     approx_byte_log_score,
     next_byte_scores,
@@ -97,8 +102,6 @@ class FusionConfig:
     lag_policy: str = LAG_LAST_TOKEN
     lag_k: int = 0
     length_penalty: float = 0.0
-    repetition_ngram: int = 0
-    repetition_penalty: float = 0.0
 
     def __post_init__(self):
         if self.num_beams < 1:
@@ -107,18 +110,13 @@ class FusionConfig:
             raise ValueError("max_bytes must be >= 0")
         if self.r is not None and not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must be in [0, 1], got {self.r}")
-        if self.weights is not None and not all(
-            math.isfinite(w) and w >= 0 for w in self.weights
+        if self.weights is not None and not (
+            all(math.isfinite(w) and w >= 0 for w in self.weights)
+            and any(w > 0 for w in self.weights)
         ):
-            raise ValueError(f"model weights must be finite and non-negative, got {self.weights}")
+            raise ValueError(f"weights must be finite, >= 0 and not all 0, got {self.weights}")
         if not math.isfinite(self.length_penalty):
             raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
-        if not (math.isfinite(self.repetition_penalty) and self.repetition_penalty >= 0):
-            raise ValueError(
-                f"repetition_penalty must be finite and non-negative, got {self.repetition_penalty}"
-            )
-        if self.repetition_ngram < 0:
-            raise ValueError("repetition_ngram must be >= 0")
         if self.feedback not in (SYNCHRONOUS, DELAYED):
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
         if self.lag_policy not in (LAG_LAST_TOKEN, LAG_FIXED):
@@ -173,7 +171,6 @@ class Beam:
     caches: list[ModelCache | None]
     per_model_scores: list[float]
     fused_score: float
-    finished: bool = False
 
 
 @dataclass(frozen=True)
@@ -192,16 +189,6 @@ class DecodeResult:
     forward_counts: tuple[int, ...]
     trace: list[list[tuple[bytes, float]]]
     step_forwards: list[tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    data: bytes
-    fused: float
-    per_model: tuple[float, ...]
-    parent: Beam | None  # None for carried finished beams
-    new_byte: int | None  # None for terminal / carried candidates
-    finished_beam: Beam | None = None
 
 
 def _lagged_prefix(
@@ -226,12 +213,14 @@ def decode(
     """Fused byte-level beam search.
 
     Per step, every live beam asks each positively weighted model for
-    joint next-byte scores, candidates are fused and pruned globally to
-    ``num_beams`` (cumulative joint log scores, no per-step
-    renormalization), and survivors refresh their caches. Beams finish
-    when terminal mass wins a slot; anything still live at ``max_bytes``
-    is finished with its main-sequence joint score. Finished beams keep
-    competing by final score. Deterministic throughout. A step costs
+    joint next-byte scores. Each candidate extends a live beam by one byte
+    or ends it, with the models' terminal mass; a finished beam competes
+    as its own ending, with its final score. Candidates are fused
+    (cumulative joint log scores, no per-step renormalization), ranked by
+    (-fused score, bytes), a total order because a step's candidates have
+    distinct bytes, and pruned globally to ``num_beams``; extended beams
+    refresh their caches. Anything still live at ``max_bytes`` is
+    finished with its main-sequence joint score. A step costs
     O(beams x (candidate bytes + ``max_token_len``)) work, independent
     of the hypothesis length (see the module docstring).
 
@@ -314,6 +303,28 @@ def decode(
             caches.append(cache)
         return caches if tokenized else None
 
+    def model_score(i: int, beam: Beam, scores_i: ByteScore | None, byte: int | None) -> float:
+        """Model ``i``'s joint log score of ``beam`` extended by ``byte``, or
+        ended if ``byte`` is None; ``scores_i`` are its next-byte scores
+        for ``beam`` when it scores through them."""
+        if scores_i is not None:
+            if byte is None:
+                return scores_i.log_terminal
+            return scores_i.log_scores.get(byte, NEG_INF)
+        if not keeps_cache[i]:  # only the delayed rescorer keeps a cache without scoring
+            return NEG_INF
+        if byte is None:
+            # an ending catches the rescorer up to the full, now complete, prefix
+            return lm_lagged_score(beam.data, beam.caches[1])
+        child = beam.data + bytes([byte])
+        try:
+            lagged = _lagged_prefix(cfg, models[0][0], child, beam.caches[0].main)
+        except TokenizationError as err:
+            # the proposer could not keep this candidate as a beam
+            note_skip(0, child, err)
+            return NEG_INF
+        return lm_lagged_score(lagged, beam.caches[1])
+
     root = Beam(
         data=b"",
         caches=refreshed(b"", [None] * len(models)),
@@ -329,101 +340,53 @@ def decode(
 
     while live and steps < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
-        candidates: list[_Candidate] = []
         skipped.clear()
+        # (fused, bytes, beam, next byte or None, per-model scores); a None
+        # byte ends ``beam``, and a finished beam competes as its own ending
+        candidates: list[tuple[float, bytes, Beam, int | None, list[float]]] = [
+            (fb.fused_score, fb.data, fb, None, fb.per_model_scores) for fb in finished
+        ]
         for beam in live:
             scores = [
                 next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
                 for i, (model, ctx) in enumerate(models)
             ]
-
-            cand_bytes: set[int] = set()
-            for sc in scores:
-                if sc is not None:
-                    cand_bytes.update(sc.log_scores)
-
-            for b in sorted(cand_bytes):
-                child = beam.data + bytes([b])
-                per_model: list[float] = []
-                for i in range(len(models)):
-                    if scores[i] is not None:
-                        per_model.append(scores[i].log_scores.get(b, NEG_INF))
-                    elif delayed and i == 1 and weights[i] > 0.0:
-                        try:
-                            lagged = _lagged_prefix(cfg, models[0][0], child, beam.caches[0].main)
-                        except TokenizationError as err:
-                            # the proposer could not keep this candidate as a beam
-                            note_skip(0, child, err)
-                            per_model.append(NEG_INF)
-                        else:
-                            per_model.append(lm_lagged_score(lagged, beam.caches[1]))
-                    else:
-                        per_model.append(NEG_INF)
+            cand_bytes = sorted({b for sc in scores if sc is not None for b in sc.log_scores})
+            for b in [*cand_bytes, None]:
+                per_model = [model_score(i, beam, scores[i], b) for i in range(len(models))]
                 fused = fuse_scores(per_model, weights)
-                if fused == NEG_INF:
-                    continue
-                if cfg.repetition_ngram > 0 and cfg.repetition_penalty > 0.0:
-                    fused -= cfg.repetition_penalty * _tail_repeats(
-                        child, cfg.repetition_ngram
-                    )
-                candidates.append(_Candidate(child, fused, tuple(per_model), beam, b))
+                if fused > NEG_INF:
+                    data = beam.data if b is None else beam.data + bytes([b])
+                    candidates.append((fused, data, beam, b, per_model))
 
-            # ending here: terminal mass, with the rescorer caught up to the
-            # full (now complete) prefix in delayed mode
-            per_model_term: list[float] = []
-            for i in range(len(models)):
-                if scores[i] is not None:
-                    per_model_term.append(scores[i].log_terminal)
-                elif delayed and i == 1 and weights[i] > 0.0:
-                    per_model_term.append(lm_lagged_score(beam.data, beam.caches[1]))
-                else:
-                    per_model_term.append(NEG_INF)
-            fused_term = fuse_scores(per_model_term, weights)
-            if fused_term > NEG_INF:
-                candidates.append(
-                    _Candidate(beam.data, fused_term, tuple(per_model_term), beam, None)
-                )
-
-        for fb in finished:
-            candidates.append(
-                _Candidate(fb.data, fb.fused_score, tuple(fb.per_model_scores),
-                           None, None, finished_beam=fb)
-            )
-
-        candidates = [c for c in candidates if c.fused > NEG_INF]
         if not candidates:
             raise DecodeFailure(
                 f"all beams lost fused probability mass at step {steps}", steps, skipped
             )
-        candidates.sort(key=lambda c: (-c.fused, c.data))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
 
         # fill the slots in rank order; a candidate whose bytes a scoring
         # model cannot tokenize has no next-byte scores for that model, so
         # it is dropped and the next candidate takes its slot
-        kept: list[_Candidate] = []
+        kept: list[tuple[bytes, float]] = []
         new_live: list[Beam] = []
         new_finished: list[Beam] = []
-        for cand in candidates:
+        for fused, data, beam, b, per_model in candidates:
             if len(kept) == cfg.num_beams:
                 break
-            if cand.finished_beam is not None:
-                new_finished.append(cand.finished_beam)
-            elif cand.new_byte is None:
-                new_finished.append(
-                    Beam(cand.data, cand.parent.caches, list(cand.per_model),
-                         cand.fused, finished=True)
-                )
+            if b is None:
+                new_finished.append(Beam(data, beam.caches, per_model, fused))
             else:
-                caches = refreshed(cand.data, cand.parent.caches)
+                caches = refreshed(data, beam.caches)
                 if caches is None:
                     continue
-                new_live.append(Beam(cand.data, caches, list(cand.per_model), cand.fused))
-            kept.append(cand)
+                new_live.append(Beam(data, caches, per_model, fused))
+            kept.append((data, fused))
         if not kept:
             raise DecodeFailure(f"no selected candidate could be kept at step {steps}",
                                 steps, skipped)
         live, finished = new_live, new_finished
-        trace.append([(c.data, c.fused) for c in kept])
+        trace.append(kept)
         after = [m.forward_count for m, _ in models]
         step_forwards.append(tuple(a - b for a, b in zip(after, before)))
         steps += 1
@@ -436,7 +399,6 @@ def decode(
             for i in range(len(models))
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)
-        beam.finished = True
         finished.append(beam)
 
     alpha = cfg.length_penalty
@@ -461,11 +423,3 @@ def decode_greedy(model: TokenModel, ctx: Context, max_bytes: int) -> bytes:
     """Single-model, single-beam decode: the greedy baseline."""
     cfg = FusionConfig(weights=[1.0], num_beams=1, max_bytes=max_bytes)
     return decode([(model, ctx)], cfg).best
-
-
-def _tail_repeats(data: bytes, n: int) -> int:
-    """How many earlier occurrences the trailing n-gram has in ``data``."""
-    if len(data) < 2 * n:
-        return 0
-    tail = data[-n:]
-    return data[:-n].count(tail)

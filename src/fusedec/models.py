@@ -3,8 +3,9 @@
 Every model exposes the same contract: given a token prefix and an
 optional context, produce a probability vector over all token ids
 (including EOS when the vocabulary has one). Distributions are
-deterministic, and incremental states reproduce from-scratch scoring
-bit for bit. ``forward_count`` tracks distribution evaluations.
+deterministic and read-only (a model may hand the same array to many
+forwards), and incremental states reproduce from-scratch scoring bit
+for bit. ``forward_count`` tracks distribution evaluations.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ class NgramModel(TokenModel):
         for tid, n in row.items():
             dist[tid] += n
         dist /= total + self.alpha * v
+        dist.flags.writeable = False
         self._dist_cache[state] = dist
         return dist
 
@@ -239,7 +241,6 @@ class NoisyChannelModel(TokenModel):
 
     def __init__(self, vocabulary: Vocabulary):
         super().__init__(vocabulary)
-        self._match_cache: dict[tuple, tuple[int, ...]] = {}
         self._memo_ctx: Context = None
         self._memo: dict[int, np.ndarray] = {}
 
@@ -256,26 +257,19 @@ class NoisyChannelModel(TokenModel):
         following each signal byte and its confusion partners, so the
         cost is the number of matches rather than the vocabulary size.
         """
-        key = (ctx.signal, ctx.confusions, state)
-        cached = self._match_cache.get(key)
-        if cached is not None:
-            return cached
         sig = ctx.signal
         if state >= len(sig):
-            ids = (self.vocabulary.eos_id,) if self.vocabulary.eos_id is not None else ()
-        else:
-            partners: dict[int, set[int]] = {}
-            for a, b in ctx.confusions:
-                if a != b:
-                    partners.setdefault(a, set()).add(b)
-                    partners.setdefault(b, set()).add(a)
-            ids = tuple(
-                self.vocabulary.prefix_index.matching_ids(
-                    sig, state, {b: tuple(sorted(p)) for b, p in partners.items()}
-                )
+            return (self.vocabulary.eos_id,) if self.vocabulary.eos_id is not None else ()
+        partners: dict[int, set[int]] = {}
+        for a, b in ctx.confusions:
+            if a != b:
+                partners.setdefault(a, set()).add(b)
+                partners.setdefault(b, set()).add(a)
+        return tuple(
+            self.vocabulary.prefix_index.matching_ids(
+                sig, state, {b: tuple(sorted(p)) for b, p in partners.items()}
             )
-        self._match_cache[key] = ids
-        return ids
+        )
 
     def _dist(self, state: int, ctx: Context) -> np.ndarray:
         if not isinstance(ctx, SignalContext):
@@ -312,7 +306,9 @@ def _normalized(row: Sequence[float], size: int) -> np.ndarray:
     total = arr.sum()
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
         raise ValueError(f"probabilities must sum to 1 (got {total})")
-    return arr / total
+    dist = arr / total
+    dist.flags.writeable = False  # shared by every forward of the model
+    return dist
 
 
 # --- model file formats ------------------------------------------------------

@@ -75,6 +75,14 @@ class TestModelConformance:
             b = model.next_token_dist(prefix, ctx)
             assert np.array_equal(a, b)
 
+    def test_distributions_read_only(self, name, model, ctx):
+        # models hand out shared arrays; a write would change later forwards
+        dist = model.next_token_dist([], ctx)
+        before = dist.copy()
+        with pytest.raises(ValueError):
+            dist[0] = 7.0
+        assert np.array_equal(model.next_token_dist([], ctx), before)
+
     def test_state_matches_from_scratch(self, name, model, ctx):
         rng = random.Random(41)
         ids = list(model.vocabulary.non_eos_ids)
