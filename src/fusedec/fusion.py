@@ -29,28 +29,29 @@ beam's cache.
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: tokenizing re-matches only the last
 ``max_token_len`` bytes, scoring scans only the depths whose suffix is
-at most that long (``ModelCache.first_live``), and the last-token lag
-is found from the proposer's tail (``vocab.last_token_start``). What
-does grow with length is copying: building a candidate's bytes and a
-cache's per-depth lists, done in C.
+at most that long (``ModelCache.first_live``), and a beam finds the
+last-token lag of all its candidate bytes with one trie walk per
+proposer token start in its last ``max_token_len`` bytes
+(``vocab.last_token_starts``). Only candidates that take a slot build
+their bytes; copying those and a kept cache's lists, done in C, is
+what grows with length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .byte_transform import (
     NEG_INF,
-    ByteScore,
     ModelCache,
     approx_byte_log_score,
     next_byte_scores,
     refresh_cache,
 )
 from .models import Context, TokenModel
-from .vocab import MainSequence, TokenizationError, last_token_start
+from .vocab import TokenizationError, last_token_starts
 # not called here, but kept bound: the benchmark tracer patches fusion.tokenize
 from .vocab import tokenize  # noqa: F401
 
@@ -73,7 +74,7 @@ class DecodeFailure(RuntimeError):
         self,
         message: str,
         step: int | None = None,
-        skipped: Sequence[tuple[int, int, int]] = (),
+        skipped: Iterable[tuple[int, int, int]] = (),
     ):
         self.step = step
         self.skipped = tuple(skipped)
@@ -191,21 +192,6 @@ class DecodeResult:
     step_forwards: list[tuple[int, ...]]
 
 
-def _lagged_prefix(
-    cfg: FusionConfig, tr_model: TokenModel, data: bytes, prev: MainSequence | None = None
-) -> bytes:
-    """Prefix the rescoring model sees for a (candidate) byte string.
-
-    Under the last-token policy it ends where the proposer's last main
-    token starts. ``prev``, the proposer's main sequence of a prefix of
-    ``data``, limits the matching to the bytes after its stable prefix
-    (see ``last_token_start``).
-    """
-    if cfg.lag_policy == LAG_FIXED:
-        return data[: max(0, len(data) - cfg.lag_k)]
-    return data[: last_token_start(tr_model.vocabulary, data, prev)]
-
-
 def decode(
     models: Sequence[tuple[TokenModel, Context]],
     cfg: FusionConfig,
@@ -218,9 +204,10 @@ def decode(
     as its own ending, with its final score. Candidates are fused
     (cumulative joint log scores, no per-step renormalization), ranked by
     (-fused score, bytes), a total order because a step's candidates have
-    distinct bytes, and pruned globally to ``num_beams``; extended beams
-    refresh their caches. Anything still live at ``max_bytes`` is
-    finished with its main-sequence joint score. A step costs
+    distinct bytes, and pruned globally to ``num_beams``; only the kept
+    extensions build their bytes and refresh their caches. Anything
+    still live at ``max_bytes`` is finished with its main-sequence joint
+    score. A step costs
     O(beams x (candidate bytes + ``max_token_len``)) work, independent
     of the hypothesis length (see the module docstring).
 
@@ -242,8 +229,10 @@ def decode(
     selected candidate's caches are refreshed, one that such a model
     cannot tokenize scores -inf for it and is dropped, and the next
     candidate takes its slot. ``trace`` records the candidates kept. In
-    delayed mode a candidate the proposer cannot tokenize is dropped as
-    soon as its lag is computed. If a step keeps no candidate,
+    delayed mode a positively weighted rescorer under the last-token lag
+    reads the proposer's tokenization of every candidate, so one the
+    proposer cannot tokenize scores -inf before ranking; under a fixed
+    lag it is dropped at slot filling. If a step keeps no candidate,
     ``DecodeFailure`` names each model, byte offset and byte that failed.
     """
     if not models:
@@ -266,25 +255,16 @@ def decode(
     lm_log_memo: dict[bytes, float] = {b"": 0.0}
 
     def lm_lagged_score(prefix: bytes, old: ModelCache | None) -> float:
-        cached = lm_log_memo.get(prefix)
-        if cached is None:
-            cached = joint_log_score(1, prefix, old)
-            lm_log_memo[prefix] = cached
-        return cached
+        if prefix not in lm_log_memo:
+            lm_log_memo[prefix] = joint_log_score(1, prefix, old)
+        return lm_log_memo[prefix]
 
-    scoring = [
-        i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))
-    ]
+    scoring = [i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))]
     keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
 
     # (model, byte offset, byte) of each tokenization failure that dropped
-    # a candidate in the current step
-    skipped: list[tuple[int, int, int]] = []
-
-    def note_skip(i: int, data: bytes, err: TokenizationError) -> None:
-        entry = (i, err.offset, data[err.offset])
-        if entry not in skipped:
-            skipped.append(entry)
+    # a candidate in the current step, in first-seen order
+    skipped: dict[tuple[int, int, int], None] = {}
 
     def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None] | None:
         """Caches for ``data``; None if a model that scores through its
@@ -298,32 +278,34 @@ def decode(
                     cache = refresh_cache(m, data, ctx, old=old[i])
                 except TokenizationError as err:
                     if scoring[i]:
-                        note_skip(i, data, err)
+                        skipped[(i, err.offset, data[err.offset])] = None
                         tokenized = False
             caches.append(cache)
         return caches if tokenized else None
 
-    def model_score(i: int, beam: Beam, scores_i: ByteScore | None, byte: int | None) -> float:
-        """Model ``i``'s joint log score of ``beam`` extended by ``byte``, or
-        ended if ``byte`` is None; ``scores_i`` are its next-byte scores
-        for ``beam`` when it scores through them."""
-        if scores_i is not None:
-            if byte is None:
-                return scores_i.log_terminal
-            return scores_i.log_scores.get(byte, NEG_INF)
-        if not keeps_cache[i]:  # only the delayed rescorer keeps a cache without scoring
-            return NEG_INF
-        if byte is None:
-            # an ending catches the rescorer up to the full, now complete, prefix
-            return lm_lagged_score(beam.data, beam.caches[1])
-        child = beam.data + bytes([byte])
-        try:
-            lagged = _lagged_prefix(cfg, models[0][0], child, beam.caches[0].main)
-        except TokenizationError as err:
-            # the proposer could not keep this candidate as a beam
-            note_skip(0, child, err)
-            return NEG_INF
-        return lm_lagged_score(lagged, beam.caches[1])
+    def rescorer_scores(beam: Beam, cand_bytes: list[int]) -> list[float]:
+        """The delayed rescorer's score of ``beam`` extended by each of
+        ``cand_bytes``, at its lagged prefix, then of ``beam`` ended, at
+        the full prefix. The lag is found once per beam."""
+        data, old = beam.data, beam.caches[1]
+        if cfg.lag_policy == LAG_FIXED:
+            starts = dict.fromkeys(cand_bytes, max(0, len(data) + 1 - cfg.lag_k))
+        else:
+            starts = last_token_starts(models[0][0].vocabulary, beam.caches[0].main)
+        at_start: dict[int, float] = {}  # each distinct lagged prefix is looked up once
+        out = []
+        for b in cand_bytes:
+            t = starts.get(b)
+            if t is None:  # the proposer could not keep this candidate as a beam
+                skipped[(0, len(data), b)] = None
+                out.append(NEG_INF)
+            elif t > len(data):  # a fixed lag of 0: the candidate is its own lagged prefix
+                out.append(lm_lagged_score(data + bytes((b,)), old))
+            else:
+                if t not in at_start:
+                    at_start[t] = lm_lagged_score(data[:t], old)
+                out.append(at_start[t])
+        return [*out, lm_lagged_score(data, old)]
 
     root = Beam(
         data=b"",
@@ -341,10 +323,13 @@ def decode(
     while live and steps < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
         skipped.clear()
-        # (fused, bytes, beam, next byte or None, per-model scores); a None
-        # byte ends ``beam``, and a finished beam competes as its own ending
-        candidates: list[tuple[float, bytes, Beam, int | None, list[float]]] = [
-            (fb.fused_score, fb.data, fb, None, fb.per_model_scores) for fb in finished
+        # (-fused, beam bytes, next byte or -1, beam, per-model scores); -1
+        # ends ``beam``, and a finished beam competes as its own ending. The
+        # first three fields never tie and order as (-fused, bytes) does: live
+        # beams have one length, an ending is a proper prefix of its beam's
+        # extensions, and carried finished beams are shorter.
+        candidates: list[tuple[float, bytes, int, Beam, Sequence[float]]] = [
+            (-fb.fused_score, fb.data, -1, fb, fb.per_model_scores) for fb in finished
         ]
         for beam in live:
             scores = [
@@ -352,18 +337,26 @@ def decode(
                 for i, (model, ctx) in enumerate(models)
             ]
             cand_bytes = sorted({b for sc in scores if sc is not None for b in sc.log_scores})
-            for b in [*cand_bytes, None]:
-                per_model = [model_score(i, beam, scores[i], b) for i in range(len(models))]
+            # one score per candidate byte, then one for the ending, per model;
+            # a model that keeps a cache without scoring is the delayed rescorer
+            columns = [
+                [*(sc.log_scores.get(b, NEG_INF) for b in cand_bytes), sc.log_terminal]
+                if sc is not None
+                else rescorer_scores(beam, cand_bytes)
+                if keeps_cache[i]
+                else [NEG_INF] * (len(cand_bytes) + 1)
+                for i, sc in enumerate(scores)
+            ]
+            for b, per_model in zip([*cand_bytes, -1], zip(*columns)):
                 fused = fuse_scores(per_model, weights)
                 if fused > NEG_INF:
-                    data = beam.data if b is None else beam.data + bytes([b])
-                    candidates.append((fused, data, beam, b, per_model))
+                    candidates.append((-fused, beam.data, b, beam, per_model))
 
         if not candidates:
             raise DecodeFailure(
                 f"all beams lost fused probability mass at step {steps}", steps, skipped
             )
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        candidates.sort()
 
         # fill the slots in rank order; a candidate whose bytes a scoring
         # model cannot tokenize has no next-byte scores for that model, so
@@ -371,17 +364,18 @@ def decode(
         kept: list[tuple[bytes, float]] = []
         new_live: list[Beam] = []
         new_finished: list[Beam] = []
-        for fused, data, beam, b, per_model in candidates:
+        for neg_fused, data, b, beam, per_model in candidates:
             if len(kept) == cfg.num_beams:
                 break
-            if b is None:
-                new_finished.append(Beam(data, beam.caches, per_model, fused))
+            if b < 0:
+                new_finished.append(Beam(data, beam.caches, list(per_model), -neg_fused))
             else:
+                data += bytes((b,))
                 caches = refreshed(data, beam.caches)
                 if caches is None:
                     continue
-                new_live.append(Beam(data, caches, per_model, fused))
-            kept.append((data, fused))
+                new_live.append(Beam(data, caches, list(per_model), -neg_fused))
+            kept.append((data, -neg_fused))
         if not kept:
             raise DecodeFailure(f"no selected candidate could be kept at step {steps}",
                                 steps, skipped)

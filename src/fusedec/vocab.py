@@ -318,24 +318,29 @@ def tokenize(
     return MainSequence(tuple(ids), tuple(offsets), data)
 
 
-def last_token_start(
-    vocab: Vocabulary, data: bytes, prev: MainSequence | None = None
-) -> int:
-    """Byte offset where the last token of ``tokenize(vocab, data, prev)`` starts.
+def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
+    """Where the last token of ``tokenize(vocab, data + bytes([b]))`` starts, per ``b``.
 
-    0 for empty ``data``. Only the tail after the stable prefix of
-    ``prev`` is matched and no :class:`MainSequence` is built, so the
-    matching does not grow with ``len(data)``. Raises
-    ``TokenizationError`` exactly where ``tokenize`` would.
+    ``main`` is ``tokenize(vocab, data)``. A byte missing from the result
+    cannot follow ``data``: tokenizing fails at offset ``len(data)``.
+    Greedy matching of ``data + b`` follows ``main`` up to the first token
+    start ``t`` where ``data[t:] + b`` is a token, which ends it; with no
+    such ``t``, ``b`` alone ends it if it is a token. Such a ``t`` lies
+    less than ``max_token_len`` bytes before the end, so one trie walk per
+    start there answers every byte, whatever the length of ``data``.
     """
-    data = bytes(data)
-    keep, pos = _stable_prefix(vocab, data, prev)
-    ids: list[int] = []
-    offsets: list[int] = []
-    _match_tail(vocab, data, pos, ids, offsets)
-    if offsets:
-        return offsets[-1]
-    return prev.boundary_offsets[keep - 1] if keep else 0
+    data, root = main.source_bytes, vocab.prefix_index._root
+    first = bisect_right(main.boundary_offsets, len(data) - vocab.max_token_len)
+    starts: dict[int, int] = {}
+    # latest start first, so the earliest qualifying start is written last
+    for t in reversed((*main.boundary_offsets[first:], len(data))):
+        node = root
+        for x in data[t:]:
+            if (node := node.children.get(x)) is None:
+                break
+        else:
+            starts.update((b, t) for b, c in node.children.items() if c.terminal is not None)
+    return starts
 
 
 def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:

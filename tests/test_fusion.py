@@ -20,7 +20,8 @@ from fusedec import (
     fuse_scores,
     tokenize,
 )
-from fusedec.fusion import _lagged_prefix
+from fusedec import fusion
+from fusedec.vocab import last_token_starts
 
 from conftest import (
     random_bigram_model,
@@ -361,67 +362,81 @@ class TestExhaustiveBeamOptimality:
 class TestDelayedFeedback:
     def test_lagged_prefix_last_token_policy(self):
         v = build_vocabulary([b"a", b"b", b"ab"])
-        m = TableModel(v, [0.5, 0.3, 0.2])
-        cfg = FusionConfig(r=0.2, feedback="delayed")
         # "aab" tokenizes to [a, ab]; the rescorer must not see "ab"
-        assert _lagged_prefix(cfg, m, b"aab") == b"a"
-        assert _lagged_prefix(cfg, m, b"a") == b""
-        assert _lagged_prefix(cfg, m, b"") == b""
+        assert last_token_starts(v, tokenize(v, b"aa"))[ord("b")] == 1
+        assert last_token_starts(v, tokenize(v, b"a")) == {ord("a"): 1, ord("b"): 0}
+        assert last_token_starts(v, tokenize(v, b"")) == {ord("a"): 0, ord("b"): 0}
 
     @given(
         st.integers(0, 2**32 - 1),
         st.text(alphabet="abc", max_size=30).map(str.encode),
-        st.text(alphabet="abc", max_size=8).map(str.encode),
-        st.sampled_from(["none", "prefix", "extension", "unrelated"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_tail_only_lag_equals_whole_tokenization(self, seed, data, other, prev_kind):
+    def test_tail_only_lag_equals_whole_tokenization(self, seed, data):
         rng = random.Random(seed)
         v = random_partial_vocab(rng, b"abc", eos=rng.random() < 0.5)
-        m = NoisyChannelModel(v)
-        cfg = FusionConfig(r=0.2, feedback="delayed")
         try:
             main = tokenize(v, data)
-            want = data[: main.boundary_offsets[-1]] if data else b""
         except TokenizationError as err:
-            want = err.offset
-        prev_bytes = {
-            "prefix": data[: rng.randint(0, len(data))],
-            "extension": data + other,
-            "unrelated": other,
-        }.get(prev_kind)
-        prev = None
-        if prev_bytes is not None:
+            main = tokenize(v, data[: err.offset])
+        data = main.source_bytes
+        starts = last_token_starts(v, main)
+        for b in b"abc":
             try:
-                prev = tokenize(v, prev_bytes)
+                want = tokenize(v, data + bytes([b])).boundary_offsets[-1]
             except TokenizationError as err:
-                prev = tokenize(v, prev_bytes[: err.offset])
-        try:
-            got = _lagged_prefix(cfg, m, data, prev)
-        except TokenizationError as err:
-            got = err.offset
-        assert got == want
+                assert err.offset == len(data)
+                want = None
+            assert starts.get(b) == want
+        assert set(starts) <= set(b"abc")
 
     def test_lagged_prefix_fixed_policy(self):
-        v = build_vocabulary([b"a", b"b"])
-        m = TableModel(v, [0.5, 0.5])
-        cfg = FusionConfig(r=0.2, feedback="delayed", lag_policy="fixed", lag_k=2)
-        assert _lagged_prefix(cfg, m, b"abab") == b"ab"
-        assert _lagged_prefix(cfg, m, b"a") == b""
+        # with the rescorer's weight at 1 a kept extension's fused score is
+        # the rescorer's score of its lagged prefix, lag_k bytes short of it
+        tr, ctx, lm = _fusion_instance(4)
+        for lag_k in (0, 1, 2, 3):
+            cfg = FusionConfig(r=1.0, num_beams=6, max_bytes=5, feedback="delayed",
+                               lag_policy="fixed", lag_k=lag_k)
+            result = decode([(tr, ctx), (lm, None)], cfg)
+            extensions = 0
+            for step, kept in enumerate(result.trace):
+                for data, fused in kept:
+                    if len(data) == step + 1:
+                        extensions += 1
+                        data = data[: max(0, len(data) - lag_k)]
+                    assert fused == approx_byte_log_score(lm, data)
+            assert extensions > 0
 
     def test_rescorer_never_sees_past_last_boundary(self):
         # the lag prefix always ends at a token boundary of the proposer's
         # main sequence for the candidate string
         rng = random.Random(3)
         v = random_vocab(rng, b"ab", max_tokens=6, max_len=3)
-        m = TableModel(v, [1.0 / v.size] * v.size)
-        cfg = FusionConfig(r=0.2, feedback="delayed")
         for _ in range(50):
-            data = bytes(rng.choice(b"ab") for _ in range(rng.randint(1, 8)))
-            lag = _lagged_prefix(cfg, m, data)
-            main = tokenize(v, data)
-            assert len(lag) in set(main.boundary_offsets) | {0}
-            assert len(lag) < len(data) or len(data) == 0
+            data = bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 7)))
+            for b, start in last_token_starts(v, tokenize(v, data)).items():
+                main = tokenize(v, data + bytes([b]))
+                assert start in main.boundary_offsets
+                assert start <= len(data)
+
+    def test_lag_found_once_per_beam(self, monkeypatch):
+        # one lag walk per live beam per step, not one per candidate; the
+        # proposer's next_byte_scores runs once per live beam per step
+        calls = {"lag": 0, "scores": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fusion, "last_token_starts", counted("lag", last_token_starts))
+        monkeypatch.setattr(fusion, "next_byte_scores", counted("scores", fusion.next_byte_scores))
+        for seed in range(4):
+            tr, ctx, lm = _fusion_instance(seed)
+            cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=10, feedback="delayed")
+            decode([(tr, ctx), (lm, None)], cfg)
+        assert 0 < calls["lag"] <= calls["scores"]
 
     def test_pure_rescorer_weight_still_gets_proposals(self):
         # r=1 in delayed mode: the proposer has zero weight but still
