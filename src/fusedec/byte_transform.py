@@ -18,11 +18,11 @@ boundary; a child cache takes over its parent's slots on their shared
 token prefix, so a cold cache costs at most S+1 model forwards and an
 extended one evaluates only the depths past that prefix; it also
 tokenizes only the unstable tail of the parent's main sequence.
-``approx_byte_log_score`` accepts such a parent cache too (``old``), so
-a prefix that shares tokens with a cached one is scored at the cost of
-the depths it does not share. ``approx_byte_log_score`` and
-``next_byte_scores`` score each depth through one kernel,
-``_restricted_mass``.
+``cache_log_score`` reads ``approx_byte_log_score`` off a cache, which
+is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
+accepts a parent cache too (``old``), which speeds up only a prefix of
+its bytes. ``cache_log_score`` and ``next_byte_scores`` score each depth
+through one kernel, ``_restricted_mass``.
 
 All accumulation is in log space with max-shift (via logsumexp), so
 long sequences do not underflow rolling products.
@@ -234,11 +234,11 @@ def refresh_cache(
     from ``old`` for every depth up to the longest token prefix shared
     with the new main sequence: a model is deterministic in its token
     prefix, so they are exactly what a cold build would compute. When
-    ``old`` covers a prefix or an extension of ``data``, only the
-    unstable tail of its main sequence is tokenized again, and the
-    search for the shared token prefix starts past the tokens kept (see
-    ``tokenize``). ``old`` must have been built with the same model and
-    context.
+    ``old`` covers a prefix of ``data``, only the unstable tail of its
+    main sequence is tokenized again, and the search for the shared
+    token prefix starts past the tokens kept (see ``tokenize``); for any
+    other ``old`` both start from the first byte, so the result is exact
+    either way. ``old`` must come from the same model and context.
     """
     vocab = model.vocabulary
     main = tokenize(vocab, data, None if old is None else old.main)
@@ -328,13 +328,17 @@ def approx_byte_log_score(
     """Log-space form of :func:`approx_byte_score` (beam search ranks in logs).
 
     ``old`` is handed to ``refresh_cache``: the score is the same, but
-    only the depths past the token prefix shared with ``old`` cost
-    forwards.
+    when ``old`` covers a prefix of ``data`` only the depths past their
+    shared token prefix cost forwards.
     """
-    data = bytes(data)
     if not data:
         return 0.0
-    cache = refresh_cache(model, data, ctx, old=old)
+    return cache_log_score(model, refresh_cache(model, data, ctx, old=old), ctx)
+
+
+def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -> float:
+    """``approx_byte_log_score`` of the bytes ``cache`` holds; every
+    distribution this reads was evaluated by ``refresh_cache``."""
     s_count = len(cache.main.token_ids)
     parts = [cache.log_rolling[s_count]]
     for s in range(cache.first_live, s_count):

@@ -23,8 +23,9 @@ last ``max_token_len`` bytes of its tokenization, so a lineage evaluates
 each distribution once. The modes differ only in who reads the caches:
 ``next_byte_scores`` for every cached model in synchronous mode; in
 delayed mode the proposer through ``next_byte_scores`` and the rescorer
-through ``approx_byte_log_score`` on the lagged prefix, seeded with the
-beam's cache.
+through ``cache_log_score``, once per kept beam. A lagged prefix is an
+ancestor of its beam, so its rescorer score is read from the beam's
+window of its ancestors' scores (``Beam.lagged``), never recomputed.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: tokenizing re-matches only the last
@@ -47,6 +48,7 @@ from .byte_transform import (
     NEG_INF,
     ModelCache,
     approx_byte_log_score,
+    cache_log_score,
     next_byte_scores,
     refresh_cache,
 )
@@ -165,13 +167,16 @@ class Beam:
 
     ``caches[i]`` is None for a zero-weight model that does not propose,
     and for a delayed rescorer that cannot tokenize ``data`` (see
-    ``decode``).
+    ``decode``). In delayed mode a live beam's ``lagged`` holds the
+    rescorer's scores of its last prefixes, one per length, ending with
+    ``data`` (-inf where it cannot tokenize); the root's is ``(0.0,)``.
     """
 
     data: bytes
     caches: list[ModelCache | None]
     per_model_scores: list[float]
     fused_score: float
+    lagged: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -214,14 +219,16 @@ def decode(
     Every positively weighted model keeps a per-beam cache of the bytes
     the beam commits, built from its parent's cache. In synchronous mode
     each of them scores through ``next_byte_scores``. In delayed mode the
-    proposer does so (always, since it defines the candidate bytes) and
-    the rescorer scores lagged and complete prefixes through
-    ``approx_byte_log_score`` from that cache, which shares their stable
-    token prefix. A zero-weight model keeps no cache and is never asked
-    about a beam's bytes, so a byte it cannot tokenize cannot fail the
-    decode. A prefix the rescorer cannot tokenize scores -inf; a beam
-    whose bytes it cannot tokenize keeps no rescorer cache, and its
-    prefixes are scored cold.
+    proposer does so (always, since it defines the candidate bytes), and
+    each kept beam appends the rescorer's ``cache_log_score`` to the
+    window it inherits (``Beam.lagged``), which spans the longest lag:
+    the proposer's ``max_token_len``, or ``max(1, lag_k)`` under a fixed
+    lag. Lagged and ending scores are read from it; only a fixed lag of 0
+    (a candidate is its own lagged prefix) calls ``approx_byte_log_score``,
+    from the beam's cache. A zero-weight model keeps no cache and is never
+    asked about a beam's bytes, so a byte it cannot tokenize cannot fail
+    the decode. A prefix the rescorer cannot tokenize scores -inf, and a
+    beam whose bytes it cannot tokenize keeps no rescorer cache.
 
     A model that scores through ``next_byte_scores`` can propose a byte
     through a longer token and then be unable to tokenize the candidate
@@ -242,22 +249,8 @@ def decode(
     if delayed and len(models) != 2:
         raise ValueError("delayed feedback needs exactly two models (proposer, rescorer)")
 
-    def joint_log_score(i: int, data: bytes, old: ModelCache | None) -> float:
-        """Model ``i``'s approximate joint score of ``data``; -inf if untokenizable."""
-        model, ctx = models[i]
-        try:
-            return approx_byte_log_score(model, data, ctx, old=old)
-        except TokenizationError:
-            return NEG_INF
-
-    # the candidates of a beam mostly share one lagged prefix, so each
-    # distinct prefix is scored once per decode
-    lm_log_memo: dict[bytes, float] = {b"": 0.0}
-
-    def lm_lagged_score(prefix: bytes, old: ModelCache | None) -> float:
-        if prefix not in lm_log_memo:
-            lm_log_memo[prefix] = joint_log_score(1, prefix, old)
-        return lm_log_memo[prefix]
+    def cached_score(i: int, cache: ModelCache | None) -> float:  # no cache: untokenizable
+        return NEG_INF if cache is None else cache_log_score(models[i][0], cache, models[i][1])
 
     scoring = [i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))]
     keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
@@ -283,37 +276,37 @@ def decode(
             caches.append(cache)
         return caches if tokenized else None
 
+    # no lag reaches further back than this (a last token is at most
+    # max_token_len bytes), and the ending reads the last entry
+    fixed = cfg.lag_policy == LAG_FIXED
+    window = max(1, cfg.lag_k) if fixed else models[0][0].vocabulary.max_token_len
+
     def rescorer_scores(beam: Beam, cand_bytes: list[int]) -> list[float]:
         """The delayed rescorer's score of ``beam`` extended by each of
         ``cand_bytes``, at its lagged prefix, then of ``beam`` ended, at
         the full prefix. The lag is found once per beam."""
-        data, old = beam.data, beam.caches[1]
-        if cfg.lag_policy == LAG_FIXED:
-            starts = dict.fromkeys(cand_bytes, max(0, len(data) + 1 - cfg.lag_k))
+        data, n = beam.data, len(beam.data)
+        if fixed:
+            starts = dict.fromkeys(cand_bytes, max(0, n + 1 - cfg.lag_k))
         else:
             starts = last_token_starts(models[0][0].vocabulary, beam.caches[0].main)
-        at_start: dict[int, float] = {}  # each distinct lagged prefix is looked up once
         out = []
         for b in cand_bytes:
             t = starts.get(b)
             if t is None:  # the proposer could not keep this candidate as a beam
-                skipped[(0, len(data), b)] = None
+                skipped[(0, n, b)] = None
                 out.append(NEG_INF)
-            elif t > len(data):  # a fixed lag of 0: the candidate is its own lagged prefix
-                out.append(lm_lagged_score(data + bytes((b,)), old))
+            elif t > n:  # a fixed lag of 0: the candidate is its own lagged prefix
+                try:
+                    out.append(approx_byte_log_score(
+                        models[1][0], data + bytes((b,)), models[1][1], old=beam.caches[1]))
+                except TokenizationError:
+                    out.append(NEG_INF)
             else:
-                if t not in at_start:
-                    at_start[t] = lm_lagged_score(data[:t], old)
-                out.append(at_start[t])
-        return [*out, lm_lagged_score(data, old)]
+                out.append(beam.lagged[t - n - 1])
+        return [*out, beam.lagged[-1]]
 
-    root = Beam(
-        data=b"",
-        caches=refreshed(b"", [None] * len(models)),
-        per_model_scores=[0.0] * len(models),
-        fused_score=0.0,
-    )
-    live: list[Beam] = [root]
+    live = [Beam(b"", refreshed(b"", [None] * len(models)), [0.0] * len(models), 0.0, (0.0,))]
     finished: list[Beam] = []
     trace: list[list[tuple[bytes, float]]] = []
     step_forwards: list[tuple[int, ...]] = []
@@ -374,7 +367,8 @@ def decode(
                 caches = refreshed(data, beam.caches)
                 if caches is None:
                     continue
-                new_live.append(Beam(data, caches, list(per_model), -neg_fused))
+                lagged = (*beam.lagged, cached_score(1, caches[1]))[-window:] if delayed else ()
+                new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
             kept.append((data, -neg_fused))
         if not kept:
             raise DecodeFailure(f"no selected candidate could be kept at step {steps}",
@@ -389,7 +383,7 @@ def decode(
     # cache-consistent joint score of its committed bytes
     for beam in live:
         beam.per_model_scores = [
-            joint_log_score(i, beam.data, beam.caches[i]) if weights[i] > 0.0 else NEG_INF
+            cached_score(i, beam.caches[i]) if weights[i] > 0.0 else NEG_INF
             for i in range(len(models))
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)

@@ -87,18 +87,22 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    """Parse a flat key-value config file with [section] headers."""
+    """Parse a flat key-value config file with [section] headers; ValueError if malformed."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.InterpolationError as err:
+        raise ValueError(f"{path}: [{err.section}] {err.option}: {err.message}") from None
+    except configparser.Error as err:
+        raise ValueError(f"{path}: {err}") from None
 
     def section(name: str):
-        if not parser.has_section(name):
-            return {}
-        unknown = sorted(set(parser[name]) - CONFIG_KEYS[name])
+        unknown = sorted(set(sections.get(name, ())) - CONFIG_KEYS[name])
         if unknown:
             raise ValueError(f"{path}: unknown key {unknown[0]!r} in section [{name}]")
-        return parser[name]
+        return sections.get(name, {})
 
     exp = section("experiment")
     corpus_sec = section("corpus")
@@ -109,10 +113,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
     base = os.path.dirname(os.path.abspath(path))
 
-    def _rel(p: str | None) -> str | None:
-        if p is None:
-            return None
-        return p if os.path.isabs(p) else os.path.join(base, p)
+    def _rel(p: str | None) -> str | None:  # an absolute p stays as it is
+        return None if p is None else os.path.join(base, p)
 
     corpus = CorpusSpec(
         path=_rel(corpus_sec.get("path")),

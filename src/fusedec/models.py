@@ -381,6 +381,8 @@ def _load_ngram(lines: list[str], vocab: Vocabulary, order: int, path: str) -> N
     counts: dict[tuple[int, ...], dict[int, float]] = {}
     for ln in lines:
         parts = ln.split()
+        if parts[0] in ("alpha", "corpus") and len(parts) != 2:
+            raise ModelFileError(f"{path}: expected '{parts[0]} <value>', got {ln!r}")
         if parts[0] == "alpha":
             alpha = float(parts[1])
         elif parts[0] == "corpus":

@@ -263,21 +263,13 @@ def _stable_prefix(
     Returns their count and the byte offset where greedy matching
     resumes after them. Matching at a token start reads at most
     ``max_token_len`` bytes, so a token of ``prev`` that starts at least
-    that many bytes before the end of the bytes ``prev`` and ``data``
-    share matches again in ``data``, and so does every token before it.
-    Only a prefix relation counts as sharing: when neither byte string
-    starts the other, no token is kept.
+    that many bytes before the end of ``prev`` matches again in ``data``
+    when ``data`` extends ``prev``, and so does every token before it.
+    Any other ``prev``, an extension of ``data`` included, keeps none.
     """
-    if prev is None:
+    if prev is None or not data.startswith(prev.source_bytes):
         return 0, 0
-    src = prev.source_bytes
-    if data.startswith(src):
-        shared = len(src)
-    elif src.startswith(data):
-        shared = len(data)
-    else:
-        return 0, 0
-    keep = bisect_right(prev.boundary_offsets, shared - vocab.max_token_len)
+    keep = bisect_right(prev.boundary_offsets, len(prev.source_bytes) - vocab.max_token_len)
     return keep, _suffix_start(prev, keep)
 
 
@@ -304,11 +296,11 @@ def tokenize(
 ) -> MainSequence:
     """Greedy longest-match left-to-right segmentation of ``data``.
 
-    ``prev``, the segmentation of a prefix or an extension of ``data``,
-    makes the call incremental: the tokens of ``prev`` that lie at least
-    ``max_token_len`` bytes before the end of the shared bytes are kept
-    (see ``_stable_prefix``) and only the rest is matched again. A
-    ``prev`` whose bytes neither start nor extend ``data`` is ignored.
+    ``prev``, the segmentation of a prefix of ``data``, makes the call
+    incremental: the tokens of ``prev`` that lie at least
+    ``max_token_len`` bytes before its end are kept (see
+    ``_stable_prefix``) and only the rest is matched again. Any other
+    ``prev``, an extension of ``data`` included, is ignored.
     """
     data = bytes(data)
     keep, pos = _stable_prefix(vocab, data, prev)

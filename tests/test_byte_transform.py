@@ -10,7 +10,6 @@ from fusedec import (
     BudgetExceededError,
     NgramModel,
     NoisyChannelModel,
-    PrefixIndex,
     SignalContext,
     TableModel,
     TokenizationError,
@@ -292,8 +291,9 @@ class TestLiveDepthWindow:
                 break
             prev_data, data = data, data + bytes([b])
             assert approx_byte_log_score(m, data, ctx, old=cache) == _reference_approx(m, data, ctx)
+            assert byte_transform.cache_log_score(m, extended, ctx) == _reference_approx(m, data, ctx)
             cache = extended
-            # a shorter prefix scored from a longer cache (the delayed rescorer's case)
+            # a longer cache hands nothing over: the shorter prefix is matched cold
             cut = rng.randint(0, len(prev_data))
             assert approx_byte_log_score(m, data[:cut], ctx, old=cache) == _reference_approx(
                 m, data[:cut], ctx
@@ -319,21 +319,6 @@ class TestLiveDepthWindow:
         monkeypatch.setattr(byte_transform, "_restricted_mass", counted)
         next_byte_scores(m, cache)
         assert 0 < len(calls) <= v.max_token_len + 1
-
-        # the delayed rescorer scores a shorter prefix from the longer cache:
-        # only the last max_token_len bytes are matched again
-        matches = []
-        longest_match = PrefixIndex.longest_match
-
-        def counted_match(index, data, start):
-            matches.append(start)
-            return longest_match(index, data, start)
-
-        monkeypatch.setattr(PrefixIndex, "longest_match", counted_match)
-        calls.clear()
-        approx_byte_log_score(m, data[:-2], old=cache)
-        assert len(matches) <= v.max_token_len + 1
-        assert len(calls) <= v.max_token_len + 1
 
 
 def _reference_logsumexp(parts):

@@ -155,3 +155,9 @@ class TestUsageErrors:
 
     def test_missing_file_exits_one(self, capsys):
         assert cli_main(["tokenize", "--vocab", "/nonexistent", "--input", "a"]) == 1
+
+    def test_malformed_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 5\n")  # no section header
+        assert cli_main(["experiment", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"fusedec: error: {path}:")

@@ -359,6 +359,14 @@ class TestExhaustiveBeamOptimality:
             assert result.all_beams[0][1] == pytest.approx(best_score, abs=1e-9)
 
 
+def _counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestDelayedFeedback:
     def test_lagged_prefix_last_token_policy(self):
         v = build_vocabulary([b"a", b"b", b"ab"])
@@ -392,20 +400,53 @@ class TestDelayedFeedback:
 
     def test_lagged_prefix_fixed_policy(self):
         # with the rescorer's weight at 1 a kept extension's fused score is
-        # the rescorer's score of its lagged prefix, lag_k bytes short of it
+        # the rescorer's cold score of its lagged prefix: lag_k bytes short of
+        # it, or where the proposer's last token starts under last-tr-token.
+        # An ending and a beam finished at max_bytes (reached only at 3)
+        # score their whole bytes. A lag_k of 7 exceeds both the proposer's
+        # longest token and max_bytes.
         tr, ctx, lm = _fusion_instance(4)
-        for lag_k in (0, 1, 2, 3):
-            cfg = FusionConfig(r=1.0, num_beams=6, max_bytes=5, feedback="delayed",
-                               lag_policy="fixed", lag_k=lag_k)
+        at_budget = 0
+        lags = [("fixed", k) for k in (0, 1, 2, 3, 7)] + [("last-tr-token", 0)]
+        for (lag_policy, lag_k), max_bytes in itertools.product(lags, (3, 5)):
+            cfg = FusionConfig(r=1.0, num_beams=6, max_bytes=max_bytes, feedback="delayed",
+                               lag_policy=lag_policy, lag_k=lag_k)
             result = decode([(tr, ctx), (lm, None)], cfg)
             extensions = 0
             for step, kept in enumerate(result.trace):
                 for data, fused in kept:
                     if len(data) == step + 1:
                         extensions += 1
-                        data = data[: max(0, len(data) - lag_k)]
+                        if lag_policy == "fixed":
+                            data = data[: max(0, len(data) - lag_k)]
+                        else:
+                            data = data[: tokenize(tr.vocabulary, data).boundary_offsets[-1]]
                     assert fused == approx_byte_log_score(lm, data)
+            for data, fused, (_, lm_score) in result.all_beams:
+                assert fused == lm_score == approx_byte_log_score(lm, data)
             assert extensions > 0
+            at_budget += sum(len(data) == max_bytes for data, _, _ in result.all_beams)
+        assert at_budget > 0
+
+    @pytest.mark.parametrize("lag_policy, lag_k", [("last-tr-token", 0), ("fixed", 1), ("fixed", 3)])
+    def test_lagged_scores_are_read_not_rescored(self, monkeypatch, lag_policy, lag_k):
+        # every lagged and ending score is read from the beam's window: the
+        # rescorer re-scores no prefix, and each cache is built exactly once
+        calls = {"approx": 0, "refresh": 0}
+
+        for name, attr in (("approx", "approx_byte_log_score"), ("refresh", "refresh_cache")):
+            monkeypatch.setattr(fusion, attr, _counted(calls, name, getattr(fusion, attr)))
+        built = 0
+        for seed in range(4):
+            tr, ctx, lm = _fusion_instance(seed)
+            cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=10, feedback="delayed",
+                               lag_policy=lag_policy, lag_k=lag_k)
+            result = decode([(tr, ctx), (lm, None)], cfg)
+            # the root, then each kept extension, for both caching models
+            built += 2 * (1 + sum(len(data) == step + 1
+                                  for step, kept in enumerate(result.trace) for data, _ in kept))
+        assert calls["approx"] == 0
+        assert calls["refresh"] == built > 0
 
     def test_rescorer_never_sees_past_last_boundary(self):
         # the lag prefix always ends at a token boundary of the proposer's
@@ -424,14 +465,9 @@ class TestDelayedFeedback:
         # proposer's next_byte_scores runs once per live beam per step
         calls = {"lag": 0, "scores": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(fusion, "last_token_starts", counted("lag", last_token_starts))
-        monkeypatch.setattr(fusion, "next_byte_scores", counted("scores", fusion.next_byte_scores))
+        monkeypatch.setattr(fusion, "last_token_starts", _counted(calls, "lag", last_token_starts))
+        monkeypatch.setattr(fusion, "next_byte_scores",
+                            _counted(calls, "scores", fusion.next_byte_scores))
         for seed in range(4):
             tr, ctx, lm = _fusion_instance(seed)
             cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=10, feedback="delayed")

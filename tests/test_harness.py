@@ -88,11 +88,15 @@ class TestConfigFile:
             ("lm", "alpha", "0"),
             ("experiment", "max_bytes_margin", "-50"),
             ("corpus", "utterances", "0"),
+            # malformed files: no section header, a duplicated key, a bare %
+            ("", "seed", "1"),
+            ("fusion", "num_beams", "5\nnum_beams = 6"),
+            ("noise", "grid", "0.1%"),
         ],
     )
     def test_invalid_value_rejected_at_load(self, tmp_path, section, key, value):
         path = tmp_path / "exp.cfg"
-        path.write_text(f"[{section}]\n{key} = {value}\n")
+        path.write_text((f"[{section}]\n" if section else "") + f"{key} = {value}\n")
         with pytest.raises(ValueError, match=key):
             load_experiment_config(str(path))
 

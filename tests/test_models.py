@@ -338,6 +338,16 @@ class TestModelFiles:
         with pytest.raises(ModelFileError):
             load_model(str(tmp_path / "m.txt"), v)
 
+    @pytest.mark.parametrize("line", ["alpha", "corpus"])
+    def test_ngram_directive_without_argument_rejected(self, tmp_path, line):
+        (tmp_path / "v.txt").write_text("a\n")
+        (tmp_path / "m.txt").write_text(f"ngram 2\n{line}\n")
+        from fusedec import load_vocabulary
+
+        v = load_vocabulary(str(tmp_path / "v.txt"))
+        with pytest.raises(ModelFileError, match=line):
+            load_model(str(tmp_path / "m.txt"), v)
+
     def test_unknown_kind_rejected(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\n")
         (tmp_path / "m.txt").write_text("gaussian\n")

@@ -109,7 +109,7 @@ class TestIncrementalTokenize:
         data = head + tail
         cold = _tokenize_outcome(v, data)
         assert _tokenize_outcome(v, data, prev) == cold
-        # an extension of data hands over its stable tokens too
+        # an extension of data is ignored: the result is a cold run
         if not isinstance(cold, int):
             assert tokenize(v, head, cold) == prev
         # a prev that does not segment a prefix of data is ignored
