@@ -20,9 +20,9 @@ extended one evaluates only the depths past that prefix; it also
 tokenizes only the unstable tail of the parent's main sequence.
 ``cache_log_score`` reads ``approx_byte_log_score`` off a cache, which
 is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
-accepts a parent cache too (``old``), which speeds up only a prefix of
-its bytes. ``cache_log_score`` and ``next_byte_scores`` score each depth
-through one kernel, ``_restricted_mass``.
+itself always builds a cold cache. ``cache_log_score`` and
+``next_byte_scores`` score each depth through one kernel,
+``_restricted_mass``.
 
 All accumulation is in log space with max-shift (via logsumexp), so
 long sequences do not underflow rolling products.
@@ -319,21 +319,13 @@ def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> fl
     return math.exp(approx_byte_log_score(model, data, ctx))
 
 
-def approx_byte_log_score(
-    model: TokenModel,
-    data: bytes,
-    ctx: Context = None,
-    old: ModelCache | None = None,
-) -> float:
-    """Log-space form of :func:`approx_byte_score` (beam search ranks in logs).
-
-    ``old`` is handed to ``refresh_cache``: the score is the same, but
-    when ``old`` covers a prefix of ``data`` only the depths past their
-    shared token prefix cost forwards.
-    """
+def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -> float:
+    """Log-space form of :func:`approx_byte_score` (beam search ranks in logs),
+    read off a cold cache; the decoder reads it off its beams' caches
+    through ``cache_log_score`` instead."""
     if not data:
         return 0.0
-    return cache_log_score(model, refresh_cache(model, data, ctx, old=old), ctx)
+    return cache_log_score(model, refresh_cache(model, data, ctx), ctx)
 
 
 def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -> float:

@@ -13,8 +13,9 @@ Two feedback modes are supported. In ``synchronous`` mode every model
 scores the full candidate prefix each step. In ``delayed`` mode the
 first model proposes bytes while the second scores a prefix lagging
 behind the proposal, re-ranking beams on past bytes instead of reacting
-to the newest one; the lag is either a fixed byte count or the byte
-length of the proposer's most recent main-sequence token.
+to the newest one: the prefix up to where the proposer's last
+main-sequence token starts, which the proposer has committed as whole
+tokens.
 
 Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is rebuilt from its parent's, which hands
@@ -47,20 +48,19 @@ from typing import Iterable, Sequence
 from .byte_transform import (
     NEG_INF,
     ModelCache,
-    approx_byte_log_score,
     cache_log_score,
     next_byte_scores,
     refresh_cache,
 )
 from .models import Context, TokenModel
 from .vocab import TokenizationError, last_token_starts
-# not called here, but kept bound: the benchmark tracer patches fusion.tokenize
+# not called here, but kept bound: the benchmark tracer patches
+# fusion.tokenize and fusion.approx_byte_log_score
+from .byte_transform import approx_byte_log_score  # noqa: F401
 from .vocab import tokenize  # noqa: F401
 
 SYNCHRONOUS = "synchronous"
 DELAYED = "delayed"
-LAG_LAST_TOKEN = "last-tr-token"
-LAG_FIXED = "fixed"
 
 
 class DecodeFailure(RuntimeError):
@@ -94,7 +94,9 @@ class FusionConfig:
 
     ``r`` is the two-model shorthand: the proposer gets weight 1-r and
     the rescoring model gets r. ``weights`` overrides it for the general
-    case. Ties are always broken byte-lexicographically.
+    case. ``feedback`` is synchronous or delayed; a delayed rescorer
+    always lags to where the proposer's last token starts, so there is no
+    lag to set. Ties are always broken byte-lexicographically.
     """
 
     r: float | None = None
@@ -102,8 +104,6 @@ class FusionConfig:
     num_beams: int = 5
     max_bytes: int = 64
     feedback: str = SYNCHRONOUS
-    lag_policy: str = LAG_LAST_TOKEN
-    lag_k: int = 0
     length_penalty: float = 0.0
 
     def __post_init__(self):
@@ -122,10 +122,6 @@ class FusionConfig:
             raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
         if self.feedback not in (SYNCHRONOUS, DELAYED):
             raise ValueError(f"unknown feedback mode {self.feedback!r}")
-        if self.lag_policy not in (LAG_LAST_TOKEN, LAG_FIXED):
-            raise ValueError(f"unknown lag policy {self.lag_policy!r}")
-        if self.lag_k < 0:
-            raise ValueError("lag_k must be >= 0")
 
     def resolve_weights(self, n_models: int) -> list[float]:
         if self.weights is not None:
@@ -221,14 +217,14 @@ def decode(
     each of them scores through ``next_byte_scores``. In delayed mode the
     proposer does so (always, since it defines the candidate bytes), and
     each kept beam appends the rescorer's ``cache_log_score`` to the
-    window it inherits (``Beam.lagged``), which spans the longest lag:
-    the proposer's ``max_token_len``, or ``max(1, lag_k)`` under a fixed
-    lag. Lagged and ending scores are read from it; only a fixed lag of 0
-    (a candidate is its own lagged prefix) calls ``approx_byte_log_score``,
-    from the beam's cache. A zero-weight model keeps no cache and is never
-    asked about a beam's bytes, so a byte it cannot tokenize cannot fail
-    the decode. A prefix the rescorer cannot tokenize scores -inf, and a
-    beam whose bytes it cannot tokenize keeps no rescorer cache.
+    window it inherits (``Beam.lagged``), which spans the longest lag, the
+    proposer's ``max_token_len``. A candidate's lag is where the
+    proposer's last token starts once the candidate takes its byte; its
+    lagged score and every ending score are read from the window, never
+    recomputed. A zero-weight model keeps no cache and is never asked
+    about a beam's bytes, so a byte it cannot tokenize cannot fail the
+    decode. A prefix the rescorer cannot tokenize scores -inf, and a beam
+    whose bytes it cannot tokenize keeps no rescorer cache.
 
     A model that scores through ``next_byte_scores`` can propose a byte
     through a longer token and then be unable to tokenize the candidate
@@ -236,11 +232,11 @@ def decode(
     selected candidate's caches are refreshed, one that such a model
     cannot tokenize scores -inf for it and is dropped, and the next
     candidate takes its slot. ``trace`` records the candidates kept. In
-    delayed mode a positively weighted rescorer under the last-token lag
-    reads the proposer's tokenization of every candidate, so one the
-    proposer cannot tokenize scores -inf before ranking; under a fixed
-    lag it is dropped at slot filling. If a step keeps no candidate,
-    ``DecodeFailure`` names each model, byte offset and byte that failed.
+    delayed mode a positively weighted rescorer reads the proposer's
+    tokenization of every candidate for its lag, so one the proposer
+    cannot tokenize scores -inf before ranking. If a step keeps no
+    candidate, ``DecodeFailure`` names each model, byte offset and byte
+    that failed.
     """
     if not models:
         raise ValueError("decode needs at least one model")
@@ -278,30 +274,20 @@ def decode(
 
     # no lag reaches further back than this (a last token is at most
     # max_token_len bytes), and the ending reads the last entry
-    fixed = cfg.lag_policy == LAG_FIXED
-    window = max(1, cfg.lag_k) if fixed else models[0][0].vocabulary.max_token_len
+    window = models[0][0].vocabulary.max_token_len
 
     def rescorer_scores(beam: Beam, cand_bytes: list[int]) -> list[float]:
         """The delayed rescorer's score of ``beam`` extended by each of
         ``cand_bytes``, at its lagged prefix, then of ``beam`` ended, at
         the full prefix. The lag is found once per beam."""
-        data, n = beam.data, len(beam.data)
-        if fixed:
-            starts = dict.fromkeys(cand_bytes, max(0, n + 1 - cfg.lag_k))
-        else:
-            starts = last_token_starts(models[0][0].vocabulary, beam.caches[0].main)
+        n = len(beam.data)
+        starts = last_token_starts(models[0][0].vocabulary, beam.caches[0].main)
         out = []
         for b in cand_bytes:
             t = starts.get(b)
             if t is None:  # the proposer could not keep this candidate as a beam
                 skipped[(0, n, b)] = None
                 out.append(NEG_INF)
-            elif t > n:  # a fixed lag of 0: the candidate is its own lagged prefix
-                try:
-                    out.append(approx_byte_log_score(
-                        models[1][0], data + bytes((b,)), models[1][1], old=beam.caches[1]))
-                except TokenizationError:
-                    out.append(NEG_INF)
             else:
                 out.append(beam.lagged[t - n - 1])
         return [*out, beam.lagged[-1]]

@@ -36,7 +36,7 @@ CONFIG_KEYS = {
     "noise": {"grid", "confusions"},
     "lm": {"vocab", "order", "alpha"},
     "tr": {"vocab"},
-    "fusion": {"r", "num_beams", "feedback", "lag_policy", "lag_k", "length_penalty"},
+    "fusion": {"r", "num_beams", "feedback", "length_penalty"},
 }
 
 
@@ -87,7 +87,9 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    """Parse a flat key-value config file with [section] headers; ValueError if malformed."""
+    """Parse a flat key-value config file with [section] headers. Every error
+    is a ValueError naming the file and, where one is at fault, the section
+    and key (a failed validation's message names the key)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -97,57 +99,62 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         raise ValueError(f"{path}: [{err.section}] {err.option}: {err.message}") from None
     except configparser.Error as err:
         raise ValueError(f"{path}: {err}") from None
-
-    def section(name: str):
-        unknown = sorted(set(sections.get(name, ())) - CONFIG_KEYS[name])
+    for name, keys in CONFIG_KEYS.items():
+        unknown = sorted(set(sections.get(name, ())) - keys)
         if unknown:
             raise ValueError(f"{path}: unknown key {unknown[0]!r} in section [{name}]")
-        return sections.get(name, {})
 
-    exp = section("experiment")
-    corpus_sec = section("corpus")
-    noise_sec = section("noise")
-    fusion_sec = section("fusion")
-    lm_sec = section("lm")
-    tr_sec = section("tr")
+    def get(name: str, key: str, convert, default):
+        """``convert`` of the value of ``key`` in [``name``]; ``default`` if unset."""
+        if key not in sections.get(name, {}):
+            return default
+        try:
+            return convert(sections[name][key])
+        except ValueError as err:
+            raise ValueError(f"{path}: [{name}] {key}: {err}") from None
+
+    def build(where: str, cls, **fields):
+        try:
+            return cls(**fields)
+        except ValueError as err:
+            raise ValueError(f"{where} {err}") from None
 
     base = os.path.dirname(os.path.abspath(path))
 
-    def _rel(p: str | None) -> str | None:  # an absolute p stays as it is
-        return None if p is None else os.path.join(base, p)
+    def rel(p: str) -> str:  # an absolute p stays as it is
+        return os.path.join(base, p)
 
-    corpus = CorpusSpec(
-        path=_rel(corpus_sec.get("path")),
-        alphabet=unescape_token(corpus_sec.get("alphabet", "abcd")),
-        utterances=int(corpus_sec.get("utterances", 60)),
-        train_utterances=int(corpus_sec.get("train_utterances", 240)),
-        min_len=int(corpus_sec.get("min_len", 6)),
-        max_len=int(corpus_sec.get("max_len", 14)),
+    corpus = build(
+        f"{path}: [corpus]", CorpusSpec,
+        path=get("corpus", "path", rel, None),
+        alphabet=get("corpus", "alphabet", unescape_token, b"abcd"),
+        utterances=get("corpus", "utterances", int, 60),
+        train_utterances=get("corpus", "train_utterances", int, 240),
+        min_len=get("corpus", "min_len", int, 6),
+        max_len=get("corpus", "max_len", int, 14),
     )
-    grid = tuple(
-        float(x) for x in noise_sec.get("grid", "0.0, 0.1, 0.2, 0.4").split(",") if x.strip()
+    fusion = build(
+        f"{path}: [fusion]", FusionConfig,
+        r=get("fusion", "r", float, 0.2),
+        num_beams=get("fusion", "num_beams", int, 5),
+        feedback=get("fusion", "feedback", str, "delayed"),
+        length_penalty=get("fusion", "length_penalty", float, 1.0),
     )
-    confusions = _parse_confusions(noise_sec.get("confusions", ""))
-    fusion = FusionConfig(
-        r=float(fusion_sec.get("r", 0.2)),
-        num_beams=int(fusion_sec.get("num_beams", 5)),
-        feedback=fusion_sec.get("feedback", "delayed"),
-        lag_policy=fusion_sec.get("lag_policy", "last-tr-token"),
-        lag_k=int(fusion_sec.get("lag_k", 0)),
-        length_penalty=float(fusion_sec.get("length_penalty", 1.0)),
-    )
-    return ExperimentConfig(
-        seed=int(exp.get("seed", 0)),
+    return build(
+        f"{path}:", ExperimentConfig,
+        seed=get("experiment", "seed", int, 0),
         corpus=corpus,
-        tr_vocab_path=_rel(tr_sec.get("vocab")),
-        lm_vocab_path=_rel(lm_sec.get("vocab")),
-        lm_order=int(lm_sec.get("order", 2)),
-        lm_alpha=float(lm_sec.get("alpha", 0.1)),
-        noise_grid=grid,
-        confusions=confusions,
+        tr_vocab_path=get("tr", "vocab", rel, None),
+        lm_vocab_path=get("lm", "vocab", rel, None),
+        lm_order=get("lm", "order", int, 2),
+        lm_alpha=get("lm", "alpha", float, 0.1),
+        noise_grid=get("noise", "grid",
+                       lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
+                       (0.0, 0.1, 0.2, 0.4)),
+        confusions=get("noise", "confusions", _parse_confusions, frozenset()),
         fusion=fusion,
-        max_bytes_margin=int(exp.get("max_bytes_margin", 8)),
-        out_dir=_rel(exp.get("out")),
+        max_bytes_margin=get("experiment", "max_bytes_margin", int, 8),
+        out_dir=get("experiment", "out", rel, None),
     )
 
 
@@ -449,6 +456,5 @@ def _echo(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("num_beams", str(cfg.fusion.num_beams)),
         ("feedback", cfg.fusion.feedback),
         ("length_penalty", repr(cfg.fusion.length_penalty)),
-        ("lag_policy", cfg.fusion.lag_policy),
     ]
     return pairs

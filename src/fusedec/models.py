@@ -174,6 +174,9 @@ class NgramModel(TokenModel):
         if counts:
             for ctx_key, row in counts.items():
                 for tid, n in row.items():
+                    if not (math.isfinite(n) and n >= 0):
+                        raise ValueError(f"count of token id {tid} after context "
+                                         f"{tuple(ctx_key)} must be finite and >= 0, got {n}")
                     self._add_count(tuple(ctx_key), tid, n)
         for utterance in corpus:
             self._train_one(bytes(utterance))
@@ -332,27 +335,38 @@ def _parse_token_ref(vocab: Vocabulary, text: str) -> int:
 
 
 def load_model(path: str, vocab: Vocabulary) -> TokenModel:
+    """Load a model file (format above). Every error is a ModelFileError
+    naming ``path`` and, while a line is being read, its number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    # "#" at column 0 comments the line out, except the EOS token reference
-    lines = [
-        ln for ln in lines
-        if ln.strip() and (not ln.startswith("#") or ln.startswith("#eos"))
-    ]
+        # "#" at column 0 comments the line out, except the EOS token reference
+        lines = [
+            (n, ln) for n, ln in enumerate((ln.rstrip("\n") for ln in fh), 1)
+            if ln.strip() and (not ln.startswith("#") or ln.startswith("#eos"))
+        ]
     if not lines:
         raise ModelFileError(f"{path}: empty model file")
-    header = lines[0].split()
-    kind = header[0]
-    if kind in ("iid", "cond"):
-        return _load_table(lines[1:], vocab, path)
-    if kind == "ngram":
-        if len(header) != 2:
-            raise ModelFileError(f"{path}: ngram header needs an order")
-        return _load_ngram(lines[1:], vocab, int(header[1]), path)
-    raise ModelFileError(f"{path}: unknown model kind {kind!r}")
+    at = [lines[0][0]]  # number of the line being read; empty once all are read
+
+    def read(numbered):
+        for n, ln in numbered:
+            at[:] = [n]
+            yield ln
+        at.clear()
+
+    try:
+        kind, *args = lines[0][1].split()
+        if kind in ("iid", "cond"):
+            return _load_table(read(lines[1:]), vocab)
+        if kind == "ngram":
+            if len(args) != 1:
+                raise ModelFileError("ngram header needs an order")
+            return _load_ngram(read(lines[1:]), vocab, int(args[0]), path)
+        raise ModelFileError(f"unknown model kind {kind!r}")
+    except ValueError as err:
+        raise ModelFileError(f"{path}:{at[0]}: {err}" if at else f"{path}: {err}") from None
 
 
-def _load_table(lines: list[str], vocab: Vocabulary, path: str) -> TableModel:
+def _load_table(lines: Iterable[str], vocab: Vocabulary) -> TableModel:
     base = np.zeros(vocab.size)
     cond: dict[int, np.ndarray] = {}
     current = base
@@ -360,7 +374,7 @@ def _load_table(lines: list[str], vocab: Vocabulary, path: str) -> TableModel:
         parts = ln.split()
         if parts[0] == "given":
             if len(parts) != 2:
-                raise ModelFileError(f"{path}: bad block header {ln!r}")
+                raise ModelFileError(f"bad block header {ln!r}")
             if parts[1] == "*":
                 current = base
             else:
@@ -368,12 +382,12 @@ def _load_table(lines: list[str], vocab: Vocabulary, path: str) -> TableModel:
                 current = cond.setdefault(tid, np.zeros(vocab.size))
             continue
         if len(parts) != 2:
-            raise ModelFileError(f"{path}: expected '<token> <prob>', got {ln!r}")
+            raise ModelFileError(f"expected '<token> <prob>', got {ln!r}")
         current[_parse_token_ref(vocab, parts[0])] = float(parts[1])
     return TableModel(vocab, base, {t: row for t, row in cond.items()})
 
 
-def _load_ngram(lines: list[str], vocab: Vocabulary, order: int, path: str) -> NgramModel:
+def _load_ngram(lines: Iterable[str], vocab: Vocabulary, order: int, path: str) -> NgramModel:
     import os
 
     alpha = 0.1
@@ -382,7 +396,7 @@ def _load_ngram(lines: list[str], vocab: Vocabulary, order: int, path: str) -> N
     for ln in lines:
         parts = ln.split()
         if parts[0] in ("alpha", "corpus") and len(parts) != 2:
-            raise ModelFileError(f"{path}: expected '{parts[0]} <value>', got {ln!r}")
+            raise ModelFileError(f"expected '{parts[0]} <value>', got {ln!r}")
         if parts[0] == "alpha":
             alpha = float(parts[1])
         elif parts[0] == "corpus":
@@ -391,18 +405,15 @@ def _load_ngram(lines: list[str], vocab: Vocabulary, order: int, path: str) -> N
                 corpus.extend(line.rstrip(b"\n") for line in fh if line.strip())
         elif parts[0] == "count":
             if len(parts) != 4:
-                raise ModelFileError(f"{path}: expected 'count <ctx> <token> <n>'")
+                raise ModelFileError(f"expected 'count <ctx> <token> <n>', got {ln!r}")
             ctx_key = tuple(
                 NgramModel.BOS if t == "<s>" else _parse_token_ref(vocab, t)
                 for t in (parts[1].split("+") if parts[1] != "_" else ())
             )
             if len(ctx_key) != order - 1:
-                raise ModelFileError(
-                    f"{path}: context {parts[1]!r} has wrong length for order {order}"
-                )
-            counts.setdefault(ctx_key, {})[_parse_token_ref(vocab, parts[2])] = float(
-                parts[3]
-            )
+                raise ModelFileError(f"context {parts[1]!r} has wrong length for order {order}")
+            token = _parse_token_ref(vocab, parts[2])
+            counts.setdefault(ctx_key, {})[token] = float(parts[3])
         else:
-            raise ModelFileError(f"{path}: unknown ngram directive {parts[0]!r}")
+            raise ModelFileError(f"unknown ngram directive {parts[0]!r}")
     return NgramModel(vocab, order, corpus=corpus, alpha=alpha, counts=counts)

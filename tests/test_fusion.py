@@ -197,18 +197,14 @@ class TestDegeneracy:
         assert fused.forward_counts[1] == 0
 
 
-    @pytest.mark.parametrize("lag_policy", ["last-tr-token", "fixed"])
-    @pytest.mark.parametrize("max_bytes", [3, 8])
-    def test_delayed_rescorer_scores_untokenizable_prefixes_minus_inf(
-        self, max_bytes, lag_policy
-    ):
+    @pytest.mark.parametrize("max_bytes", [3, 8], ids=lambda m: f"{m}-last-tr-token")
+    def test_delayed_rescorer_scores_untokenizable_prefixes_minus_inf(self, max_bytes):
         # lagged prefixes, terminal scores and the max_bytes finishing pass
         # that reach "c" score -inf for the rescorer instead of raising
         tr, ctx, lm = _rescorer_gap_instance()
         result = decode(
             [(tr, ctx), (lm, None)],
-            FusionConfig(r=0.2, num_beams=3, max_bytes=max_bytes, feedback="delayed",
-                         lag_policy=lag_policy, lag_k=1),
+            FusionConfig(r=0.2, num_beams=3, max_bytes=max_bytes, feedback="delayed"),
         )
         assert any(data == b"abc" for step in result.trace for data, _ in step)
         for data, fused, (_, lm_score) in result.all_beams:
@@ -253,13 +249,12 @@ def _assert_trace_ranked(trace, num_beams):
 
 
 class TestDecodeFuzz:
-    @pytest.mark.parametrize("lag_policy", ["last-tr-token", "fixed"])
-    @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, 1.0])
-    def test_partial_rescorer_coverage_raises_only_decode_failure(self, r, lag_policy):
+    @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, 1.0], ids=lambda r: f"{r}-last-tr-token")
+    def test_partial_rescorer_coverage_raises_only_decode_failure(self, r):
         # the proposer covers every byte of the alphabet, the rescorer only
         # some; a decode either returns a self-consistent result or raises
         # DecodeFailure
-        rng = random.Random(int(r * 10) * 2 + (lag_policy == "fixed"))
+        rng = random.Random(int(r * 10) * 2)
         alphabet = b"abcd"
         finished = partial = 0
         for _ in range(40):
@@ -269,9 +264,9 @@ class TestDecodeFuzz:
             partial += any(bytes([b]) not in surfaces for b in alphabet)
             tr, lm = random_model(rng, tr_vocab), random_model(rng, lm_vocab)
             cfg = FusionConfig(
-                r=r, num_beams=rng.randint(1, 4), max_bytes=rng.randint(0, 7),
-                feedback="delayed", lag_policy=lag_policy, lag_k=rng.randint(0, 3),
+                r=r, num_beams=rng.randint(1, 4), max_bytes=rng.randint(0, 7), feedback="delayed",
             )
+            rng.randint(0, 3)  # unused, but it keeps the instance sequence each seed draws
             try:
                 result = decode([(tr, None), (lm, None)], cfg)
             except DecodeFailure:
@@ -398,29 +393,22 @@ class TestDelayedFeedback:
             assert starts.get(b) == want
         assert set(starts) <= set(b"abc")
 
-    def test_lagged_prefix_fixed_policy(self):
+    def test_lagged_prefix_ends_where_the_last_token_starts(self):
         # with the rescorer's weight at 1 a kept extension's fused score is
-        # the rescorer's cold score of its lagged prefix: lag_k bytes short of
-        # it, or where the proposer's last token starts under last-tr-token.
-        # An ending and a beam finished at max_bytes (reached only at 3)
-        # score their whole bytes. A lag_k of 7 exceeds both the proposer's
-        # longest token and max_bytes.
+        # the rescorer's cold score of its lagged prefix, the bytes before
+        # the proposer's last token. An ending and a beam finished at
+        # max_bytes (reached only at 3) score their whole bytes.
         tr, ctx, lm = _fusion_instance(4)
         at_budget = 0
-        lags = [("fixed", k) for k in (0, 1, 2, 3, 7)] + [("last-tr-token", 0)]
-        for (lag_policy, lag_k), max_bytes in itertools.product(lags, (3, 5)):
-            cfg = FusionConfig(r=1.0, num_beams=6, max_bytes=max_bytes, feedback="delayed",
-                               lag_policy=lag_policy, lag_k=lag_k)
+        for max_bytes in (3, 5):
+            cfg = FusionConfig(r=1.0, num_beams=6, max_bytes=max_bytes, feedback="delayed")
             result = decode([(tr, ctx), (lm, None)], cfg)
             extensions = 0
             for step, kept in enumerate(result.trace):
                 for data, fused in kept:
                     if len(data) == step + 1:
                         extensions += 1
-                        if lag_policy == "fixed":
-                            data = data[: max(0, len(data) - lag_k)]
-                        else:
-                            data = data[: tokenize(tr.vocabulary, data).boundary_offsets[-1]]
+                        data = data[: tokenize(tr.vocabulary, data).boundary_offsets[-1]]
                     assert fused == approx_byte_log_score(lm, data)
             for data, fused, (_, lm_score) in result.all_beams:
                 assert fused == lm_score == approx_byte_log_score(lm, data)
@@ -428,8 +416,7 @@ class TestDelayedFeedback:
             at_budget += sum(len(data) == max_bytes for data, _, _ in result.all_beams)
         assert at_budget > 0
 
-    @pytest.mark.parametrize("lag_policy, lag_k", [("last-tr-token", 0), ("fixed", 1), ("fixed", 3)])
-    def test_lagged_scores_are_read_not_rescored(self, monkeypatch, lag_policy, lag_k):
+    def test_lagged_scores_are_read_not_rescored(self, monkeypatch):
         # every lagged and ending score is read from the beam's window: the
         # rescorer re-scores no prefix, and each cache is built exactly once
         calls = {"approx": 0, "refresh": 0}
@@ -439,8 +426,7 @@ class TestDelayedFeedback:
         built = 0
         for seed in range(4):
             tr, ctx, lm = _fusion_instance(seed)
-            cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=10, feedback="delayed",
-                               lag_policy=lag_policy, lag_k=lag_k)
+            cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=10, feedback="delayed")
             result = decode([(tr, ctx), (lm, None)], cfg)
             # the root, then each kept extension, for both caching models
             built += 2 * (1 + sum(len(data) == step + 1

@@ -56,9 +56,9 @@ def test_demo_report_and_outputs_match_golden(tmp_path, monkeypatch, capsys):
 
 # --- pinned decode outputs ---------------------------------------------------
 #
-# The demo never reaches delayed feedback under every lag policy, three
-# models, a length penalty, a byte budget that cuts beams off, or
-# candidates dropped by a partial-coverage vocabulary. Each case below is
+# The demo never reaches delayed feedback at r = 0 or 1, three models, a
+# length penalty, a byte budget that cuts beams off, or candidates
+# dropped by a partial-coverage vocabulary. Each case below is
 # decoded from fresh seeded models and hashed; a change that claims
 # identical outputs must keep every digest. Regenerate the file with
 # ``PYTHONPATH=src python tests/test_golden.py > tests/golden/decode_digests.txt``
@@ -100,13 +100,11 @@ def _decode_cases():
                           FusionConfig(r=r, num_beams=4, max_bytes=14)))
         cases.append((f"sync-3models-s{seed}", lambda s=seed: _three_models(s),
                       FusionConfig(weights=[0.6, 0.3, 0.1], num_beams=4, max_bytes=14)))
-        for lag_policy, lag_k in (("last-tr-token", 0), ("fixed", 0), ("fixed", 2)):
-            for r in (0.0, 0.2, 1.0):
-                cases.append((
-                    f"delayed-{lag_policy}{lag_k}-r{r}-s{seed}", lambda s=seed: _signal_pair(s),
-                    FusionConfig(r=r, num_beams=4, max_bytes=14, feedback="delayed",
-                                 lag_policy=lag_policy, lag_k=lag_k),
-                ))
+        for r in (0.0, 0.2, 1.0):  # "last-tr-token0" names the lag, as in the digest file
+            cases.append((
+                f"delayed-last-tr-token0-r{r}-s{seed}", lambda s=seed: _signal_pair(s),
+                FusionConfig(r=r, num_beams=4, max_bytes=14, feedback="delayed"),
+            ))
         for feedback in ("synchronous", "delayed"):
             for penalty in (0.0, 2.0):
                 cases.append((

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -72,7 +73,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "section, key",
-        [("fusion", "speculative_threshold"), ("corpus", "utterance"), ("lm", "vocab_path")],
+        [("fusion", "speculative_threshold"), ("corpus", "utterance"), ("lm", "vocab_path"),
+         ("fusion", "lag_policy"), ("fusion", "lag_k")],
     )
     def test_unknown_key_rejected_with_section_and_key(self, tmp_path, section, key):
         path = tmp_path / "exp.cfg"
@@ -92,12 +94,17 @@ class TestConfigFile:
             ("", "seed", "1"),
             ("fusion", "num_beams", "5\nnum_beams = 6"),
             ("noise", "grid", "0.1%"),
+            # values that do not parse, or parse and fail validation
+            ("experiment", "seed", "x"),
+            ("fusion", "r", "2"),
+            ("corpus", "utterances", "x"),
         ],
     )
     def test_invalid_value_rejected_at_load(self, tmp_path, section, key, value):
+        # the error names the file and the key
         path = tmp_path / "exp.cfg"
         path.write_text((f"[{section}]\n" if section else "") + f"{key} = {value}\n")
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=rf"(?s)^{re.escape(str(path))}: .*\b{key}\b"):
             load_experiment_config(str(path))
 
     def test_demo_config_loads(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -346,6 +347,26 @@ class TestModelFiles:
 
         v = load_vocabulary(str(tmp_path / "v.txt"))
         with pytest.raises(ModelFileError, match=line):
+            load_model(str(tmp_path / "m.txt"), v)
+
+    @pytest.mark.parametrize("count", ["-5", "nan", "inf"])
+    def test_negative_or_non_finite_count_rejected(self, tmp_path, count):
+        # named by context, token id and value; a file's error names the file
+        v = build_vocabulary([b"a", b"b"])
+        message = rf"token id 0 after context \(\) .* got {float(count)}"
+        with pytest.raises(ValueError, match=message):
+            NgramModel(v, 1, counts={(): {0: float(count)}})
+        (tmp_path / "m.txt").write_text(f"ngram 1\ncount _ a {count}\n")
+        with pytest.raises(ModelFileError, match=re.escape(str(tmp_path / "m.txt")) + ".*" + message):
+            load_model(str(tmp_path / "m.txt"), v)
+
+    @pytest.mark.parametrize(
+        "text, line", [("ngram x\n", 1), ("iid\na 0.5\n\n# b\nb x\n", 5)]
+    )
+    def test_unparsable_value_names_file_and_line(self, tmp_path, text, line):
+        (tmp_path / "m.txt").write_text(text)
+        v = build_vocabulary([b"a", b"b"])
+        with pytest.raises(ModelFileError, match=f"^{re.escape(str(tmp_path / 'm.txt'))}:{line}: "):
             load_model(str(tmp_path / "m.txt"), v)
 
     def test_unknown_kind_rejected(self, tmp_path):
