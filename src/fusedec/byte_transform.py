@@ -21,8 +21,9 @@ tokenizes only the unstable tail of the parent's main sequence.
 ``cache_log_score`` reads ``approx_byte_log_score`` off a cache, which
 is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
 itself always builds a cold cache. ``cache_log_score`` and
-``next_byte_scores`` score each depth through one kernel,
-``_restricted_mass``.
+``next_byte_scores`` score each depth of the live tail
+(``vocab._tail_depth``) through one kernel, ``_restricted_mass``, which
+reads the depth's alternatives from the trie; a cache holds model state.
 
 All accumulation is in log space with max-shift (via logsumexp), so
 long sequences do not underflow rolling products.
@@ -31,7 +32,6 @@ long sequences do not underflow rolling products.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -39,11 +39,10 @@ import numpy as np
 
 from .models import Context, TokenModel
 from .vocab import (
-    _NO_GROUPS,
     MainSequence,
-    NextByteGroups,
     _stable_prefix,
     _suffix_start,
+    _tail_depth,
     alternatives_for_suffix,
     group_by_next_byte,
     tokenize,
@@ -165,31 +164,19 @@ def exact_terminal_mass(
 class ModelCache:
     """Per-beam, per-model decoding state for a committed byte string.
 
-    ``alternatives[s]`` holds the tokens covering the whole byte suffix
-    after the first ``s`` main tokens, as the trie node's shared
-    ``NextByteGroups`` record. No token covers a suffix longer than
-    ``max_token_len``, so only the depths from ``first_live`` on, the
-    first whose suffix is at most that long, can have alternatives; the
-    slots before it hold one shared empty record and are never scanned,
-    which keeps a step's cost independent of the hypothesis length.
-    ``log_rolling[s]`` is the log of
-    the cumulative product of the first ``s`` main-token probabilities
-    (``log_rolling[0] == 0``); ``dists[s]`` is the model distribution
-    after those ``s`` tokens, evaluated on first use (see ``_dist_at``).
-    Depth count is S+1: every token boundary plus the post-sequence
-    boundary with the empty suffix.
+    It holds only what the model computed along ``main``, one entry per
+    depth ``s``, the count of main tokens read (S+1 depths, the last with
+    the empty suffix): the state ``states[s]``; ``log_rolling[s]``, the log
+    of the product of those tokens' probabilities (``log_rolling[0] == 0``);
+    and the distribution ``dists[s]``, evaluated on first use
+    (``_dist_at``). The tokens covering a depth's suffix are read from the
+    trie when it is scored (``_restricted_mass``).
     """
 
     main: MainSequence
-    alternatives: list[NextByteGroups]
     log_rolling: list[float]
     states: list[Any]
     dists: list[np.ndarray | None]
-    first_live: int
-
-    @property
-    def depth_count(self) -> int:
-        return len(self.main.token_ids) + 1
 
 
 @dataclass(frozen=True)
@@ -255,24 +242,7 @@ def refresh_cache(
         keep = shared + 1
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
-    # no token covers a suffix longer than the longest token, so only the
-    # depths from the first live one walk the trie
-    idx = vocab.prefix_index
-    first_live = bisect_left(main.boundary_offsets, len(data) - vocab.max_token_len)
-    alternatives = [_NO_GROUPS] * first_live
-    alternatives.extend(
-        alternatives_for_suffix(idx, data[start:])
-        for start in main.boundary_offsets[first_live:]
-    )
-    alternatives.append(alternatives_for_suffix(idx, b""))
-    cache = ModelCache(
-        main=main,
-        alternatives=alternatives,
-        log_rolling=log_rolling,
-        states=states,
-        dists=dists,
-        first_live=first_live,
-    )
+    cache = ModelCache(main=main, log_rolling=log_rolling, states=states, dists=dists)
     for s in range(keep, s_count + 1):
         tid = main.token_ids[s - 1]
         lr = log_rolling[s - 1]
@@ -293,18 +263,17 @@ def _restricted_mass(
     The depth-``s`` distribution is restricted to the tokens covering the
     whole remaining suffix and routed to the byte each proposes past it.
     Tokens that match the suffix exactly complete it through an off-main
-    segmentation; the main-sequence approximation drops them.
+    segmentation; the main-sequence approximation drops them. The tokens
+    are the trie node's shared record for the suffix, built once per
+    vocabulary.
     """
-    members = cache.alternatives[s]
+    vocab = model.vocabulary
+    suffix = cache.main.source_bytes[_suffix_start(cache.main, s) :]
+    members = alternatives_for_suffix(vocab.prefix_index, suffix)
     if not members:
         return {}
     dist = _dist_at(model, cache, s, ctx)
-    buckets = group_by_next_byte(
-        model.vocabulary,
-        members,
-        dist[members.ids],
-        len(cache.main.source_bytes) - _suffix_start(cache.main, s),
-    )
+    buckets = group_by_next_byte(vocab, members, dist[members.ids], len(suffix))
     return {b: mass for b, mass in buckets.items() if mass > 0.0}
 
 
@@ -330,10 +299,12 @@ def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -
 
 def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -> float:
     """``approx_byte_log_score`` of the bytes ``cache`` holds; every
-    distribution this reads was evaluated by ``refresh_cache``."""
+    distribution this reads was evaluated by ``refresh_cache``. Only the
+    live tail's depths (``vocab._tail_depth``) are scanned, as in
+    ``next_byte_scores``."""
     s_count = len(cache.main.token_ids)
     parts = [cache.log_rolling[s_count]]
-    for s in range(cache.first_live, s_count):
+    for s in range(_tail_depth(model.vocabulary, cache.main), s_count):
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue
@@ -349,9 +320,11 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
     For each depth s the restricted next-byte mass (``_restricted_mass``)
     is weighted by the rolling product and added to its byte's score.
     EOS mass at the final depth becomes the terminal score. Only the
-    depths from ``cache.first_live`` on are scanned: the earlier ones
-    have no alternatives, so a step costs O(``max_token_len``) depths
-    whatever the length of the committed bytes.
+    depths of the live tail (``vocab._tail_depth``), whose suffix is
+    shorter than ``max_token_len``, are scanned: no token covers a
+    longer suffix with a byte to spare, so the earlier depths have no
+    mass and a step costs at most ``max_token_len`` depths whatever the
+    length of the committed bytes.
 
     A cold cache needs at most S+1 model forwards between
     ``refresh_cache`` and this call; distributions the cache already
@@ -360,7 +333,7 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
     eos = model.vocabulary.eos_id
     s_count = len(cache.main.token_ids)
     log_buckets: dict[int, list[float]] = {}
-    for s in range(cache.first_live, s_count + 1):
+    for s in range(_tail_depth(model.vocabulary, cache.main), s_count + 1):
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue

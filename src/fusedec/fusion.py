@@ -29,14 +29,13 @@ ancestor of its beam, so its rescorer score is read from the beam's
 window of its ancestors' scores (``Beam.lagged``), never recomputed.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
-whatever the hypothesis length: tokenizing re-matches only the last
-``max_token_len`` bytes, scoring scans only the depths whose suffix is
-at most that long (``ModelCache.first_live``), and a beam finds the
-last-token lag of all its candidate bytes with one trie walk per
-proposer token start in its last ``max_token_len`` bytes
-(``vocab.last_token_starts``). Only candidates that take a slot build
-their bytes; copying those and a kept cache's lists, done in C, is
-what grows with length.
+whatever the hypothesis length: tokenizing re-matches, scoring scans
+and the lag search walks only the live tail, the tokens starting fewer
+than ``max_token_len`` bytes before the end (``vocab._tail_depth``); a
+beam finds the last-token lag of all its candidate bytes with one trie
+walk per proposer token start there (``vocab.last_token_starts``).
+Only candidates that take a slot build their bytes; copying those and
+a kept cache's lists, done in C, is what grows with length.
 """
 
 from __future__ import annotations

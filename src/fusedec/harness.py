@@ -54,10 +54,15 @@ class CorpusSpec:
     def __post_init__(self):
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")
+        repeated = [b for i, b in enumerate(self.alphabet) if b in self.alphabet[:i]]
+        if repeated:
+            raise ValueError(f"alphabet repeats byte {bytes(repeated[:1])!r}")
         if not 0 < self.min_len <= self.max_len:
             raise ValueError("need 0 < min_len <= max_len")
         if self.utterances < 1:
             raise ValueError(f"utterances must be >= 1 (the test split), got {self.utterances}")
+        if self.train_utterances < 0:
+            raise ValueError(f"train_utterances must be >= 0, got {self.train_utterances}")
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,18 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # each message names the config file's section and key
         for eps in self.noise_grid:
             if not 0.0 <= eps <= 1.0:
-                raise ValueError(f"noise level {eps} outside [0, 1]")
+                raise ValueError(f"[noise] grid level {eps} outside [0, 1]")
+        if self.lm_order < 1:
+            raise ValueError(f"[lm] order must be >= 1, got {self.lm_order}")
         if not (math.isfinite(self.lm_alpha) and self.lm_alpha > 0):
-            raise ValueError(f"lm alpha must be positive and finite, got {self.lm_alpha}")
+            raise ValueError(f"[lm] alpha must be positive and finite, got {self.lm_alpha}")
         if self.max_bytes_margin < 0:
-            raise ValueError(f"max_bytes_margin must be >= 0, got {self.max_bytes_margin}")
+            raise ValueError(
+                f"[experiment] max_bytes_margin must be >= 0, got {self.max_bytes_margin}"
+            )
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -48,6 +48,13 @@ def _suffix_start(main: MainSequence, s: int) -> int:
     return main.boundary_offsets[s] if s < len(main) else len(main.source_bytes)
 
 
+def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
+    """Count of the tokens of ``main`` that start ``max_token_len`` or more
+    bytes before its end. The rest, the live tail, are all that re-matching
+    (``_stable_prefix``), next-byte scoring and the lag search read."""
+    return bisect_right(main.boundary_offsets, len(main.source_bytes) - vocab.max_token_len)
+
+
 class NextByteGroups:
     """Token ids sharing a byte prefix, grouped by the byte that follows it.
 
@@ -262,14 +269,14 @@ def _stable_prefix(
 
     Returns their count and the byte offset where greedy matching
     resumes after them. Matching at a token start reads at most
-    ``max_token_len`` bytes, so a token of ``prev`` that starts at least
-    that many bytes before the end of ``prev`` matches again in ``data``
-    when ``data`` extends ``prev``, and so does every token before it.
-    Any other ``prev``, an extension of ``data`` included, keeps none.
+    ``max_token_len`` bytes, so when ``data`` extends ``prev`` every
+    token of ``prev`` before its live tail (``_tail_depth``) matches
+    again. Any other ``prev``, an extension of ``data`` included, keeps
+    none.
     """
     if prev is None or not data.startswith(prev.source_bytes):
         return 0, 0
-    keep = bisect_right(prev.boundary_offsets, len(prev.source_bytes) - vocab.max_token_len)
+    keep = _tail_depth(vocab, prev)
     return keep, _suffix_start(prev, keep)
 
 
@@ -318,11 +325,11 @@ def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
     Greedy matching of ``data + b`` follows ``main`` up to the first token
     start ``t`` where ``data[t:] + b`` is a token, which ends it; with no
     such ``t``, ``b`` alone ends it if it is a token. Such a ``t`` lies
-    less than ``max_token_len`` bytes before the end, so one trie walk per
-    start there answers every byte, whatever the length of ``data``.
+    in the live tail (``_tail_depth``), so one trie walk per start there
+    answers every byte, whatever the length of ``data``.
     """
     data, root = main.source_bytes, vocab.prefix_index._root
-    first = bisect_right(main.boundary_offsets, len(data) - vocab.max_token_len)
+    first = _tail_depth(vocab, main)
     starts: dict[int, int] = {}
     # latest start first, so the earliest qualifying start is written last
     for t in reversed((*main.boundary_offsets[first:], len(data))):

@@ -13,6 +13,7 @@ from fusedec import (
     SignalContext,
     TableModel,
     TokenizationError,
+    alternatives_for_suffix,
     approx_byte_log_score,
     approx_byte_score,
     build_vocabulary,
@@ -24,6 +25,7 @@ from fusedec import (
     tokenize,
 )
 from fusedec import byte_transform
+from fusedec.vocab import _tail_depth
 
 from conftest import random_coverable_bytes, random_model, random_partial_vocab, random_vocab
 
@@ -122,18 +124,21 @@ class TestRefreshCache:
     def test_structure_for_ab(self, tiny_model):
         cache = refresh_cache(tiny_model, b"ab")
         assert cache.main.token_ids == (2,)
-        assert cache.depth_count == 2
-        assert list(cache.alternatives[0]) == [2]
-        assert set(cache.alternatives[1]) == {0, 1, 2}
+        depths = len(cache.main) + 1
+        assert len(cache.states) == len(cache.log_rolling) == len(cache.dists) == depths == 2
+        alternatives = _alternatives(tiny_model, cache)
+        assert list(alternatives[0]) == [2]
+        assert set(alternatives[1]) == {0, 1, 2}
         assert _suffix_lengths(cache) == [2, 0]
         assert [math.exp(lr) for lr in cache.log_rolling] == pytest.approx([1.0, 0.2])
 
     def test_empty_bytes(self, tiny_model):
         cache = refresh_cache(tiny_model, b"")
         assert cache.main.token_ids == ()
-        assert cache.depth_count == 1
+        depths = len(cache.main) + 1
+        assert len(cache.states) == len(cache.log_rolling) == len(cache.dists) == depths == 1
         assert _suffix_lengths(cache) == [0]
-        assert set(cache.alternatives[0]) == {0, 1, 2}
+        assert set(_alternatives(tiny_model, cache)[0]) == {0, 1, 2}
 
     def test_extension_may_retokenize_the_tail(self, tiny_model):
         old = refresh_cache(tiny_model, b"a")
@@ -142,7 +147,21 @@ class TestRefreshCache:
         assert new.main.token_ids == (2,)  # "a" merged into "ab"
         fresh = refresh_cache(tiny_model, b"ab")
         assert new.log_rolling == fresh.log_rolling
-        assert new.alternatives == fresh.alternatives
+        assert new.main == fresh.main
+
+    def test_scoring_reads_alternatives_through_the_module_name(self, tiny_model, monkeypatch):
+        # the cache holds no alternatives: scoring walks the trie for each
+        # live depth, through the name the benchmark tracer wraps
+        cache = refresh_cache(tiny_model, b"a")
+        seen = []
+
+        def recorded(idx, suffix):
+            seen.append(suffix)
+            return alternatives_for_suffix(idx, suffix)
+
+        monkeypatch.setattr(byte_transform, "alternatives_for_suffix", recorded)
+        next_byte_scores(tiny_model, cache)
+        assert seen == [b"a", b""]
 
     def test_reuses_shared_prefix_without_forwards(self, tiny_model):
         cache = refresh_cache(tiny_model, b"ab")
@@ -301,7 +320,24 @@ class TestLiveDepthWindow:
             )
         _assert_matches_reference(m, cache, ctx)
 
-    def test_step_scans_at_most_max_token_len_plus_one_depths(self, monkeypatch):
+    @given(st.integers(0, 2**32 - 1), st.text(alphabet="abc", max_size=30).map(str.encode))
+    @settings(max_examples=150, deadline=None)
+    def test_depths_before_the_tail_have_no_mass_and_cost_no_forward(self, seed, data):
+        rng = random.Random(seed)
+        v = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=rng.random() < 0.7)
+        m = random_model(rng, v)
+        try:
+            cache = refresh_cache(m, data)
+        except TokenizationError:
+            return
+        for s in range(_tail_depth(v, cache.main)):
+            if cache.log_rolling[s] == NEG_INF:
+                continue
+            before = m.forward_count
+            assert byte_transform._restricted_mass(m, cache, s, None) == {}
+            assert m.forward_count == before
+
+    def test_step_scans_at_most_max_token_len_depths(self, monkeypatch):
         rng = random.Random(2405)
         v = random_vocab(rng, b"ab", max_tokens=12, max_len=3, eos=True)
         m = random_model(rng, v)
@@ -319,7 +355,7 @@ class TestLiveDepthWindow:
 
         monkeypatch.setattr(byte_transform, "_restricted_mass", counted)
         next_byte_scores(m, cache)
-        assert 0 < len(calls) <= v.max_token_len + 1
+        assert 0 < len(calls) <= v.max_token_len
 
 
 def _reference_logsumexp(parts):
@@ -406,6 +442,13 @@ class TestConservation:
                 except Exception:
                     raise
             assert total == pytest.approx(exact_byte_marginal(m, data), abs=1e-9)
+
+
+def _alternatives(model, cache):
+    """The tokens covering the suffix after each of the cache's S+1 depths."""
+    data = cache.main.source_bytes
+    starts = [*cache.main.boundary_offsets, len(data)]
+    return [alternatives_for_suffix(model.vocabulary.prefix_index, data[t:]) for t in starts]
 
 
 def _suffix_lengths(cache):

@@ -417,22 +417,31 @@ class TestDelayedFeedback:
         assert at_budget > 0
 
     def test_lagged_scores_are_read_not_rescored(self, monkeypatch):
-        # every lagged and ending score is read from the beam's window: the
-        # rescorer re-scores no prefix, and each cache is built exactly once
-        calls = {"approx": 0, "refresh": 0}
+        # the rescorer scores a beam's bytes once, when the beam is kept, and
+        # every lagged and ending score is read from the beam's window; each
+        # cache is built exactly once
+        calls = {"score": 0, "refresh": 0}
 
-        for name, attr in (("approx", "approx_byte_log_score"), ("refresh", "refresh_cache")):
+        for name, attr in (("score", "cache_log_score"), ("refresh", "refresh_cache")):
             monkeypatch.setattr(fusion, attr, _counted(calls, name, getattr(fusion, attr)))
-        built = 0
+        built = scored = at_budget = 0
         for seed in range(4):
             tr, ctx, lm = _fusion_instance(seed)
-            cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=10, feedback="delayed")
+            # short enough that some beams are still live at max_bytes
+            cfg = FusionConfig(r=0.2, num_beams=4, max_bytes=6, feedback="delayed")
             result = decode([(tr, ctx), (lm, None)], cfg)
+            extended = sum(len(data) == step + 1
+                           for step, kept in enumerate(result.trace) for data, _ in kept)
+            unfinished = sum(len(data) == cfg.max_bytes for data, _, _ in result.all_beams)
             # the root, then each kept extension, for both caching models
-            built += 2 * (1 + sum(len(data) == step + 1
-                                  for step, kept in enumerate(result.trace) for data, _ in kept))
-        assert calls["approx"] == 0
+            built += 2 * (1 + extended)
+            # each kept extension by the rescorer, then each beam finished at
+            # max_bytes by both positively weighted models
+            scored += extended + 2 * unfinished
+            at_budget += unfinished
+        assert calls["score"] == scored
         assert calls["refresh"] == built > 0
+        assert at_budget > 0
 
     def test_rescorer_never_sees_past_last_boundary(self):
         # the lag prefix always ends at a token boundary of the proposer's

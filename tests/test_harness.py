@@ -90,6 +90,9 @@ class TestConfigFile:
             ("lm", "alpha", "0"),
             ("experiment", "max_bytes_margin", "-50"),
             ("corpus", "utterances", "0"),
+            ("corpus", "train_utterances", "-3"),
+            ("lm", "order", "0"),
+            ("corpus", "alphabet", "aab"),
             # malformed files: no section header, a duplicated key, a bare %
             ("", "seed", "1"),
             ("fusion", "num_beams", "5\nnum_beams = 6"),
@@ -105,6 +108,23 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text((f"[{section}]\n" if section else "") + f"{key} = {value}\n")
         with pytest.raises(ValueError, match=rf"(?s)^{re.escape(str(path))}: .*\b{key}\b"):
+            load_experiment_config(str(path))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("corpus", "train_utterances", "-3"),
+            ("lm", "order", "0"),
+            ("corpus", "alphabet", "aab"),
+            ("lm", "alpha", "nan"),
+            ("noise", "grid", "1.5"),
+            ("experiment", "max_bytes_margin", "-50"),
+        ],
+    )
+    def test_failed_validation_names_section_and_key(self, tmp_path, section, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: \[{section}\] {key}\b"):
             load_experiment_config(str(path))
 
     def test_demo_config_loads(self):
