@@ -24,9 +24,12 @@ itself always builds a cold cache. ``cache_log_score`` and
 ``next_byte_scores`` score each depth of the live tail
 (``vocab._tail_depth``) through one kernel, ``_restricted_mass``, which
 reads the depth's alternatives from the trie; a cache holds model state.
+It reads a distribution through the record's ``index``, a view at the
+root, and returns ``group_by_next_byte``'s buckets unfiltered.
 
 All accumulation is in log space with max-shift (via logsumexp), so
-long sequences do not underflow rolling products.
+long sequences do not underflow rolling products. Every log and exp is
+``math``'s (numpy's round some inputs differently); sums add in order.
 """
 
 from __future__ import annotations
@@ -56,14 +59,17 @@ class BudgetExceededError(RuntimeError):
 
 
 def _logsumexp(parts: Sequence[float]) -> float:
-    if not parts:
-        return NEG_INF
     if len(parts) == 1:
         return parts[0]  # what the general form gives: x + log(1.0) == x
+    if not parts:
+        return NEG_INF
     m = max(parts)
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(sum(math.exp(p - m) for p in parts))
+    total = 0.0  # the additions sum() makes up to Python 3.11 (3.12's compensates)
+    for p in parts:
+        total += math.exp(p - m)
+    return m + math.log(total)
 
 
 # --- exact oracle -------------------------------------------------------------
@@ -258,23 +264,25 @@ def refresh_cache(
 def _restricted_mass(
     model: TokenModel, cache: ModelCache, s: int, ctx: Context
 ) -> dict[int, float]:
-    """Positive next-byte mass of the alternatives at depth ``s``, by byte.
+    """Next-byte mass of the alternatives at depth ``s``, by byte.
 
     The depth-``s`` distribution is restricted to the tokens covering the
     whole remaining suffix and routed to the byte each proposes past it.
     Tokens that match the suffix exactly complete it through an off-main
     segmentation; the main-sequence approximation drops them. The tokens
     are the trie node's shared record for the suffix, built once per
-    vocabulary.
+    vocabulary, read through its ``index`` (a view at the root). Buckets
+    are returned unfiltered: callers skip masses <= 0.
     """
     vocab = model.vocabulary
     suffix = cache.main.source_bytes[_suffix_start(cache.main, s) :]
     members = alternatives_for_suffix(vocab.prefix_index, suffix)
-    if not members:
+    if not len(members.ids):
         return {}
-    dist = _dist_at(model, cache, s, ctx)
-    buckets = group_by_next_byte(vocab, members, dist[members.ids], len(suffix))
-    return {b: mass for b, mass in buckets.items() if mass > 0.0}
+    dist = cache.dists[s]
+    if dist is None:
+        dist = _dist_at(model, cache, s, ctx)
+    return group_by_next_byte(vocab, members, dist[members.index], len(suffix))
 
 
 def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> float:
@@ -308,6 +316,7 @@ def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue
+        # empty buckets add 0.0, which leaves the sum as it is
         mass = sum(_restricted_mass(model, cache, s, ctx).values())
         if mass > 0.0:
             parts.append(lr + math.log(mass))
@@ -317,12 +326,12 @@ def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -
 def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) -> ByteScore:
     """Joint scores for every candidate next byte, plus the terminal score.
 
-    For each depth s the restricted next-byte mass (``_restricted_mass``)
-    is weighted by the rolling product and added to its byte's score.
-    EOS mass at the final depth becomes the terminal score. Only the
-    depths of the live tail (``vocab._tail_depth``), whose suffix is
-    shorter than ``max_token_len``, are scanned: no token covers a
-    longer suffix with a byte to spare, so the earlier depths have no
+    For each depth s each positive restricted next-byte mass
+    (``_restricted_mass``) is weighted by the rolling product and added
+    to its byte's score. EOS mass at the final depth becomes the terminal
+    score. Only the depths of the live tail (``vocab._tail_depth``), whose
+    suffix is shorter than ``max_token_len``, are scanned: no token covers
+    a longer suffix with a byte to spare, so the earlier depths have no
     mass and a step costs at most ``max_token_len`` depths whatever the
     length of the committed bytes.
 
@@ -332,22 +341,24 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
     """
     eos = model.vocabulary.eos_id
     s_count = len(cache.main.token_ids)
+    log, log_rolling = math.log, cache.log_rolling
     log_buckets: dict[int, list[float]] = {}
     for s in range(_tail_depth(model.vocabulary, cache.main), s_count + 1):
-        lr = cache.log_rolling[s]
+        lr = log_rolling[s]
         if lr == NEG_INF:
             continue
         for b, mass in _restricted_mass(model, cache, s, ctx).items():
-            log_buckets.setdefault(b, []).append(lr + math.log(mass))
+            if mass > 0.0:
+                if (parts := log_buckets.get(b)) is None:
+                    log_buckets[b] = [lr + log(mass)]
+                else:
+                    parts.append(lr + log(mass))
 
     log_terminal = NEG_INF
-    lr = cache.log_rolling[s_count]
+    lr = log_rolling[s_count]
     if eos is not None and lr > NEG_INF:
         p = float(_dist_at(model, cache, s_count, ctx)[eos])
         if p > 0.0:
-            log_terminal = lr + math.log(p)
+            log_terminal = lr + log(p)
 
-    return ByteScore(
-        log_scores={b: _logsumexp(parts) for b, parts in sorted(log_buckets.items())},
-        log_terminal=log_terminal,
-    )
+    return ByteScore({b: _logsumexp(log_buckets[b]) for b in sorted(log_buckets)}, log_terminal)

@@ -120,7 +120,7 @@ class FusionConfig:
         if not math.isfinite(self.length_penalty):
             raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
         if self.feedback not in (SYNCHRONOUS, DELAYED):
-            raise ValueError(f"unknown feedback mode {self.feedback!r}")
+            raise ValueError(f"feedback must be 'synchronous' or 'delayed', got {self.feedback!r}")
 
     def resolve_weights(self, n_models: int) -> list[float]:
         if self.weights is not None:
@@ -365,10 +365,13 @@ def decode(
         steps += 1
 
     # anything still live ran into the byte budget: finish it with the
-    # cache-consistent joint score of its committed bytes
+    # cache-consistent joint score of its committed bytes; the delayed
+    # rescorer's is already the last entry of the beam's window
     for beam in live:
         beam.per_model_scores = [
-            cached_score(i, beam.caches[i]) if weights[i] > 0.0 else NEG_INF
+            NEG_INF if weights[i] == 0.0
+            else beam.lagged[-1] if delayed and i == 1
+            else cached_score(i, beam.caches[i])
             for i in range(len(models))
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)

@@ -58,7 +58,7 @@ class CorpusSpec:
         if repeated:
             raise ValueError(f"alphabet repeats byte {bytes(repeated[:1])!r}")
         if not 0 < self.min_len <= self.max_len:
-            raise ValueError("need 0 < min_len <= max_len")
+            raise ValueError(f"min_len must be in 1..max_len ({self.max_len}), got {self.min_len}")
         if self.utterances < 1:
             raise ValueError(f"utterances must be >= 1 (the test split), got {self.utterances}")
         if self.train_utterances < 0:

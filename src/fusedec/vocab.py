@@ -64,10 +64,12 @@ class NextByteGroups:
     (``longer``) and the slot of each one's next byte in ``keys``, the
     distinct next bytes in order of first appearance. Summing weights
     per slot with ``np.bincount`` in member order is then the whole of
-    ``group_by_next_byte``.
+    ``group_by_next_byte``. ``index`` is a basic slice when the ids are
+    consecutive, as at the root when EOS is the last id, so ``dist[index]``
+    is a view; else ``ids``. ``all_longer``: every member is longer.
     """
 
-    __slots__ = ("ids", "longer", "slot", "keys", "depth")
+    __slots__ = ("ids", "longer", "slot", "keys", "depth", "index", "all_longer")
 
     def __init__(self, tokens: Sequence[bytes], ids: Sequence[int], depth: int):
         longer: list[int] = []
@@ -85,6 +87,10 @@ class NextByteGroups:
         self.slot = _frozen(slot)
         self.keys = tuple(slot_of)
         self.depth = depth
+        n = len(self.ids)
+        run = n > 0 and bool((self.ids == np.arange(self.ids[0], self.ids[0] + n)).all())
+        self.index = slice(int(self.ids[0]), int(self.ids[0]) + n) if run else self.ids
+        self.all_longer = len(longer) == n
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -363,18 +369,19 @@ def group_by_next_byte(
     byte right after it. Members that match exactly complete the match
     and propose no new byte, so their weight is left out. Buckets are
     keyed in order of first appearance and each sums its weights in
-    member order. ``members`` is usually a :class:`NextByteGroups`
-    record of depth ``matched_len``; any other id sequence is grouped
-    into one first.
+    member order; a bucket may be 0. ``members`` is usually a
+    :class:`NextByteGroups` record of depth ``matched_len``; any other id
+    sequence is grouped into one first. When every member is longer, as
+    at the root, ``weights`` is summed as given, so a view is not copied.
     """
     if not (isinstance(members, NextByteGroups) and members.depth == matched_len):
         members = NextByteGroups(vocab._tokens, members, matched_len)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(members) != len(weights):
+    if len(members.ids) != len(weights):
         raise ValueError("members and weights must have equal length")
-    sums = np.bincount(
-        members.slot, weights=weights[members.longer], minlength=len(members.keys)
-    )
+    if not members.all_longer:
+        weights = weights[members.longer]
+    sums = np.bincount(members.slot, weights=weights, minlength=len(members.keys))
     return dict(zip(members.keys, sums.tolist()))
 
 

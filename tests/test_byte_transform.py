@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from fusedec import (
     SignalContext,
     TableModel,
     TokenizationError,
+    Vocabulary,
     alternatives_for_suffix,
     approx_byte_log_score,
     approx_byte_score,
@@ -358,13 +360,94 @@ class TestLiveDepthWindow:
         assert 0 < len(calls) <= v.max_token_len
 
 
+def _vocab_with_eos(rng, placement):
+    """Random partial-coverage vocabulary with EOS first, in the middle, last
+    or absent (None). ``build_vocabulary`` always puts EOS last, which keeps
+    the root's members one run of ids; the other placements split it."""
+    base = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=False)
+    tokens = [base.bytes_of(t) for t in base.non_eos_ids]
+    rng.shuffle(tokens)
+    if placement is None:
+        return Vocabulary(tokens, None)
+    eos_id = {"first": 0, "middle": rng.randint(1, max(1, len(tokens) - 1)),
+              "last": len(tokens)}[placement]
+    tokens.insert(eos_id, b"")
+    return Vocabulary(tokens, eos_id)
+
+
+class TestEosPlacement:
+    """The kernel reads a depth's distribution through the trie record's
+    ``index``: a view where its ids are one run, a gather elsewhere. Both
+    must score bit for bit as the reference does, wherever EOS sits."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.text(alphabet="abc", max_size=24).map(str.encode),
+        st.sampled_from(["first", "middle", "last", None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scores_and_groupings_match_the_reference(self, seed, walk, placement):
+        rng = random.Random(seed)
+        v = _vocab_with_eos(rng, placement)
+        if rng.random() < 0.3:
+            m, ctx = NoisyChannelModel(v), SignalContext(walk, noise=0.1)
+        else:
+            m, ctx = random_model(rng, v), None
+        dist = np.array(_rand_dist(rng, v.size))
+        idx = v.prefix_index
+        for t in v.non_eos_ids:
+            for d in range(len(v.bytes_of(t)) + 1):
+                record = alternatives_for_suffix(idx, v.bytes_of(t)[:d])
+                w = dist[record.index]
+                assert list(w) == list(dist[record.ids])
+                assert list(group_by_next_byte(v, record, w, d).items()) == list(
+                    group_by_next_byte(v, list(record.ids), w, d).items()
+                )
+        data, cache = b"", refresh_cache(m, b"", ctx)
+        for b in walk:
+            _assert_matches_reference(m, cache, ctx)
+            try:
+                cache = refresh_cache(m, data + bytes([b]), ctx, old=cache)
+            except TokenizationError:
+                break
+            data += bytes([b])
+            assert byte_transform.cache_log_score(m, cache, ctx) == _reference_approx(m, data, ctx)
+        _assert_matches_reference(m, cache, ctx)
+
+    def test_root_reads_the_distribution_through_a_view(self, monkeypatch):
+        # with EOS last the root's members are ids 0..V-2, so the kernel hands
+        # group_by_next_byte a view of the distribution, not a copy; EOS in
+        # the middle splits them, and the gathered copy scores the same
+        seen = []
+        kernel = byte_transform.group_by_next_byte
+
+        def recorded(vocab, members, weights, matched_len):
+            seen.append(weights)
+            return kernel(vocab, members, weights, matched_len)
+
+        monkeypatch.setattr(byte_transform, "group_by_next_byte", recorded)
+        for eos_id, view in ((4, True), (2, False)):
+            tokens = [b"a", b"b", b"ab", b"ba"]
+            tokens.insert(eos_id, b"")
+            v = Vocabulary(tokens, eos_id)
+            m = TableModel(v, [0.1, 0.2, 0.3, 0.15, 0.25])
+            cache = refresh_cache(m, b"")
+            seen.clear()
+            _assert_matches_reference(m, cache, None)
+            (weights,) = seen
+            assert np.shares_memory(weights, cache.dists[0]) == view
+
+
 def _reference_logsumexp(parts):
     if not parts:
         return NEG_INF
     top = max(parts)
     if top == NEG_INF:
         return NEG_INF
-    return top + math.log(sum(math.exp(p - top) for p in parts))
+    total = 0.0  # added in order: sum() compensates from Python 3.12 on
+    for p in parts:
+        total += math.exp(p - top)
+    return top + math.log(total)
 
 
 def _reference_depths(model, data, ctx):

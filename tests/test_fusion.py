@@ -436,8 +436,8 @@ class TestDelayedFeedback:
             # the root, then each kept extension, for both caching models
             built += 2 * (1 + extended)
             # each kept extension by the rescorer, then each beam finished at
-            # max_bytes by both positively weighted models
-            scored += extended + 2 * unfinished
+            # max_bytes by the proposer; the rescorer's ending is its window's
+            scored += extended + unfinished
             at_budget += unfinished
         assert calls["score"] == scored
         assert calls["refresh"] == built > 0

@@ -119,6 +119,8 @@ class TestConfigFile:
             ("lm", "alpha", "nan"),
             ("noise", "grid", "1.5"),
             ("experiment", "max_bytes_margin", "-50"),
+            ("corpus", "min_len", "0"),
+            ("fusion", "feedback", "x"),
         ],
     )
     def test_failed_validation_names_section_and_key(self, tmp_path, section, key, value):
