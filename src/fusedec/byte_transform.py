@@ -175,8 +175,9 @@ class ModelCache:
     the empty suffix): the state ``states[s]``; ``log_rolling[s]``, the log
     of the product of those tokens' probabilities (``log_rolling[0] == 0``);
     and the distribution ``dists[s]``, evaluated on first use
-    (``_dist_at``). The tokens covering a depth's suffix are read from the
-    trie when it is scored (``_restricted_mass``).
+    (``_dist_at``), which may be a child's ``refresh_cache``. The tokens
+    covering a depth's suffix are read from the trie when it is scored
+    (``_restricted_mass``).
     """
 
     main: MainSequence
@@ -232,6 +233,10 @@ def refresh_cache(
     token prefix starts past the tokens kept (see ``tokenize``); for any
     other ``old`` both start from the first byte, so the result is exact
     either way. ``old`` must come from the same model and context.
+    The first new depth reads the last shared slot; if ``old`` has not
+    evaluated it, it is filled in ``old`` (its own prefix, so ``old`` stays
+    exact) before the copy, and every sibling refreshed from ``old`` shares
+    that one forward.
     """
     vocab = model.vocabulary
     main = tokenize(vocab, data, None if old is None else old.main)
@@ -246,6 +251,8 @@ def refresh_cache(
         while shared < limit and main.token_ids[shared] == old.main.token_ids[shared]:
             shared += 1
         keep = shared + 1
+        if keep <= s_count and old.log_rolling[keep - 1] > NEG_INF:
+            _dist_at(model, old, keep - 1, ctx)
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
     cache = ModelCache(main=main, log_rolling=log_rolling, states=states, dists=dists)
@@ -277,7 +284,7 @@ def _restricted_mass(
     vocab = model.vocabulary
     suffix = cache.main.source_bytes[_suffix_start(cache.main, s) :]
     members = alternatives_for_suffix(vocab.prefix_index, suffix)
-    if not len(members.ids):
+    if not members.keys:  # no member proposes a byte past the suffix
         return {}
     dist = cache.dists[s]
     if dist is None:

@@ -20,13 +20,16 @@ tokens.
 Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is rebuilt from its parent's, which hands
 over every distribution on their shared token prefix and all but the
-last ``max_token_len`` bytes of its tokenization, so a lineage evaluates
-each distribution once. The modes differ only in who reads the caches:
-``next_byte_scores`` for every cached model in synchronous mode; in
-delayed mode the proposer through ``next_byte_scores`` and the rescorer
-through ``cache_log_score``, once per kept beam. A lagged prefix is an
-ancestor of its beam, so its rescorer score is read from the beam's
-window of its ancestors' scores (``Beam.lagged``), never recomputed.
+last ``max_token_len`` bytes of its tokenization; the distribution at
+the end of that prefix is filled into the parent's slot, so its siblings
+share it (see ``refresh_cache``). Each model thus evaluates each token
+prefix at most once per decode. The modes differ only in who reads the
+caches: ``next_byte_scores`` for every cached model in synchronous mode;
+in delayed mode the proposer through ``next_byte_scores`` and the
+rescorer through ``cache_log_score``, once per kept beam. A lagged
+prefix is an ancestor of its beam, so its rescorer score is read from
+the beam's window of its ancestors' scores (``Beam.lagged``), never
+recomputed.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: tokenizing re-matches, scoring scans
@@ -160,11 +163,12 @@ def fuse_scores(per_model: Sequence[float], weights: Sequence[float]) -> float:
 class Beam:
     """One hypothesis: committed bytes plus per-model caches and scores.
 
-    ``caches[i]`` is None for a zero-weight model that does not propose,
-    and for a delayed rescorer that cannot tokenize ``data`` (see
-    ``decode``). In delayed mode a live beam's ``lagged`` holds the
-    rescorer's scores of its last prefixes, one per length, ending with
-    ``data`` (-inf where it cannot tokenize); the root's is ``(0.0,)``.
+    ``caches[i]`` is None for a zero-weight model that does not propose.
+    A delayed rescorer that cannot tokenize ``data`` keeps its cache of
+    the longest prefix of ``data`` it can tokenize (see ``decode``). In
+    delayed mode a live beam's ``lagged`` holds the rescorer's scores of
+    its last prefixes, one per length, ending with ``data`` (-inf where
+    it cannot tokenize); the root's is ``(0.0,)``.
     """
 
     data: bytes
@@ -223,7 +227,8 @@ def decode(
     recomputed. A zero-weight model keeps no cache and is never asked
     about a beam's bytes, so a byte it cannot tokenize cannot fail the
     decode. A prefix the rescorer cannot tokenize scores -inf, and a beam
-    whose bytes it cannot tokenize keeps no rescorer cache.
+    whose bytes it cannot tokenize keeps the rescorer cache of the longest
+    prefix it can, so a descendant it can tokenize is not scored cold.
 
     A model that scores through ``next_byte_scores`` can propose a byte
     through a longer token and then be unable to tokenize the candidate
@@ -244,8 +249,11 @@ def decode(
     if delayed and len(models) != 2:
         raise ValueError("delayed feedback needs exactly two models (proposer, rescorer)")
 
-    def cached_score(i: int, cache: ModelCache | None) -> float:  # no cache: untokenizable
-        return NEG_INF if cache is None else cache_log_score(models[i][0], cache, models[i][1])
+    def cached_score(i: int, cache: ModelCache | None, data: bytes) -> float:
+        # no cache, or one of a shorter prefix: model i cannot tokenize ``data``
+        if cache is None or len(cache.main.source_bytes) < len(data):
+            return NEG_INF
+        return cache_log_score(models[i][0], cache, models[i][1])
 
     scoring = [i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))]
     keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
@@ -256,7 +264,8 @@ def decode(
 
     def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None] | None:
         """Caches for ``data``; None if a model that scores through its
-        cache cannot tokenize it (noted in ``skipped``)."""
+        cache cannot tokenize it (noted in ``skipped``). The delayed
+        rescorer keeps ``old``'s cache where it cannot tokenize ``data``."""
         caches: list[ModelCache | None] = []
         tokenized = True
         for i, (m, ctx) in enumerate(models):
@@ -268,6 +277,7 @@ def decode(
                     if scoring[i]:
                         skipped[(i, err.offset, data[err.offset])] = None
                         tokenized = False
+                    cache = old[i]
             caches.append(cache)
         return caches if tokenized else None
 
@@ -352,7 +362,8 @@ def decode(
                 caches = refreshed(data, beam.caches)
                 if caches is None:
                     continue
-                lagged = (*beam.lagged, cached_score(1, caches[1]))[-window:] if delayed else ()
+                lagged = ((*beam.lagged, cached_score(1, caches[1], data))[-window:]
+                          if delayed else ())
                 new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
             kept.append((data, -neg_fused))
         if not kept:
@@ -371,7 +382,7 @@ def decode(
         beam.per_model_scores = [
             NEG_INF if weights[i] == 0.0
             else beam.lagged[-1] if delayed and i == 1
-            else cached_score(i, beam.caches[i])
+            else cached_score(i, beam.caches[i], beam.data)
             for i in range(len(models))
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)

@@ -165,6 +165,20 @@ class TestRefreshCache:
         next_byte_scores(tiny_model, cache)
         assert seen == [b"a", b""]
 
+    def test_a_suffix_that_no_member_extends_is_not_grouped(self, tiny_model, monkeypatch):
+        # at depth 0 of "b" the only token starting with "b" is "b" itself,
+        # which proposes no byte past it
+        cache = refresh_cache(tiny_model, b"b")
+        grouped = []
+
+        def recorded(vocab, members, weights, matched_len):
+            grouped.append(matched_len)
+            return group_by_next_byte(vocab, members, weights, matched_len)
+
+        monkeypatch.setattr(byte_transform, "group_by_next_byte", recorded)
+        next_byte_scores(tiny_model, cache)
+        assert grouped == [0]  # depth 1 only, with the empty suffix
+
     def test_reuses_shared_prefix_without_forwards(self, tiny_model):
         cache = refresh_cache(tiny_model, b"ab")
         next_byte_scores(tiny_model, cache)  # populates reusable distributions
@@ -186,6 +200,35 @@ class TestRefreshCache:
         assert m.forward_count - before == 1  # only the new final depth
         assert reused.log_scores == fresh.log_scores
         assert reused.log_terminal == fresh.log_terminal
+
+    def test_siblings_share_the_parents_last_slot(self):
+        m = TableModel(build_vocabulary([b"a", b"b"]), [0.6, 0.4])
+        parent = refresh_cache(m, b"ab")
+        assert parent.dists[2] is None  # nothing has read the last depth
+        before = m.forward_count
+        children = [refresh_cache(m, data, old=parent) for data in (b"aba", b"abb")]
+        assert m.forward_count - before == 1
+        assert parent.dists[2] is not None
+        for child in children:
+            assert child.dists[2] is parent.dists[2]
+            assert child.log_rolling == refresh_cache(m, child.main.source_bytes).log_rolling
+
+    def test_extending_the_parents_last_token_costs_no_forward(self, tiny_model):
+        parent = refresh_cache(tiny_model, b"a")
+        before = tiny_model.forward_count
+        child = refresh_cache(tiny_model, b"ab", old=parent)
+        assert child.main.token_ids == (2,)  # "a" grew into "ab"
+        assert tiny_model.forward_count == before
+        assert parent.dists[1] is None
+
+    def test_a_zero_probability_prefix_costs_no_forward(self):
+        m = TableModel(build_vocabulary([b"a", b"b"]), [1.0, 0.0])
+        parent = refresh_cache(m, b"ab")
+        assert parent.log_rolling[2] == NEG_INF
+        before = m.forward_count
+        child = refresh_cache(m, b"aba", old=parent)
+        assert m.forward_count == before
+        assert parent.dists[2] is None and child.log_rolling[3] == NEG_INF
 
 
 class TestNextByteScores:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from fusedec import (
     SignalContext,
     TableModel,
     TokenizationError,
+    TokenModel,
     approx_byte_log_score,
     build_vocabulary,
     decode,
@@ -25,6 +27,7 @@ from fusedec.vocab import last_token_starts
 
 from conftest import (
     random_bigram_model,
+    random_dist,
     random_iid_model,
     random_model,
     random_partial_vocab,
@@ -544,3 +547,64 @@ class TestFailureAndEdges:
             assert fused == pytest.approx(
                 fuse_scores(list(per_model), [0.8, 0.2]), abs=1e-9
             )
+
+
+class _PrefixModel(TokenModel):
+    """A model whose state is its token-id prefix, as a real LLM's is.
+
+    Its distributions are random but fixed per prefix, and it records the
+    prefix of every distribution it evaluates.
+    """
+
+    def __init__(self, vocabulary, seed):
+        super().__init__(vocabulary)
+        self.seed = seed
+        self.seen = []
+
+    def initial_state(self, ctx=None):
+        return ()
+
+    def advance_state(self, state, token_id):
+        return (*state, token_id)
+
+    def _dist(self, state, ctx):
+        self.seen.append(state)
+        return np.array(random_dist(random.Random(repr((self.seed, state))), self.vocabulary.size))
+
+
+class TestForwardMinimality:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["synchronous", "delayed"]),
+        st.booleans(),
+        st.integers(0, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_model_evaluates_each_token_prefix_once(self, seed, feedback, partial, max_bytes):
+        rng = random.Random(seed)
+        models = []
+        for i in range(2):
+            eos = rng.random() < 0.5
+            vocab = (random_partial_vocab(rng, b"abc", eos=eos) if partial
+                     else random_vocab(rng, b"abc", max_tokens=10, eos=eos))
+            models.append(_PrefixModel(vocab, (seed, i)))
+        cfg = FusionConfig(r=rng.choice([0.0, 0.3, 0.7, 1.0]), num_beams=rng.randint(1, 5),
+                           max_bytes=max_bytes, feedback=feedback)
+        try:
+            counts = decode([(m, None) for m in models], cfg).forward_counts
+        except DecodeFailure:
+            counts = tuple(m.forward_count for m in models)
+        for m in models:
+            assert len(m.seen) == len(set(m.seen)), "a token prefix was evaluated twice"
+        assert counts == tuple(len(set(m.seen)) for m in models)
+
+    def test_a_rescorer_gap_does_not_cold_start_the_descendants(self):
+        # the rescorer's {a, b, ca} cannot tokenize "abc" but can "abca",
+        # whose cache is refreshed from that of "ab", not built cold; the
+        # proposer's "ca" lags "abca" to "ab"
+        tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c", b"ca"], eos=True))
+        lm = _PrefixModel(build_vocabulary([b"a", b"b", b"ca"], eos=True), 0)
+        result = decode([(tr, SignalContext(b"abca", noise=0.2)), (lm, None)],
+                        FusionConfig(r=0.2, num_beams=3, max_bytes=6, feedback="delayed"))
+        assert any(data == b"abca" for step in result.trace for data, _ in step)
+        assert len(lm.seen) == len(set(lm.seen))

@@ -11,9 +11,11 @@ below.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
+import sys
 from pathlib import Path
 
 from fusedec import (
@@ -54,15 +56,22 @@ def test_demo_report_and_outputs_match_golden(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected[name], name
 
 
-# --- pinned decode outputs ---------------------------------------------------
+# --- pinned decodes -----------------------------------------------------------
 #
 # The demo never reaches delayed feedback at r = 0 or 1, three models, a
 # length penalty, a byte budget that cuts beams off, or candidates
-# dropped by a partial-coverage vocabulary. Each case below is
-# decoded from fresh seeded models and hashed; a change that claims
-# identical outputs must keep every digest. Regenerate the file with
-# ``PYTHONPATH=src python tests/test_golden.py > tests/golden/decode_digests.txt``
-# only when outputs move on purpose.
+# dropped by a partial-coverage vocabulary. Each case below is decoded
+# from fresh seeded models. Two files pin it, one line per case:
+# ``decode_digests.txt`` the SHA-256 of its outputs (best, all beams and
+# trace, or the failure message), and ``decode_forwards.txt`` its
+# per-model forward counts and the SHA-256 of its per-step forwards
+# ("-" for a failed decode, which has none). A change that claims
+# identical outputs must keep every digest; one that saves forwards
+# rewrites only the second file. Regenerate them with
+# ``PYTHONPATH=src python tests/test_golden.py outputs > tests/golden/decode_digests.txt``
+# and
+# ``PYTHONPATH=src python tests/test_golden.py forwards > tests/golden/decode_forwards.txt``
+# only when they move on purpose.
 
 _TR_TOKENS = [b"a", b"b", b"c", b"ab", b"bc", b"ca"]
 _LM_TOKENS = [b"a", b"b", b"c", b"ba", b"cab"]
@@ -127,28 +136,44 @@ def _decode_cases():
     return cases
 
 
-def decode_digests() -> dict[str, str]:
-    """SHA-256 of each pinned case's full result, or of its failure message."""
-    digests = {}
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.cache
+def decode_records() -> dict[str, tuple[str, str]]:
+    """Each pinned case's (outputs digest, forwards record)."""
+    records = {}
     for name, make_models, cfg in _decode_cases():
+        models = make_models()
         try:
-            res = decode(make_models(), cfg)
+            res = decode(models, cfg)
         except DecodeFailure as err:
-            outcome = f"DecodeFailure: {err}"
+            outcome, step_digest = f"DecodeFailure: {err}", "-"
+            counts = tuple(m.forward_count for m, _ in models)  # the models are fresh
         else:
-            outcome = repr((res.best, res.all_beams, res.trace, res.forward_counts,
-                            res.step_forwards))
-        digests[name] = hashlib.sha256(outcome.encode()).hexdigest()
-    return digests
+            outcome = repr((res.best, res.all_beams, res.trace))
+            counts, step_digest = res.forward_counts, _sha256(repr(res.step_forwards))
+        records[name] = (_sha256(outcome), f"{','.join(map(str, counts))} {step_digest}")
+    return records
+
+
+def _golden_lines(name: str) -> dict[str, str]:
+    lines = (GOLDEN / name).read_text().splitlines()
+    return dict(line.split(" ", 1) for line in lines)
 
 
 def test_pinned_decode_outputs():
-    expected = dict(
-        line.split() for line in (GOLDEN / "decode_digests.txt").read_text().splitlines()
-    )
-    assert decode_digests() == expected
+    produced = {case: outputs for case, (outputs, _) in decode_records().items()}
+    assert produced == _golden_lines("decode_digests.txt")
+
+
+def test_pinned_decode_forwards():
+    produced = {case: forwards for case, (_, forwards) in decode_records().items()}
+    assert produced == _golden_lines("decode_forwards.txt")
 
 
 if __name__ == "__main__":
-    for case, digest in decode_digests().items():
-        print(case, digest)
+    field = {"outputs": 0, "forwards": 1}[sys.argv[1]]
+    for case, record in decode_records().items():
+        print(case, record[field])
