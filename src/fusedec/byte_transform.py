@@ -25,7 +25,9 @@ itself always builds a cold cache. ``cache_log_score`` and
 (``vocab._tail_depth``) through one kernel, ``_restricted_mass``, which
 reads the depth's alternatives from the trie; a cache holds model state.
 It reads a distribution through the record's ``index``, a view at the
-root, and returns ``group_by_next_byte``'s buckets unfiltered.
+root, and returns ``group_by_next_byte``'s buckets unfiltered. Both
+scorers take an optional memo shared by a decode step, so a step groups
+each (trie node, distribution array) pair once.
 
 All accumulation is in log space with max-shift (via logsumexp), so
 long sequences do not underflow rolling products. Every log and exp is
@@ -269,7 +271,7 @@ def refresh_cache(
 
 
 def _restricted_mass(
-    model: TokenModel, cache: ModelCache, s: int, ctx: Context
+    model: TokenModel, cache: ModelCache, s: int, ctx: Context, groupings: dict | None = None
 ) -> dict[int, float]:
     """Next-byte mass of the alternatives at depth ``s``, by byte.
 
@@ -279,7 +281,11 @@ def _restricted_mass(
     segmentation; the main-sequence approximation drops them. The tokens
     are the trie node's shared record for the suffix, built once per
     vocabulary, read through its ``index`` (a view at the root). Buckets
-    are returned unfiltered: callers skip masses <= 0.
+    are returned unfiltered: callers skip masses <= 0. ``groupings`` is a
+    step's memo (see ``fusion.decode``): a (record, distribution) pair in
+    it is not grouped again, and its buckets are shared, so callers only
+    read them. It holds each distribution, so no id in a key is reused
+    while it lives.
     """
     vocab = model.vocabulary
     suffix = cache.main.source_bytes[_suffix_start(cache.main, s) :]
@@ -289,7 +295,13 @@ def _restricted_mass(
     dist = cache.dists[s]
     if dist is None:
         dist = _dist_at(model, cache, s, ctx)
-    return group_by_next_byte(vocab, members, dist[members.index], len(suffix))
+    key = (id(members), id(dist))
+    if groupings is not None and (hit := groupings.get(key)) is not None:
+        return hit[1]
+    result = group_by_next_byte(vocab, members, dist[members.index], len(suffix))
+    if groupings is not None:
+        groupings[key] = (dist, result)
+    return result
 
 
 def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> float:
@@ -312,11 +324,13 @@ def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -
     return cache_log_score(model, refresh_cache(model, data, ctx), ctx)
 
 
-def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -> float:
+def cache_log_score(
+    model: TokenModel, cache: ModelCache, ctx: Context = None, groupings: dict | None = None
+) -> float:
     """``approx_byte_log_score`` of the bytes ``cache`` holds; every
     distribution this reads was evaluated by ``refresh_cache``. Only the
     live tail's depths (``vocab._tail_depth``) are scanned, as in
-    ``next_byte_scores``."""
+    ``next_byte_scores``, through the same kernel and ``groupings``."""
     s_count = len(cache.main.token_ids)
     parts = [cache.log_rolling[s_count]]
     for s in range(_tail_depth(model.vocabulary, cache.main), s_count):
@@ -324,13 +338,15 @@ def cache_log_score(model: TokenModel, cache: ModelCache, ctx: Context = None) -
         if lr == NEG_INF:
             continue
         # empty buckets add 0.0, which leaves the sum as it is
-        mass = sum(_restricted_mass(model, cache, s, ctx).values())
+        mass = sum(_restricted_mass(model, cache, s, ctx, groupings).values())
         if mass > 0.0:
             parts.append(lr + math.log(mass))
     return _logsumexp(parts)
 
 
-def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) -> ByteScore:
+def next_byte_scores(
+    model: TokenModel, cache: ModelCache, ctx: Context = None, groupings: dict | None = None
+) -> ByteScore:
     """Joint scores for every candidate next byte, plus the terminal score.
 
     For each depth s each positive restricted next-byte mass
@@ -344,7 +360,8 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
 
     A cold cache needs at most S+1 model forwards between
     ``refresh_cache`` and this call; distributions the cache already
-    holds cost none.
+    holds cost none. ``groupings``, a step's memo shared by the calls of
+    that step, changes no score: it only skips repeated groupings.
     """
     eos = model.vocabulary.eos_id
     s_count = len(cache.main.token_ids)
@@ -354,7 +371,7 @@ def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) 
         lr = log_rolling[s]
         if lr == NEG_INF:
             continue
-        for b, mass in _restricted_mass(model, cache, s, ctx).items():
+        for b, mass in _restricted_mass(model, cache, s, ctx, groupings).items():
             if mass > 0.0:
                 if (parts := log_buckets.get(b)) is None:
                     log_buckets[b] = [lr + log(mass)]

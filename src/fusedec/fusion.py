@@ -29,7 +29,9 @@ in delayed mode the proposer through ``next_byte_scores`` and the
 rescorer through ``cache_log_score``, once per kept beam. A lagged
 prefix is an ancestor of its beam, so its rescorer score is read from
 the beam's window of its ancestors' scores (``Beam.lagged``), never
-recomputed.
+recomputed. The scoring calls of one step share a memo of next-byte
+groupings, so a step groups each (trie node, distribution array) pair
+once, however many of its beams ask for it.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: tokenizing re-matches, scoring scans
@@ -44,6 +46,7 @@ a kept cache's lists, done in C, is what grows with length.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -109,6 +112,10 @@ class FusionConfig:
     length_penalty: float = 0.0
 
     def __post_init__(self):
+        for name in ("num_beams", "max_bytes"):
+            value = getattr(self, name)  # a fractional count never prunes or stops
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_beams < 1:
             raise ValueError("num_beams must be >= 1")
         if self.max_bytes < 0:
@@ -221,7 +228,11 @@ def decode(
     proposer does so (always, since it defines the candidate bytes), and
     each kept beam appends the rescorer's ``cache_log_score`` to the
     window it inherits (``Beam.lagged``), which spans the longest lag, the
-    proposer's ``max_token_len``. A candidate's lag is where the
+    proposer's ``max_token_len``. The scoring calls of a step share one
+    memo of next-byte groupings (the ``max_bytes`` finishing pass has its
+    own), so each (trie node, distribution array) pair is grouped once
+    per step; models that hand equal states one array (see
+    :mod:`fusedec.models`) share that work. A candidate's lag is where the
     proposer's last token starts once the candidate takes its byte; its
     lagged score and every ending score are read from the window, never
     recomputed. A zero-weight model keeps no cache and is never asked
@@ -249,11 +260,11 @@ def decode(
     if delayed and len(models) != 2:
         raise ValueError("delayed feedback needs exactly two models (proposer, rescorer)")
 
-    def cached_score(i: int, cache: ModelCache | None, data: bytes) -> float:
+    def cached_score(i: int, cache: ModelCache | None, data: bytes, groupings: dict) -> float:
         # no cache, or one of a shorter prefix: model i cannot tokenize ``data``
         if cache is None or len(cache.main.source_bytes) < len(data):
             return NEG_INF
-        return cache_log_score(models[i][0], cache, models[i][1])
+        return cache_log_score(models[i][0], cache, models[i][1], groupings)
 
     scoring = [i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))]
     keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
@@ -311,6 +322,7 @@ def decode(
     while live and steps < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
         skipped.clear()
+        groupings: dict = {}  # the step's (trie node, distribution) groupings
         # (-fused, beam bytes, next byte or -1, beam, per-model scores); -1
         # ends ``beam``, and a finished beam competes as its own ending. The
         # first three fields never tie and order as (-fused, bytes) does: live
@@ -321,7 +333,7 @@ def decode(
         ]
         for beam in live:
             scores = [
-                next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
+                next_byte_scores(model, beam.caches[i], ctx, groupings) if scoring[i] else None
                 for i, (model, ctx) in enumerate(models)
             ]
             cand_bytes = sorted({b for sc in scores if sc is not None for b in sc.log_scores})
@@ -362,7 +374,7 @@ def decode(
                 caches = refreshed(data, beam.caches)
                 if caches is None:
                     continue
-                lagged = ((*beam.lagged, cached_score(1, caches[1], data))[-window:]
+                lagged = ((*beam.lagged, cached_score(1, caches[1], data, groupings))[-window:]
                           if delayed else ())
                 new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
             kept.append((data, -neg_fused))
@@ -378,11 +390,12 @@ def decode(
     # anything still live ran into the byte budget: finish it with the
     # cache-consistent joint score of its committed bytes; the delayed
     # rescorer's is already the last entry of the beam's window
+    groupings = {}
     for beam in live:
         beam.per_model_scores = [
             NEG_INF if weights[i] == 0.0
             else beam.lagged[-1] if delayed and i == 1
-            else cached_score(i, beam.caches[i], beam.data)
+            else cached_score(i, beam.caches[i], beam.data, groupings)
             for i in range(len(models))
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)

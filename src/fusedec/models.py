@@ -6,6 +6,12 @@ optional context, produce a probability vector over all token ids
 deterministic and read-only (a model may hand the same array to many
 forwards), and incremental states reproduce from-scratch scoring bit
 for bit. ``forward_count`` tracks distribution evaluations.
+
+Sharing one array among equal states pays in the decoder: a step groups
+each (trie node, distribution array) pair by next byte once (see
+``fusion.decode``), so beams whose states share an array share that
+work. ``TableModel`` hands out one array per row, ``NgramModel`` one per
+(order-1)-token history and ``NoisyChannelModel`` one per byte offset.
 """
 
 from __future__ import annotations

@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 
 from fusedec import NgramModel, TableModel, Vocabulary, build_vocabulary
+
+# The hypothesis plugin imports this module when it reports a failing
+# example; it imports libcst, which warns about mypy_extensions.TypedDict.
+# Under ``-W error`` that warning ends the run in INTERNALERROR and hides
+# the falsifying example, so import it once here with that warning off.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # a hypothesis without it, or without libcst
+        pass
 
 
 @pytest.fixture

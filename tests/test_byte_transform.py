@@ -394,9 +394,9 @@ class TestLiveDepthWindow:
         calls = []
         kernel = byte_transform._restricted_mass
 
-        def counted(model, cache, s, ctx):
+        def counted(model, cache, s, ctx, groupings=None):
             calls.append(s)
-            return kernel(model, cache, s, ctx)
+            return kernel(model, cache, s, ctx, groupings)
 
         monkeypatch.setattr(byte_transform, "_restricted_mass", counted)
         next_byte_scores(m, cache)
@@ -479,6 +479,53 @@ class TestEosPlacement:
             _assert_matches_reference(m, cache, None)
             (weights,) = seen
             assert np.shares_memory(weights, cache.dists[0]) == view
+
+
+class TestStepGroupings:
+    """A step's memo (``groupings``) skips repeated groupings and changes no
+    score. One memo is shared by two models with different vocabularies and
+    by several caches of each; a ``TableModel`` hands every depth the same
+    array, so only the trie node tells its groupings apart."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.text(alphabet="abc", max_size=12).map(str.encode), min_size=1, max_size=4),
+        st.sampled_from(["first", "middle", "last", None]),
+        st.sampled_from(["first", "middle", "last", None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_shared_memo_scores_bit_identically(self, seed, walks, place0, place1):
+        rng = random.Random(seed)
+        v0, v1 = _vocab_with_eos(rng, place0), _vocab_with_eos(rng, place1)
+        models = [(TableModel(v0, _rand_dist(rng, v0.size)), None)]
+        if rng.random() < 0.3:
+            models.append((NoisyChannelModel(v1), SignalContext(walks[0], noise=0.1)))
+        else:
+            models.append((random_model(rng, v1), None))
+        scored = []  # (model, ctx, cache) for every tokenizable prefix of every walk
+        for m, ctx in models:
+            for walk in walks:
+                data, cache = b"", refresh_cache(m, b"", ctx)
+                scored.append((m, ctx, cache))
+                for b in walk:
+                    try:
+                        cache = refresh_cache(m, data + bytes([b]), ctx, old=cache)
+                    except TokenizationError:
+                        break
+                    data += bytes([b])
+                    scored.append((m, ctx, cache))
+        rng.shuffle(scored)
+        groupings = {}
+        shared = [
+            (byte_transform.cache_log_score(m, cache, ctx, groupings),
+             next_byte_scores(m, cache, ctx, groupings))
+            for m, ctx, cache in scored
+        ]
+        for (m, ctx, cache), (log_score, scores) in zip(scored, shared):
+            assert log_score == _reference_approx(m, cache.main.source_bytes, ctx)
+            alone = next_byte_scores(m, cache, ctx)
+            assert list(scores.log_scores.items()) == list(alone.log_scores.items())
+            assert scores.log_terminal == alone.log_terminal
 
 
 def _reference_logsumexp(parts):

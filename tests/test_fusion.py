@@ -22,7 +22,7 @@ from fusedec import (
     fuse_scores,
     tokenize,
 )
-from fusedec import fusion
+from fusedec import byte_transform, fusion
 from fusedec.vocab import last_token_starts
 
 from conftest import (
@@ -67,6 +67,19 @@ class TestConfigValidation:
     def test_bad_beams(self):
         with pytest.raises(ValueError):
             FusionConfig(num_beams=0)
+
+    @pytest.mark.parametrize("field", ["num_beams", "max_bytes"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", True, None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            FusionConfig(**{field: value})
+
+    def test_integer_counts_of_any_integer_type_accepted(self):
+        cfg = FusionConfig(num_beams=np.int64(2), max_bytes=np.int32(4))
+        v = build_vocabulary([b"a", b"b", b"ab"])
+        result = decode([(TableModel(v, [0.5, 0.3, 0.2]), None)], cfg)
+        # 2.5 beams never pruned: widths were 3, 7, 15, 31
+        assert [len(kept) for kept in result.trace] == [2, 2, 2, 2]
 
     def test_r_shorthand_resolves(self):
         assert FusionConfig(r=0.2).resolve_weights(2) == [0.8, 0.2]
@@ -570,6 +583,57 @@ class _PrefixModel(TokenModel):
     def _dist(self, state, ctx):
         self.seen.append(state)
         return np.array(random_dist(random.Random(repr((self.seed, state))), self.vocabulary.size))
+
+
+class TestStepGroupings:
+    def test_a_step_groups_each_node_and_array_once(self, monkeypatch):
+        # the channel model hands every beam at one offset the same array, the
+        # bigram every beam with the same last token; the live beams of a step
+        # share a length, so they ask the same trie nodes to group the same
+        # arrays, and a step's memo groups each (node, array) pair once
+        tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c", b"ab", b"bc", b"abc"], eos=True))
+        lm = random_bigram_model(
+            random.Random(15), build_vocabulary([b"a", b"b", b"c", b"ca", b"bca"], eos=True)
+        )
+        steps = []  # per step: the (record, array) pairs the kernel needs, and the groupings made
+        state = {"new_step": True, "record": None}
+        kernel, group = byte_transform._restricted_mass, byte_transform.group_by_next_byte
+        alternatives, refresh = byte_transform.alternatives_for_suffix, fusion.refresh_cache
+
+        def refreshed(*args, **kwargs):  # kept beams refresh after the step's scoring
+            state["new_step"] = True
+            return refresh(*args, **kwargs)
+
+        def recorded(*args):
+            state["record"] = alternatives(*args)
+            return state["record"]
+
+        def observed(model, cache, s, *rest):
+            if state["new_step"]:
+                steps.append(([], [0]))
+                state["new_step"] = False
+            result = kernel(model, cache, s, *rest)
+            if state["record"].keys:
+                steps[-1][0].append((state["record"], cache.dists[s]))
+            return result
+
+        def counted(*args):
+            steps[-1][1][0] += 1
+            return group(*args)
+
+        monkeypatch.setattr(fusion, "refresh_cache", refreshed)
+        monkeypatch.setattr(byte_transform, "alternatives_for_suffix", recorded)
+        monkeypatch.setattr(byte_transform, "_restricted_mass", observed)
+        monkeypatch.setattr(byte_transform, "group_by_next_byte", counted)
+        result = decode([(tr, SignalContext(b"abcabcabca", noise=0.2)), (lm, None)],
+                         FusionConfig(r=0.3, num_beams=5, max_bytes=8))
+        assert max(len(kept) for kept in result.trace) == 5
+        repeated = 0
+        for pairs, (calls,) in steps:
+            distinct = {(id(record), id(dist)) for record, dist in pairs}
+            assert calls == len(distinct)
+            repeated += len(pairs) - len(distinct)
+        assert repeated > 0
 
 
 class TestForwardMinimality:
