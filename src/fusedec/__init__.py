@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .byte_transform import (
     BudgetExceededError,
     ByteScore,
-    ModelCache,
     approx_byte_log_score,
     approx_byte_score,
     exact_byte_marginal,
@@ -13,15 +12,7 @@ from .byte_transform import (
     next_byte_scores,
     refresh_cache,
 )
-from .fusion import (
-    Beam,
-    DecodeFailure,
-    DecodeResult,
-    FusionConfig,
-    decode,
-    decode_greedy,
-    fuse_scores,
-)
+from .fusion import DecodeFailure, DecodeResult, FusionConfig, decode, fuse_scores
 from .metrics import EvalReport, edit_distance, score_corpus
 from .models import (
     NgramModel,
@@ -33,33 +24,24 @@ from .models import (
     load_model,
 )
 from .vocab import (
-    MainSequence,
-    PrefixIndex,
     TokenizationError,
     VocabError,
     Vocabulary,
-    alternatives_for_suffix,
     build_vocabulary,
-    group_by_next_byte,
     load_vocabulary,
-    save_vocabulary,
     tokenize,
 )
 
 __all__ = [
     "__version__",
-    "Beam",
     "BudgetExceededError",
     "ByteScore",
     "DecodeFailure",
     "DecodeResult",
     "EvalReport",
     "FusionConfig",
-    "MainSequence",
-    "ModelCache",
     "NgramModel",
     "NoisyChannelModel",
-    "PrefixIndex",
     "PromptContext",
     "SignalContext",
     "TableModel",
@@ -67,22 +49,18 @@ __all__ = [
     "TokenizationError",
     "VocabError",
     "Vocabulary",
-    "alternatives_for_suffix",
     "approx_byte_log_score",
     "approx_byte_score",
     "build_vocabulary",
     "decode",
-    "decode_greedy",
     "edit_distance",
     "exact_byte_marginal",
     "exact_terminal_mass",
     "fuse_scores",
-    "group_by_next_byte",
     "load_model",
     "load_vocabulary",
     "next_byte_scores",
     "refresh_cache",
-    "save_vocabulary",
     "score_corpus",
     "tokenize",
 ]

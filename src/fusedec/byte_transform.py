@@ -23,9 +23,10 @@ is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
 itself always builds a cold cache. ``cache_log_score`` and
 ``next_byte_scores`` score each depth of the live tail
 (``vocab._tail_depth``) through one kernel, ``_restricted_mass``, which
-reads the depth's alternatives from the trie; a cache holds model state.
-It reads a distribution through the record's ``index``, a view at the
-root, and returns ``group_by_next_byte``'s buckets unfiltered. Both
+reads the depth's alternatives, the trie node's grouping record, through
+``vocab.alternatives_for_suffix``; a cache holds model state. It reads a
+distribution through the record's ``index``, a view at the root, and
+returns ``group_by_next_byte(record, weights)``'s buckets unfiltered. Both
 scorers take an optional memo shared by a decode step, so a step groups
 each (trie node, distribution array) pair once.
 
@@ -200,14 +201,6 @@ class ByteScore:
     log_scores: dict[int, float]
     log_terminal: float
 
-    @property
-    def scores(self) -> dict[int, float]:
-        return {b: math.exp(s) for b, s in self.log_scores.items()}
-
-    @property
-    def terminal(self) -> float:
-        return 0.0 if self.log_terminal == NEG_INF else math.exp(self.log_terminal)
-
 
 def _dist_at(model: TokenModel, cache: ModelCache, s: int, ctx: Context) -> np.ndarray:
     """Distribution after the first ``s`` main tokens; one forward per slot."""
@@ -298,7 +291,7 @@ def _restricted_mass(
     key = (id(members), id(dist))
     if groupings is not None and (hit := groupings.get(key)) is not None:
         return hit[1]
-    result = group_by_next_byte(vocab, members, dist[members.index], len(suffix))
+    result = group_by_next_byte(members, dist[members.index])
     if groupings is not None:
         groupings[key] = (dist, result)
     return result
@@ -337,8 +330,11 @@ def cache_log_score(
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue
-        # empty buckets add 0.0, which leaves the sum as it is
-        mass = sum(_restricted_mass(model, cache, s, ctx, groupings).values())
+        # in order, as _logsumexp adds; empty buckets add 0.0, which leaves
+        # the sum as it is
+        mass = 0.0
+        for bucket in _restricted_mass(model, cache, s, ctx, groupings).values():
+            mass += bucket
         if mass > 0.0:
             parts.append(lr + math.log(mass))
     return _logsumexp(parts)

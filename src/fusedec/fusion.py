@@ -417,9 +417,3 @@ def decode(
         trace=trace,
         step_forwards=step_forwards,
     )
-
-
-def decode_greedy(model: TokenModel, ctx: Context, max_bytes: int) -> bytes:
-    """Single-model, single-beam decode: the greedy baseline."""
-    cfg = FusionConfig(weights=[1.0], num_beams=1, max_bytes=max_bytes)
-    return decode([(model, ctx)], cfg).best

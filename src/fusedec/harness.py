@@ -294,7 +294,12 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
 
 def resolve_seed(cfg: ExperimentConfig) -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else cfg.seed
+    if not env:
+        return cfg.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 # --- running ------------------------------------------------------------------

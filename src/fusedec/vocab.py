@@ -9,7 +9,7 @@ never sees it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +58,7 @@ def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
 class NextByteGroups:
     """Token ids sharing a byte prefix, grouped by the byte that follows it.
 
-    Iterates the member ids (``ids``, a read-only array) and has their
+    Holds the member ids (``ids``, a read-only array) and has their
     count as its length. For the members longer than the prefix
     (``depth`` bytes) it holds their positions among the members
     (``longer``) and the slot of each one's next byte in ``keys``, the
@@ -78,7 +78,7 @@ class NextByteGroups:
         for pos, tid in enumerate(ids):
             tb = tokens[tid]
             if depth > len(tb):
-                raise AssertionError(f"matched_len {depth} exceeds byte length of token {tid}")
+                raise AssertionError(f"depth {depth} exceeds byte length of token {tid}")
             if len(tb) > depth:
                 longer.append(pos)
                 slot.append(slot_of.setdefault(tb[depth], len(slot_of)))
@@ -94,9 +94,6 @@ class NextByteGroups:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids.tolist())
 
 
 def _frozen(values: Sequence[int]) -> np.ndarray:
@@ -123,11 +120,12 @@ class PrefixIndex:
 
     Each node stores every token id whose bytes pass through or end at
     that node and the id of the token ending exactly there, if any. EOS
-    is excluded. The first query that reaches a node builds its
-    :class:`NextByteGroups` record; later queries return the same
-    record, so a query is a walk. Building the records lazily keeps the
-    index cheap to construct. The index holds the token tuple, not the
-    vocabulary, so the vocabulary and its index form no reference cycle.
+    is excluded. The first ``alternatives_for_suffix`` query that reaches
+    a node builds its :class:`NextByteGroups` record; later queries return
+    the same record, so a query is a walk. Building the records lazily
+    keeps the index cheap to construct. The index holds the token tuple,
+    not the vocabulary, so the vocabulary and its index form no reference
+    cycle.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -141,20 +139,6 @@ class PrefixIndex:
                 node.ids.append(tid)
             node.terminal = tid
         # ids were appended in increasing tid order, so node.ids are sorted
-
-    def tokens_with_prefix(self, prefix: bytes) -> NextByteGroups:
-        """All non-EOS token ids whose bytes start with ``prefix``, ascending.
-
-        The result is the node's shared, read-only grouping record.
-        """
-        node = self._root
-        for b in prefix:
-            node = node.children.get(b)
-            if node is None:
-                return _NO_GROUPS
-        if node.groups is None:
-            node.groups = NextByteGroups(self._tokens, node.ids, len(prefix))
-        return node.groups
 
     def longest_match(self, data: bytes, start: int) -> int | None:
         """Id of the longest token whose bytes match ``data`` at ``start``."""
@@ -354,28 +338,28 @@ def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:
     The empty suffix returns every non-EOS token. The result is the trie
     node's shared grouping record, not a copy.
     """
-    return idx.tokens_with_prefix(suffix)
+    node = idx._root
+    for b in suffix:
+        node = node.children.get(b)
+        if node is None:
+            return _NO_GROUPS
+    if node.groups is None:
+        node.groups = NextByteGroups(idx._tokens, node.ids, len(suffix))
+    return node.groups
 
 
-def group_by_next_byte(
-    vocab: Vocabulary,
-    members: NextByteGroups | Sequence[int],
-    weights: Sequence[float],
-    matched_len: int,
-) -> dict[int, float]:
-    """Route the mass of tokens matching ``matched_len`` bytes to next-byte buckets.
+def group_by_next_byte(members: NextByteGroups, weights: Sequence[float]) -> dict[int, float]:
+    """Route the members' weights to the bucket of the byte after their prefix.
 
-    Members longer than the match add their weight to the bucket of the
-    byte right after it. Members that match exactly complete the match
-    and propose no new byte, so their weight is left out. Buckets are
-    keyed in order of first appearance and each sums its weights in
-    member order; a bucket may be 0. ``members`` is usually a
-    :class:`NextByteGroups` record of depth ``matched_len``; any other id
-    sequence is grouped into one first. When every member is longer, as
-    at the root, ``weights`` is summed as given, so a view is not copied.
+    ``weights[i]`` belongs to the member ``members.ids[i]``. Members
+    longer than the prefix (``members.depth`` bytes) add their weight to
+    the bucket of the byte right after it. Members that match it exactly
+    complete the match and propose no new byte, so their weight is left
+    out. Buckets are keyed in order of first appearance and each sums its
+    weights in member order; a bucket may be 0. When every member is
+    longer, as at the root, ``weights`` is summed as given, so a view is
+    not copied.
     """
-    if not (isinstance(members, NextByteGroups) and members.depth == matched_len):
-        members = NextByteGroups(vocab._tokens, members, matched_len)
     weights = np.asarray(weights, dtype=np.float64)
     if len(members.ids) != len(weights):
         raise ValueError("members and weights must have equal length")
@@ -392,6 +376,7 @@ def group_by_next_byte(
 # any other line starting with "#" at column 0 is a comment.
 
 _PRINTABLE = set(range(0x20, 0x7F))
+_HEX = set("0123456789abcdefABCDEF")  # int(_, 16) alone also takes a sign or a space
 
 
 def escape_token(token: bytes) -> str:
@@ -418,11 +403,9 @@ def unescape_token(text: str) -> bytes:
                 out.append(0x5C)
                 i += 2
                 continue
-            if i + 3 < len(text) and text[i + 1] == "x":
-                try:
-                    out.append(int(text[i + 2 : i + 4], 16))
-                except ValueError:
-                    raise VocabError(f"bad escape in token line: {text!r}") from None
+            digits = text[i + 2 : i + 4]
+            if text[i + 1 : i + 2] == "x" and len(digits) == 2 and set(digits) <= _HEX:
+                out.append(int(digits, 16))
                 i += 4
                 continue
             raise VocabError(f"bad escape in token line: {text!r}")
@@ -450,11 +433,3 @@ def load_vocabulary(path: str) -> Vocabulary:
                 continue
             entries.append(unescape_token(line))
     return build_vocabulary(entries, eos=eos)
-
-
-def save_vocabulary(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tid in vocab.non_eos_ids:
-            fh.write(escape_token(vocab.bytes_of(tid)) + "\n")
-        if vocab.eos_id is not None:
-            fh.write("#eos\n")

@@ -111,11 +111,11 @@ def test_criterion_02_singleton_vocab_identity():
         rolling = math.exp(cache.log_rolling[s_count])
         for tid in vocab.non_eos_ids:
             want = float(dist[tid]) * rolling
-            got = scores.scores.get(vocab.bytes_of(tid)[0], 0.0)
+            got = math.exp(scores.log_scores.get(vocab.bytes_of(tid)[0], NEG_INF))
             if abs(got - want) > 1e-12:
                 ok = False
         if vocab.eos_id is not None:
-            if abs(scores.terminal - float(dist[vocab.eos_id]) * rolling) > 1e-12:
+            if abs(math.exp(scores.log_terminal) - float(dist[vocab.eos_id]) * rolling) > 1e-12:
                 ok = False
         checked += 1
     report(2, ok and checked >= 200, f"{checked} instances, max |approx-exact| {max_gap:.3e}")
@@ -149,7 +149,8 @@ def test_criterion_04_worked_example_regression():
 
     exact_ab = exact_byte_marginal(model, b"ab")
     approx_ab = approx_byte_score(model, b"ab")
-    scores = next_byte_scores(model, refresh_cache(model, b"a")).scores
+    log_scores = next_byte_scores(model, refresh_cache(model, b"a")).log_scores
+    scores = {b: math.exp(s) for b, s in log_scores.items()}
 
     checks = [
         abs(exact_ab - 0.35) <= 1e-12,

@@ -15,19 +15,17 @@ from fusedec import (
     TableModel,
     TokenizationError,
     Vocabulary,
-    alternatives_for_suffix,
     approx_byte_log_score,
     approx_byte_score,
     build_vocabulary,
     exact_byte_marginal,
     exact_terminal_mass,
-    group_by_next_byte,
     next_byte_scores,
     refresh_cache,
     tokenize,
 )
 from fusedec import byte_transform
-from fusedec.vocab import _tail_depth
+from fusedec.vocab import NextByteGroups, _tail_depth, alternatives_for_suffix, group_by_next_byte
 
 from conftest import random_coverable_bytes, random_model, random_partial_vocab, random_vocab
 
@@ -171,9 +169,9 @@ class TestRefreshCache:
         cache = refresh_cache(tiny_model, b"b")
         grouped = []
 
-        def recorded(vocab, members, weights, matched_len):
-            grouped.append(matched_len)
-            return group_by_next_byte(vocab, members, weights, matched_len)
+        def recorded(members, weights):
+            grouped.append(members.depth)
+            return group_by_next_byte(members, weights)
 
         monkeypatch.setattr(byte_transform, "group_by_next_byte", recorded)
         next_byte_scores(tiny_model, cache)
@@ -235,21 +233,21 @@ class TestNextByteScores:
     def test_worked_example(self, tiny_model):
         cache = refresh_cache(tiny_model, b"a")
         sc = next_byte_scores(tiny_model, cache)
-        assert sc.scores[ord("a")] == pytest.approx(0.35, abs=1e-12)
-        assert sc.scores[ord("b")] == pytest.approx(0.35, abs=1e-12)
-        assert sc.terminal == 0.0
+        assert math.exp(sc.log_scores[ord("a")]) == pytest.approx(0.35, abs=1e-12)
+        assert math.exp(sc.log_scores[ord("b")]) == pytest.approx(0.35, abs=1e-12)
+        assert math.exp(sc.log_terminal) == 0.0
         # agrees with the exact marginals of both extensions here
-        assert sc.scores[ord("a")] == pytest.approx(
+        assert math.exp(sc.log_scores[ord("a")]) == pytest.approx(
             exact_byte_marginal(tiny_model, b"aa"), abs=1e-12
         )
-        assert sc.scores[ord("b")] == pytest.approx(
+        assert math.exp(sc.log_scores[ord("b")]) == pytest.approx(
             exact_byte_marginal(tiny_model, b"ab"), abs=1e-12
         )
 
     def test_empty_prefix_is_first_byte_grouping(self, tiny_model):
         sc = next_byte_scores(tiny_model, refresh_cache(tiny_model, b""))
-        assert sc.scores[ord("a")] == pytest.approx(0.7, abs=1e-12)
-        assert sc.scores[ord("b")] == pytest.approx(0.3, abs=1e-12)
+        assert math.exp(sc.log_scores[ord("a")]) == pytest.approx(0.7, abs=1e-12)
+        assert math.exp(sc.log_scores[ord("b")]) == pytest.approx(0.3, abs=1e-12)
 
     def test_singleton_vocab_is_dist_times_rolling(self):
         v = build_vocabulary([b"a", b"b"], eos=True)
@@ -257,9 +255,9 @@ class TestNextByteScores:
         cache = refresh_cache(m, b"ab")
         sc = next_byte_scores(m, cache)
         rolling = math.exp(cache.log_rolling[-1])
-        assert sc.scores[ord("a")] == pytest.approx(0.5 * rolling, abs=1e-12)
-        assert sc.scores[ord("b")] == pytest.approx(0.4 * rolling, abs=1e-12)
-        assert sc.terminal == pytest.approx(0.1 * rolling, abs=1e-12)
+        assert math.exp(sc.log_scores[ord("a")]) == pytest.approx(0.5 * rolling, abs=1e-12)
+        assert math.exp(sc.log_scores[ord("b")]) == pytest.approx(0.4 * rolling, abs=1e-12)
+        assert math.exp(sc.log_terminal) == pytest.approx(0.1 * rolling, abs=1e-12)
 
     def test_exactly_s_plus_one_forwards(self, tiny_model):
         # a cold cache: refresh_cache evaluates depths 0..S-1 for the rolling
@@ -294,8 +292,8 @@ class TestNextByteScores:
         ctx = SignalContext(b"ab", noise=0.0)
         cache = refresh_cache(m, b"ab", ctx)
         sc = next_byte_scores(m, cache, ctx)
-        assert sc.terminal > 0.0
-        assert sc.terminal == pytest.approx(
+        assert math.exp(sc.log_terminal) > 0.0
+        assert math.exp(sc.log_terminal) == pytest.approx(
             math.exp(cache.log_rolling[-1]), abs=1e-12
         )
 
@@ -318,9 +316,9 @@ class TestIncrementalAgainstOracle:
                 fresh = next_byte_scores(m, refresh_cache(m, data))
                 assert sc.log_scores == fresh.log_scores
                 assert sc.log_terminal == fresh.log_terminal
-                assert sc.terminal <= exact_terminal_mass(m, data) + 1e-12
-                for b, p in sc.scores.items():
-                    assert p <= exact_byte_marginal(m, data + bytes([b])) + 1e-12
+                assert math.exp(sc.log_terminal) <= exact_terminal_mass(m, data) + 1e-12
+                for b, s in sc.log_scores.items():
+                    assert math.exp(s) <= exact_byte_marginal(m, data + bytes([b])) + 1e-12
                     checked += 1
                 if not sc.log_scores:
                     break
@@ -441,11 +439,7 @@ class TestEosPlacement:
         for t in v.non_eos_ids:
             for d in range(len(v.bytes_of(t)) + 1):
                 record = alternatives_for_suffix(idx, v.bytes_of(t)[:d])
-                w = dist[record.index]
-                assert list(w) == list(dist[record.ids])
-                assert list(group_by_next_byte(v, record, w, d).items()) == list(
-                    group_by_next_byte(v, list(record.ids), w, d).items()
-                )
+                assert list(dist[record.index]) == list(dist[record.ids])
         data, cache = b"", refresh_cache(m, b"", ctx)
         for b in walk:
             _assert_matches_reference(m, cache, ctx)
@@ -464,9 +458,9 @@ class TestEosPlacement:
         seen = []
         kernel = byte_transform.group_by_next_byte
 
-        def recorded(vocab, members, weights, matched_len):
+        def recorded(members, weights):
             seen.append(weights)
-            return kernel(vocab, members, weights, matched_len)
+            return kernel(members, weights)
 
         monkeypatch.setattr(byte_transform, "group_by_next_byte", recorded)
         for eos_id, view in ((4, True), (2, False)):
@@ -552,7 +546,8 @@ def _reference_depths(model, data, ctx):
         members = [t for t in v.non_eos_ids if v.bytes_of(t).startswith(suffix)]
         masses = {}
         if members:
-            buckets = group_by_next_byte(v, members, dist[members], len(suffix))
+            groups = NextByteGroups(v._tokens, members, len(suffix))
+            buckets = group_by_next_byte(groups, dist[members])
             masses = {b: mass for b, mass in buckets.items() if mass > 0.0}
         depths.append((lr, dist, masses))
         if s < len(main):
@@ -572,7 +567,9 @@ def _reference_approx(model, data, ctx):
     for lr, _, masses in depths[:-1]:
         if lr == NEG_INF:
             continue
-        mass = sum(masses.values())
+        mass = 0.0  # added in order, as for _reference_logsumexp
+        for bucket in masses.values():
+            mass += bucket
         if mass > 0.0:
             parts.append(lr + math.log(mass))
     return _reference_logsumexp(parts)
@@ -618,10 +615,11 @@ class TestConservation:
 
 
 def _alternatives(model, cache):
-    """The tokens covering the suffix after each of the cache's S+1 depths."""
+    """Ids of the tokens covering the suffix after each of the cache's S+1 depths."""
     data = cache.main.source_bytes
     starts = [*cache.main.boundary_offsets, len(data)]
-    return [alternatives_for_suffix(model.vocabulary.prefix_index, data[t:]) for t in starts]
+    idx = model.vocabulary.prefix_index
+    return [alternatives_for_suffix(idx, data[t:]).ids.tolist() for t in starts]
 
 
 def _suffix_lengths(cache):

@@ -18,8 +18,9 @@ from fusedec import (
     approx_byte_log_score,
     build_vocabulary,
     decode,
-    decode_greedy,
     fuse_scores,
+    next_byte_scores,
+    refresh_cache,
     tokenize,
 )
 from fusedec import byte_transform, fusion
@@ -113,6 +114,12 @@ class TestConfigValidation:
             decode([(m, None)], FusionConfig(feedback="delayed", weights=[1.0]))
 
 
+def _one_beam(model, ctx, max_bytes):
+    """The greedy baseline: a single-model, single-beam decode."""
+    cfg = FusionConfig(weights=[1.0], num_beams=1, max_bytes=max_bytes)
+    return decode([(model, ctx)], cfg).best
+
+
 class TestSingleModelDecoding:
     def test_singleton_vocab_greedy_equals_token_argmax(self):
         v = build_vocabulary([b"a", b"b", b"c"], eos=True)
@@ -131,26 +138,36 @@ class TestSingleModelDecoding:
                 break
             want.extend(v.bytes_of(t))
             prefix.append(t)
-        assert decode_greedy(m, None, max_bytes=10) == bytes(want)
+        assert _one_beam(m, None, max_bytes=10) == bytes(want)
 
     def test_greedy_matches_decode_with_one_beam(self):
+        # one beam is the byte-level greedy chain: each step takes the best of
+        # the beam's extensions and its ending, a tie going to the shorter bytes
         v = build_vocabulary([b"a", b"b", b"ab"], eos=True)
         m = NoisyChannelModel(v)
         ctx = SignalContext(b"abab", noise=0.3)
-        cfg = FusionConfig(weights=[1.0], num_beams=1, max_bytes=12)
-        assert decode_greedy(m, ctx, 12) == decode([(m, ctx)], cfg).best
+        data = b""
+        for _ in range(12):
+            sc = next_byte_scores(m, refresh_cache(m, data, ctx), ctx)
+            options = [(-s, data + bytes([b])) for b, s in sc.log_scores.items()]
+            _, chosen = min([*options, (-sc.log_terminal, data)])
+            if chosen == data:
+                break
+            data = chosen
+        assert data == b"abab"
+        assert _one_beam(m, ctx, 12) == data
 
     def test_noiseless_channel_emits_signal(self):
         v = build_vocabulary([b"a", b"b", b"c", b"ab"], eos=True)
         m = NoisyChannelModel(v)
         for signal in (b"a", b"abc", b"cabba"):
-            assert decode_greedy(m, SignalContext(signal, noise=0.0), 20) == signal
+            assert _one_beam(m, SignalContext(signal, noise=0.0), 20) == signal
 
     def test_noisy_channel_reproducible(self):
         v = build_vocabulary([b"a", b"b", b"ab"], eos=True)
         m = NoisyChannelModel(v)
         ctx = SignalContext(b"abab", noise=0.5)
-        runs = {decode_greedy(m, ctx, 12) for _ in range(3)}
+        runs = {_one_beam(m, ctx, 12) for _ in range(3)}
         assert len(runs) == 1
 
     def test_determinism_of_full_result(self):

@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from fusedec import (
     NoisyChannelModel,
-    PrefixIndex,
     SignalContext,
     TokenizationError,
     VocabError,
-    alternatives_for_suffix,
     build_vocabulary,
-    group_by_next_byte,
     tokenize,
 )
-from fusedec.vocab import escape_token, load_vocabulary, save_vocabulary, unescape_token
+from fusedec.vocab import (
+    NextByteGroups,
+    PrefixIndex,
+    alternatives_for_suffix,
+    escape_token,
+    group_by_next_byte,
+    load_vocabulary,
+    unescape_token,
+)
 
 from conftest import random_partial_vocab, random_vocab
 
@@ -153,19 +158,19 @@ class TestVocabularyLookups:
 class TestAlternativesForSuffix:
     def test_single_byte_suffix(self, tiny_vocab):
         alts = alternatives_for_suffix(tiny_vocab.prefix_index, b"a")
-        assert set(alts) == {0, 2}
+        assert set(alts.ids.tolist()) == {0, 2}
 
     def test_full_token_suffix(self, tiny_vocab):
         alts = alternatives_for_suffix(tiny_vocab.prefix_index, b"ab")
-        assert set(alts) == {2}
+        assert set(alts.ids.tolist()) == {2}
 
     def test_empty_suffix_returns_all_non_eos(self):
         v = build_vocabulary([b"a", b"b", b"ab"], eos=True)
         alts = alternatives_for_suffix(v.prefix_index, b"")
-        assert set(alts) == {0, 1, 2}
+        assert set(alts.ids.tolist()) == {0, 1, 2}
 
     def test_unmatched_suffix_is_empty(self, tiny_vocab):
-        assert list(alternatives_for_suffix(tiny_vocab.prefix_index, b"ba")) == []
+        assert alternatives_for_suffix(tiny_vocab.prefix_index, b"ba").ids.tolist() == []
 
     def test_matches_linear_scan_on_random_vocabularies(self):
         rng = random.Random(20240917)
@@ -176,7 +181,7 @@ class TestAlternativesForSuffix:
             suffix = bytes(
                 rng.choice(alphabet) for _ in range(rng.randint(0, 5))
             )
-            got = set(alternatives_for_suffix(idx, suffix))
+            got = set(alternatives_for_suffix(idx, suffix).ids.tolist())
             want = {
                 t
                 for t in v.non_eos_ids
@@ -185,24 +190,33 @@ class TestAlternativesForSuffix:
             assert got == want
 
 
+def _groups(vocab, ids, depth):
+    """A grouping record for any id list, built as the trie builds its own."""
+    return NextByteGroups(vocab._tokens, ids, depth)
+
+
 class TestGroupByNextByte:
     def test_single_bucket(self, tiny_vocab):
-        buckets = group_by_next_byte(tiny_vocab, [2], [0.2], 1)
+        buckets = group_by_next_byte(_groups(tiny_vocab, [2], 1), [0.2])
         assert buckets == {ord("b"): 0.2}
 
     def test_exact_match_routed_to_exact_mass(self, tiny_vocab):
         # "a" matches exactly: its 0.5 completes the match and is left out
-        buckets = group_by_next_byte(tiny_vocab, [0, 2], [0.5, 0.2], 1)
+        buckets = group_by_next_byte(_groups(tiny_vocab, [0, 2], 1), [0.5, 0.2])
         assert buckets == {ord("b"): 0.2}
         assert 0.5 + 0.2 - sum(buckets.values()) == pytest.approx(0.5)
 
     def test_first_byte_grouping(self, tiny_vocab):
-        buckets = group_by_next_byte(tiny_vocab, [0, 1, 2], [0.5, 0.3, 0.2], 0)
+        buckets = group_by_next_byte(_groups(tiny_vocab, [0, 1, 2], 0), [0.5, 0.3, 0.2])
         assert buckets == {ord("a"): 0.7, ord("b"): 0.3}
 
     def test_matched_len_beyond_token_is_invariant_violation(self, tiny_vocab):
         with pytest.raises(AssertionError):
-            group_by_next_byte(tiny_vocab, [0], [0.5], 2)
+            group_by_next_byte(_groups(tiny_vocab, [0], 2), [0.5])
+
+    def test_weights_must_match_the_members(self, tiny_vocab):
+        with pytest.raises(ValueError):
+            group_by_next_byte(_groups(tiny_vocab, [0, 2], 1), [0.5])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
@@ -212,7 +226,7 @@ class TestGroupByNextByte:
         suffix_len = rng.randint(0, 2)
         members = [t for t in v.non_eos_ids if len(v.bytes_of(t)) >= suffix_len]
         weights = [rng.random() for _ in members]
-        buckets = group_by_next_byte(v, members, weights, suffix_len)
+        buckets = group_by_next_byte(_groups(v, members, suffix_len), weights)
         exact = sum(
             w for t, w in zip(members, weights) if len(v.bytes_of(t)) == suffix_len
         )
@@ -243,7 +257,7 @@ class TestNextByteGroups:
     @settings(max_examples=150, deadline=None)
     def test_grouping_matches_brute_force_at_every_node(self, seed):
         # values bit for bit and keys in the same order, for the shared
-        # record and for a plain id list grouped through the same kernel
+        # record and for one built afresh from its ids, with list weights
         rng = random.Random(seed)
         v = random_partial_vocab(rng, b"abcd", max_tokens=24, max_len=4, eos=rng.random() < 0.5)
         # shuffled ids, so first-appearance key order is not byte order
@@ -255,12 +269,13 @@ class TestNextByteGroups:
         idx = v.prefix_index
         for prefix in _trie_prefixes(v):
             record = alternatives_for_suffix(idx, prefix)
-            ids = list(record)
+            ids = record.ids.tolist()
             assert ids == sorted(t for t in v.non_eos_ids if v.bytes_of(t).startswith(prefix))
             want = list(_brute_force_grouping(v, ids, dist[ids], len(prefix)).items())
-            assert list(group_by_next_byte(v, record, dist[record.ids], len(prefix)).items()) == want
+            assert list(group_by_next_byte(record, dist[record.ids]).items()) == want
             weights = [float(dist[t]) for t in ids]
-            assert list(group_by_next_byte(v, ids, weights, len(prefix)).items()) == want
+            fresh = _groups(v, ids, len(prefix))
+            assert list(group_by_next_byte(fresh, weights).items()) == want
 
     def test_repeated_query_returns_the_same_read_only_record(self):
         rng = random.Random(7)
@@ -270,7 +285,7 @@ class TestNextByteGroups:
             for prefix in _trie_prefixes(v):
                 record = alternatives_for_suffix(idx, prefix)
                 assert alternatives_for_suffix(idx, prefix) is record
-                assert len(record) == len(list(record))
+                assert len(record) == len(record.ids)
                 for arr in (record.ids, record.longer, record.slot):
                     assert not arr.flags.writeable
                     if len(arr):
@@ -279,7 +294,7 @@ class TestNextByteGroups:
 
     def test_record_fields_for_the_root(self, tiny_vocab):
         record = alternatives_for_suffix(tiny_vocab.prefix_index, b"")
-        assert list(record) == [0, 1, 2] and len(record) == 3
+        assert record.ids.tolist() == [0, 1, 2] and len(record) == 3
         assert record.keys == (ord("a"), ord("b"))
         assert list(record.longer) == [0, 1, 2] and list(record.slot) == [0, 1, 0]
 
@@ -324,7 +339,7 @@ class TestVocabularyFile:
         entries = [b"a", b" b", b"\x00\xff", b"#lead", b"back\\slash"]
         v = build_vocabulary(entries, eos=True)
         path = tmp_path / "vocab.txt"
-        save_vocabulary(v, str(path))
+        path.write_text("".join(escape_token(t) + "\n" for t in entries) + "#eos\n", "utf-8")
         loaded = load_vocabulary(str(path))
         assert loaded.size == v.size
         assert loaded.eos_id == v.eos_id
@@ -340,3 +355,10 @@ class TestVocabularyFile:
         for b in range(256):
             token = bytes([b, b])
             assert unescape_token(escape_token(token)) == token
+
+    def test_hex_escape_takes_exactly_two_hex_digits(self):
+        assert unescape_token("\\x0F\\xa0") == b"\x0f\xa0"
+        # int(_, 16) would read a sign or a space as part of the number
+        for text in ("\\x+f", "\\x f", "\\x 1", "\\x-1", "\\xg0", "\\x1", "a\\x", "\\y00"):
+            with pytest.raises(VocabError, match="bad escape"):
+                unescape_token(text)
