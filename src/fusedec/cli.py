@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .byte_transform import approx_byte_score, exact_byte_marginal
 from .harness import (
+    DECODERS,
     build_setup,
     decode_corpus,
     load_experiment_config,
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode a config's test corpus")
     p.add_argument("--config", required=True)
-    p.add_argument("--decoder", choices=("greedy", "beam", "fused"), default="fused")
+    p.add_argument("--decoder", choices=DECODERS, default="fused")
     p.add_argument("--eps", type=float, default=None, help="noise level (default: first grid entry)")
     p.add_argument("--r", type=float, default=None, help="override the fusion weight r")
     p.add_argument("--out", default=None)

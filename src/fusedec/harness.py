@@ -29,15 +29,6 @@ from .vocab import Vocabulary, build_vocabulary, escape_token, load_vocabulary, 
 
 SEED_ENV_VAR = "FUSEDEC_SEED"
 DECODERS = ("greedy", "beam", "fused")
-# the keys each config section accepts; any other key in them is an error
-CONFIG_KEYS = {
-    "experiment": {"seed", "out", "max_bytes_margin"},
-    "corpus": {"path", "alphabet", "utterances", "train_utterances", "min_len", "max_len"},
-    "noise": {"grid", "confusions"},
-    "lm": {"vocab", "order", "alpha"},
-    "tr": {"vocab"},
-    "fusion": {"r", "num_beams", "feedback", "length_penalty"},
-}
 
 
 @dataclass(frozen=True)
@@ -96,78 +87,6 @@ class ExperimentConfig:
             )
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
-    """Parse a flat key-value config file with [section] headers. Every error
-    is a ValueError naming the file and, where one is at fault, the section
-    and key (a failed validation's message names the key)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-        sections = {name: dict(parser[name]) for name in parser.sections()}
-    except configparser.InterpolationError as err:
-        raise ValueError(f"{path}: [{err.section}] {err.option}: {err.message}") from None
-    except configparser.Error as err:
-        raise ValueError(f"{path}: {err}") from None
-    for name, keys in CONFIG_KEYS.items():
-        unknown = sorted(set(sections.get(name, ())) - keys)
-        if unknown:
-            raise ValueError(f"{path}: unknown key {unknown[0]!r} in section [{name}]")
-
-    def get(name: str, key: str, convert, default):
-        """``convert`` of the value of ``key`` in [``name``]; ``default`` if unset."""
-        if key not in sections.get(name, {}):
-            return default
-        try:
-            return convert(sections[name][key])
-        except ValueError as err:
-            raise ValueError(f"{path}: [{name}] {key}: {err}") from None
-
-    def build(where: str, cls, **fields):
-        try:
-            return cls(**fields)
-        except ValueError as err:
-            raise ValueError(f"{where} {err}") from None
-
-    base = os.path.dirname(os.path.abspath(path))
-
-    def rel(p: str) -> str:  # an absolute p stays as it is
-        return os.path.join(base, p)
-
-    corpus = build(
-        f"{path}: [corpus]", CorpusSpec,
-        path=get("corpus", "path", rel, None),
-        alphabet=get("corpus", "alphabet", unescape_token, b"abcd"),
-        utterances=get("corpus", "utterances", int, 60),
-        train_utterances=get("corpus", "train_utterances", int, 240),
-        min_len=get("corpus", "min_len", int, 6),
-        max_len=get("corpus", "max_len", int, 14),
-    )
-    fusion = build(
-        f"{path}: [fusion]", FusionConfig,
-        r=get("fusion", "r", float, 0.2),
-        num_beams=get("fusion", "num_beams", int, 5),
-        feedback=get("fusion", "feedback", str, "delayed"),
-        length_penalty=get("fusion", "length_penalty", float, 1.0),
-    )
-    return build(
-        f"{path}:", ExperimentConfig,
-        seed=get("experiment", "seed", int, 0),
-        corpus=corpus,
-        tr_vocab_path=get("tr", "vocab", rel, None),
-        lm_vocab_path=get("lm", "vocab", rel, None),
-        lm_order=get("lm", "order", int, 2),
-        lm_alpha=get("lm", "alpha", float, 0.1),
-        noise_grid=get("noise", "grid",
-                       lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
-                       (0.0, 0.1, 0.2, 0.4)),
-        confusions=get("noise", "confusions", _parse_confusions, frozenset()),
-        fusion=fusion,
-        max_bytes_margin=get("experiment", "max_bytes_margin", int, 8),
-        out_dir=get("experiment", "out", rel, None),
-    )
-
-
 def _parse_confusions(text: str) -> frozenset[tuple[int, int]]:
     pairs = set()
     for part in text.split(","):
@@ -180,6 +99,74 @@ def _parse_confusions(text: str) -> frozenset[tuple[int, int]]:
             raise ValueError(f"confusion pair {part!r} must be single bytes")
         pairs.add((a[0], b[0]))
     return frozenset(pairs)
+
+
+# every config key: (section, key) -> (record, field of that record, parser);
+# the records hold the defaults, and a parser of None marks a path, which
+# resolves against the config file's directory (an absolute one stays as it is)
+CONFIG_SCHEMA = {
+    ("experiment", "seed"): ("experiment", "seed", int),
+    ("experiment", "out"): ("experiment", "out_dir", None),
+    ("experiment", "max_bytes_margin"): ("experiment", "max_bytes_margin", int),
+    ("corpus", "path"): ("corpus", "path", None),
+    ("corpus", "alphabet"): ("corpus", "alphabet", unescape_token),
+    ("corpus", "utterances"): ("corpus", "utterances", int),
+    ("corpus", "train_utterances"): ("corpus", "train_utterances", int),
+    ("corpus", "min_len"): ("corpus", "min_len", int),
+    ("corpus", "max_len"): ("corpus", "max_len", int),
+    ("noise", "grid"): (
+        "experiment", "noise_grid", lambda v: tuple(float(x) for x in v.split(",") if x.strip())
+    ),
+    ("noise", "confusions"): ("experiment", "confusions", _parse_confusions),
+    ("lm", "vocab"): ("experiment", "lm_vocab_path", None),
+    ("lm", "order"): ("experiment", "lm_order", int),
+    ("lm", "alpha"): ("experiment", "lm_alpha", float),
+    ("tr", "vocab"): ("experiment", "tr_vocab_path", None),
+    ("fusion", "r"): ("fusion", "r", float),
+    ("fusion", "num_beams"): ("fusion", "num_beams", int),
+    ("fusion", "feedback"): ("fusion", "feedback", str),
+    ("fusion", "length_penalty"): ("fusion", "length_penalty", float),
+}
+
+
+def load_experiment_config(path: str) -> ExperimentConfig:
+    """Parse a flat key-value config file with [section] headers through
+    ``CONFIG_SCHEMA``; an unset key keeps its record's default. Every error
+    is a ValueError naming the file and, where one is at fault, the section
+    and key (a failed validation's message names the key)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.InterpolationError as err:
+        raise ValueError(f"{path}: [{err.section}] {err.option}: {err.message}") from None
+    except configparser.Error as err:
+        raise ValueError(f"{path}: {err}") from None
+    base = os.path.dirname(os.path.abspath(path))
+    fields: dict[str, dict] = {record: {} for record, _, _ in CONFIG_SCHEMA.values()}
+    for name, keys in sections.items():
+        if not any(name == section for section, _ in CONFIG_SCHEMA):
+            raise ValueError(f"{path}: unknown section [{name}]")
+        for key, text in keys.items():
+            if (name, key) not in CONFIG_SCHEMA:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{name}]")
+            record, attr, parse = CONFIG_SCHEMA[name, key]
+            try:
+                fields[record][attr] = os.path.join(base, text) if parse is None else parse(text)
+            except ValueError as err:
+                raise ValueError(f"{path}: [{name}] {key}: {err}") from None
+
+    def build(where: str, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as err:
+            raise ValueError(f"{where} {err}") from None
+
+    corpus = build(f"{path}: [corpus]", CorpusSpec, **fields["corpus"])
+    fusion = build(f"{path}: [fusion]", replace, ExperimentConfig.fusion, **fields["fusion"])
+    return build(f"{path}:", ExperimentConfig,
+                 corpus=corpus, fusion=fusion, **fields["experiment"])
 
 
 # --- synthetic data -----------------------------------------------------------
@@ -243,7 +230,7 @@ def build_corpora(cfg: ExperimentConfig, seed: int) -> tuple[list[bytes], list[b
     spec = cfg.corpus
     if spec.path is not None:
         with open(spec.path, "rb") as fh:
-            lines = [ln.rstrip(b"\n") for ln in fh if ln.strip()]
+            lines = [ln.rstrip(b"\r\n") for ln in fh if ln.strip()]
         if len(lines) < 2:
             raise ValueError(
                 f"corpus file {spec.path} has {len(lines)} non-empty line(s); it needs "
@@ -265,7 +252,6 @@ class ExperimentSetup:
     seed: int
     tr_model: NoisyChannelModel
     lm_model: NgramModel
-    train: list[bytes]
     test: list[bytes]
 
 
@@ -287,7 +273,6 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
         seed=seed,
         tr_model=NoisyChannelModel(tr_vocab),
         lm_model=NgramModel(lm_vocab, cfg.lm_order, corpus=train, alpha=cfg.lm_alpha),
-        train=train,
         test=test,
     )
 

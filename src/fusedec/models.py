@@ -408,7 +408,7 @@ def _load_ngram(lines: Iterable[str], vocab: Vocabulary, order: int, path: str) 
         elif parts[0] == "corpus":
             corpus_path = os.path.join(os.path.dirname(path), parts[1])
             with open(corpus_path, "rb") as fh:
-                corpus.extend(line.rstrip(b"\n") for line in fh if line.strip())
+                corpus.extend(line.rstrip(b"\r\n") for line in fh if line.strip())
         elif parts[0] == "count":
             if len(parts) != 4:
                 raise ModelFileError(f"expected 'count <ctx> <token> <n>', got {ln!r}")

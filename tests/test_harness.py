@@ -1,9 +1,11 @@
+import dataclasses
 import os
 import re
 
 import pytest
 
 from fusedec.harness import (
+    CONFIG_SCHEMA,
     CorpusSpec,
     ExperimentConfig,
     MarkovSource,
@@ -31,6 +33,41 @@ def small_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# a valid non-default value for every config key: (file text, loaded value);
+# a path's loaded value is resolved against the config file's directory
+KEY_SAMPLES = {
+    ("experiment", "seed"): ("11", 11),
+    ("experiment", "out"): ("runs/x", "runs/x"),
+    ("experiment", "max_bytes_margin"): ("3", 3),
+    ("corpus", "path"): ("refs.txt", "refs.txt"),
+    ("corpus", "alphabet"): ("x\\x00y", b"x\x00y"),
+    ("corpus", "utterances"): ("9", 9),
+    ("corpus", "train_utterances"): ("30", 30),
+    ("corpus", "min_len"): ("3", 3),
+    ("corpus", "max_len"): ("20", 20),
+    ("noise", "grid"): ("0.5, 0.25", (0.5, 0.25)),
+    ("noise", "confusions"): ("a:b, c:d", frozenset({(97, 98), (99, 100)})),
+    ("lm", "vocab"): ("lm.txt", "lm.txt"),
+    ("lm", "order"): ("3", 3),
+    ("lm", "alpha"): ("0.5", 0.5),
+    ("tr", "vocab"): ("tr.txt", "tr.txt"),
+    ("fusion", "r"): ("0.4", 0.4),
+    ("fusion", "num_beams"): ("7", 7),
+    ("fusion", "feedback"): ("synchronous", "synchronous"),
+    ("fusion", "length_penalty"): ("0.5", 0.5),
+}
+
+
+def _record_fields(cfg: ExperimentConfig) -> dict:
+    """Every field of a config, keyed by (record, field) as CONFIG_SCHEMA names them."""
+    flat = {("experiment", f.name): getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if f.name not in ("corpus", "fusion")}
+    for record in ("corpus", "fusion"):
+        sub = getattr(cfg, record)
+        flat.update({(record, f.name): getattr(sub, f.name) for f in dataclasses.fields(sub)})
+    return flat
 
 
 class TestConfigFile:
@@ -81,6 +118,34 @@ class TestConfigFile:
         path.write_text(f"[experiment]\nseed = 1\n[{section}]\n{key} = 0.99\n")
         with pytest.raises(ValueError, match=rf"unknown key '{key}' in section \[{section}\]"):
             load_experiment_config(str(path))
+
+    def test_unknown_section_rejected(self, tmp_path):
+        # a misspelled header must not drop its keys in silence
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nseed = 1\n[fussion]\nr = 0.9\n")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: unknown section \[fussion\]$"):
+            load_experiment_config(str(path))
+
+    def test_sections_without_keys_load_the_record_defaults(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"[{section}]\n" for section in dict.fromkeys(
+            section for section, _ in CONFIG_SCHEMA)))
+        assert load_experiment_config(str(path)) == ExperimentConfig()
+
+    @pytest.mark.parametrize("section, key", sorted(CONFIG_SCHEMA))
+    def test_each_key_sets_only_its_field(self, tmp_path, section, key):
+        record, attr, parse = CONFIG_SCHEMA[section, key]
+        text, expected = KEY_SAMPLES[section, key]
+        if parse is None:
+            expected = str(tmp_path / expected)
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        loaded = _record_fields(load_experiment_config(str(path)))
+        defaults = _record_fields(ExperimentConfig())
+        assert loaded[record, attr] == expected
+        assert expected != defaults[record, attr]
+        assert {k for k in loaded if loaded[k] != defaults[k]} == {(record, attr)}
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -168,6 +233,16 @@ class TestSyntheticData:
         train, test = build_corpora(cfg, seed=7)
         assert train == [b"aaa", b"bbb"]
         assert test == [b"ccc", b"ddd"]
+
+    def test_crlf_corpus_file_reads_as_lf(self, tmp_path):
+        lines = [b"abca", b"bcd", b"dd", b"cab", b"aaa", b"bdc"]
+        corpora = []
+        for name, end in (("lf.txt", b"\n"), ("crlf.txt", b"\r\n")):
+            path = tmp_path / name
+            path.write_bytes(b"".join(ln + end for ln in lines))
+            cfg = small_config(corpus=CorpusSpec(path=str(path), utterances=2, train_utterances=4))
+            corpora.append(build_corpora(cfg, seed=7))
+        assert corpora[0] == corpora[1] == (lines[:4], lines[4:])
 
     def test_one_line_corpus_file_rejected(self, tmp_path):
         path = tmp_path / "refs.txt"

@@ -310,6 +310,22 @@ class TestModelFiles:
         direct = NgramModel(v, 2, corpus=[b"abab", b"ab"], alpha=0.1)
         assert np.array_equal(m.next_token_dist([0]), direct.next_token_dist([0]))
 
+    def test_ngram_crlf_corpus_file_equals_lf(self, tmp_path):
+        from fusedec import load_vocabulary
+
+        (tmp_path / "v.txt").write_text("a\nb\nab\n#eos\n")
+        v = load_vocabulary(str(tmp_path / "v.txt"))
+        lines = [b"abab", b"ab", b"bba", b"a"]
+        models = []
+        for name, end in (("lf", b"\n"), ("crlf", b"\r\n")):
+            (tmp_path / f"{name}.txt").write_bytes(b"".join(ln + end for ln in lines))
+            (tmp_path / f"{name}.m").write_text(f"ngram 2\ncorpus {name}.txt\n")
+            models.append(load_model(str(tmp_path / f"{name}.m"), v))
+        direct = NgramModel(v, 2, corpus=lines)
+        for ctx in ([], [0], [1], [2]):
+            for m in models:
+                assert np.array_equal(m.next_token_dist(ctx), direct.next_token_dist(ctx))
+
     def test_ngram_with_explicit_counts(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\nb\n")
         (tmp_path / "m.txt").write_text(
