@@ -16,8 +16,10 @@ approximation used by the decoder: one cache per (beam, model), joint
 ending the sequence. A cache holds one distribution slot per token
 boundary; a child cache takes over its parent's slots on their shared
 token prefix, so a cold cache costs at most S+1 model forwards and an
-extended one evaluates only the depths past that prefix; it also
-tokenizes only the unstable tail of the parent's main sequence.
+extended one evaluates only the depths past that prefix. A child one
+byte longer than its parent, as every beam the decoder keeps is,
+tokenizes nothing: its main sequence is the parent's up to one new last
+token (``vocab.tokenize_extension``).
 ``cache_log_score`` reads ``approx_byte_log_score`` off a cache, which
 is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
 itself always builds a cold cache. ``cache_log_score`` and
@@ -52,6 +54,7 @@ from .vocab import (
     alternatives_for_suffix,
     group_by_next_byte,
     tokenize,
+    tokenize_extension,
 )
 
 NEG_INF = float("-inf")
@@ -223,10 +226,14 @@ def refresh_cache(
     from ``old`` for every depth up to the longest token prefix shared
     with the new main sequence: a model is deterministic in its token
     prefix, so they are exactly what a cold build would compute. When
-    ``old`` covers a prefix of ``data``, only the unstable tail of its
-    main sequence is tokenized again, and the search for the shared
-    token prefix starts past the tokens kept (see ``tokenize``); for any
-    other ``old`` both start from the first byte, so the result is exact
+    ``data`` is ``old``'s bytes plus one byte, as for every beam the
+    decoder keeps, its main sequence is ``old``'s up to one new last token
+    (``vocab.tokenize_extension``): nothing is tokenized again, and
+    every depth before that token is shared. When ``old`` covers a
+    shorter prefix of ``data``, only the unstable tail of its main
+    sequence is tokenized again, and the search for the shared token
+    prefix starts past the tokens kept (see ``tokenize``); for any other
+    ``old`` both start from the first byte, so the result is exact
     either way. ``old`` must come from the same model and context.
     The first new depth reads the last shared slot; if ``old`` has not
     evaluated it, it is filled in ``old`` (its own prefix, so ``old`` stays
@@ -234,24 +241,28 @@ def refresh_cache(
     that one forward.
     """
     vocab = model.vocabulary
-    main = tokenize(vocab, data, None if old is None else old.main)
-    data, s_count = main.source_bytes, len(main.token_ids)
-
+    data = bytes(data)
     if old is None:
-        keep = 1
+        main, keep = tokenize(vocab, data), 1
         states, log_rolling, dists = [model.initial_state(ctx)], [0.0], [None]
     else:
-        shared = _stable_prefix(vocab, data, old.main)[0]
-        limit = min(s_count, len(old.main.token_ids))
-        while shared < limit and main.token_ids[shared] == old.main.token_ids[shared]:
-            shared += 1
-        keep = shared + 1
-        if keep <= s_count and old.log_rolling[keep - 1] > NEG_INF:
+        prev = old.main
+        if len(data) == len(prev.source_bytes) + 1 and data.startswith(prev.source_bytes):
+            main = tokenize_extension(vocab, prev, data)
+            keep = len(main.token_ids)  # every depth before the new last token
+        else:
+            main = tokenize(vocab, data, prev)
+            shared = _stable_prefix(vocab, data, prev)[0]
+            limit = min(len(main.token_ids), len(prev.token_ids))
+            while shared < limit and main.token_ids[shared] == prev.token_ids[shared]:
+                shared += 1
+            keep = shared + 1
+        if keep <= len(main.token_ids) and old.log_rolling[keep - 1] > NEG_INF:
             _dist_at(model, old, keep - 1, ctx)
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
     cache = ModelCache(main=main, log_rolling=log_rolling, states=states, dists=dists)
-    for s in range(keep, s_count + 1):
+    for s in range(keep, len(main.token_ids) + 1):
         tid = main.token_ids[s - 1]
         lr = log_rolling[s - 1]
         if lr > NEG_INF:

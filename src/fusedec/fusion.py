@@ -18,29 +18,33 @@ main-sequence token starts, which the proposer has committed as whole
 tokens.
 
 Each beam keeps one cache per positively weighted model, in both modes.
-A surviving candidate's cache is rebuilt from its parent's, which hands
-over every distribution on their shared token prefix and all but the
-last ``max_token_len`` bytes of its tokenization; the distribution at
-the end of that prefix is filled into the parent's slot, so its siblings
-share it (see ``refresh_cache``). Each model thus evaluates each token
-prefix at most once per decode. The modes differ only in who reads the
-caches: ``next_byte_scores`` for every cached model in synchronous mode;
-in delayed mode the proposer through ``next_byte_scores`` and the
-rescorer through ``cache_log_score``, once per kept beam. A lagged
-prefix is an ancestor of its beam, so its rescorer score is read from
-the beam's window of its ancestors' scores (``Beam.lagged``), never
-recomputed. The scoring calls of one step share a memo of next-byte
-groupings, so a step groups each (trie node, distribution array) pair
-once, however many of its beams ask for it.
+A surviving candidate's cache is built from its parent's: its
+tokenization is the parent's up to one new last token, found with one
+lookup per live-tail token start (``vocab.tokenize_extension``; a
+delayed rescorer catching up after a byte it could not tokenize matches
+its tail again instead), and it takes over every distribution on their
+shared token prefix; the distribution at the end of that prefix is
+filled into the parent's slot, so its siblings share it (see
+``refresh_cache``). Each model thus evaluates each token prefix at most
+once per decode. The modes differ only in who reads the caches:
+``next_byte_scores`` for every cached model in synchronous mode; in
+delayed mode the proposer through ``next_byte_scores`` and the rescorer
+through ``cache_log_score``, once per kept beam. A lagged prefix is an
+ancestor of its beam, so its rescorer score is read from the beam's
+window of its ancestors' scores (``Beam.lagged``), never recomputed. The
+scoring calls of one step share a memo of next-byte groupings, so a step
+groups each (trie node, distribution array) pair once, however many of
+its beams ask for it.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
-whatever the hypothesis length: tokenizing re-matches, scoring scans
-and the lag search walks only the live tail, the tokens starting fewer
-than ``max_token_len`` bytes before the end (``vocab._tail_depth``); a
-beam finds the last-token lag of all its candidate bytes with one trie
-walk per proposer token start there (``vocab.last_token_starts``).
-Only candidates that take a slot build their bytes; copying those and
-a kept cache's lists, done in C, is what grows with length.
+whatever the hypothesis length: extending a tokenization looks up,
+scoring scans and the lag search walks only the live tail, the tokens
+starting fewer than ``max_token_len`` bytes before the end
+(``vocab._tail_depth``); a beam finds the last-token lag of all its
+candidate bytes with one trie walk per proposer token start there
+(``vocab.last_token_starts``). Only candidates that take a slot build
+their bytes; copying those and a kept cache's lists, done in C, is what
+grows with length.
 """
 
 from __future__ import annotations

@@ -134,7 +134,9 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     ``CONFIG_SCHEMA``; an unset key keeps its record's default. Every error
     is a ValueError naming the file and, where one is at fault, the section
     and key (a failed validation's message names the key)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header can name "\n", so [DEFAULT] is an ordinary section, not
+    # one whose keys configparser copies into every other section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

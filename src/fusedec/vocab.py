@@ -50,8 +50,9 @@ def _suffix_start(main: MainSequence, s: int) -> int:
 
 def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
     """Count of the tokens of ``main`` that start ``max_token_len`` or more
-    bytes before its end. The rest, the live tail, are all that re-matching
-    (``_stable_prefix``), next-byte scoring and the lag search read."""
+    bytes before its end. The rest, the live tail, are all that extending
+    the tokenization (``tokenize_extension``, ``_stable_prefix``), next-byte
+    scoring and the lag search read."""
     return bisect_right(main.boundary_offsets, len(main.source_bytes) - vocab.max_token_len)
 
 
@@ -180,15 +181,22 @@ class PrefixIndex:
 
 
 class Vocabulary:
-    """Immutable token table with dense ids and unique byte surfaces."""
+    """Immutable token table with dense ids and unique byte surfaces, all
+    non-empty but EOS's; a table that breaks this raises ``VocabError``."""
 
     def __init__(self, tokens: Sequence[bytes], eos_id: int | None):
         self._tokens = tuple(tokens)
         self.eos_id = eos_id
         self._index: PrefixIndex | None = None
+        if eos_id is not None and not (0 <= eos_id < self.size and self._tokens[eos_id] == b""):
+            raise VocabError(f"eos_id {eos_id} must name an empty token in 0..{self.size - 1}")
+        # one id per surface, so id_of and the trie's greedy match agree
         self._ids: dict[bytes, int] = {}
         for tid, token in enumerate(self._tokens):
-            self._ids.setdefault(token, tid)
+            if not token and tid != eos_id:
+                raise VocabError(f"entry {tid} is empty; tokens must have at least one byte")
+            if self._ids.setdefault(token, tid) != tid:
+                raise VocabError(f"duplicate token {token!r} at entry {tid}")
         self._non_eos: range | tuple[int, ...] = range(self.size)
         if eos_id is not None:
             self._non_eos = tuple(t for t in range(self.size) if t != eos_id)
@@ -231,18 +239,10 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     """Build a vocabulary from byte strings, assigning dense ids in input order.
 
     When ``eos`` is set, an out-of-band EOS token (empty byte expansion)
-    is appended with the last id.
+    is appended with the last id. ``Vocabulary`` rejects an empty or
+    duplicate entry.
     """
-    tokens: list[bytes] = []
-    seen: set[bytes] = set()
-    for i, entry in enumerate(entries):
-        entry = bytes(entry)
-        if len(entry) == 0:
-            raise VocabError(f"entry {i} is empty; tokens must have at least one byte")
-        if entry in seen:
-            raise VocabError(f"duplicate token {entry!r} at entry {i}")
-        seen.add(entry)
-        tokens.append(entry)
+    tokens = [bytes(entry) for entry in entries]
     if not tokens:
         raise VocabError("vocabulary needs at least one token")
     eos_id = None
@@ -270,6 +270,12 @@ def _stable_prefix(
     return keep, _suffix_start(prev, keep)
 
 
+def _no_match(data: bytes, pos: int) -> TokenizationError:
+    return TokenizationError(
+        f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})", offset=pos
+    )
+
+
 def _match_tail(
     vocab: Vocabulary, data: bytes, pos: int, ids: list[int], offsets: list[int]
 ) -> None:
@@ -278,11 +284,7 @@ def _match_tail(
     while pos < len(data):
         tid = longest_match(data, pos)
         if tid is None:
-            raise TokenizationError(
-                f"no token matches input at byte offset {pos} "
-                f"(byte 0x{data[pos]:02x})",
-                offset=pos,
-            )
+            raise _no_match(data, pos)
         ids.append(tid)
         offsets.append(pos)
         pos += len(tokens[tid])  # ids come from the trie, so no range check
@@ -317,6 +319,7 @@ def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
     such ``t``, ``b`` alone ends it if it is a token. Such a ``t`` lies
     in the live tail (``_tail_depth``), so one trie walk per start there
     answers every byte, whatever the length of ``data``.
+    ``tokenize_extension`` applies the same rule to one given byte.
     """
     data, root = main.source_bytes, vocab.prefix_index._root
     first = _tail_depth(vocab, main)
@@ -330,6 +333,25 @@ def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
         else:
             starts.update((b, t) for b, c in node.children.items() if c.terminal is not None)
     return starts
+
+
+def tokenize_extension(vocab: Vocabulary, main: MainSequence, data: bytes) -> MainSequence:
+    """``tokenize(vocab, data)``, where ``data`` is ``main``'s bytes plus one byte.
+
+    By the rule of ``last_token_starts``, the result is ``main``'s tokens
+    before the first start ``t`` where ``data[t:]`` is a token, plus that
+    token. The starts checked, in order, are those of the live tail
+    (``_tail_depth``), then the end of ``main``'s bytes; each costs one
+    dictionary lookup, and no byte is matched again. With no such start,
+    ``TokenizationError`` at the new byte, as ``tokenize`` raises.
+    """
+    ids, offsets = vocab._ids, main.boundary_offsets
+    for k in range(_tail_depth(vocab, main), len(offsets) + 1):
+        t = _suffix_start(main, k)
+        tid = ids.get(data[t:])  # never EOS: data[t:] holds at least the new byte
+        if tid is not None:
+            return MainSequence(main.token_ids[:k] + (tid,), offsets[:k] + (t,), data)
+    raise _no_match(data, len(data) - 1)
 
 
 def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:

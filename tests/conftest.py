@@ -78,6 +78,35 @@ def random_partial_vocab(
     return build_vocabulary(sorted(entries), eos=eos)
 
 
+def random_vocab_with_eos(rng: random.Random, placement: str | None) -> Vocabulary:
+    """Random partial-coverage vocabulary with EOS first, in the middle, last
+    or absent (None). ``build_vocabulary`` always puts EOS last, which keeps
+    the root's members one run of ids; the other placements split it."""
+    base = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=False)
+    tokens = [base.bytes_of(t) for t in base.non_eos_ids]
+    rng.shuffle(tokens)
+    if placement is None:
+        return Vocabulary(tokens, None)
+    eos_id = {"first": 0, "middle": rng.randint(1, max(1, len(tokens) - 1)),
+              "last": len(tokens)}[placement]
+    tokens.insert(eos_id, b"")
+    return Vocabulary(tokens, eos_id)
+
+
+# every vocabulary builder above: full or partial coverage, or an EOS placement
+VOCAB_KINDS = ["full", "partial", "first", "middle", "last", None]
+
+
+def random_vocab_of_kind(rng: random.Random, kind: str | None) -> Vocabulary:
+    """A random vocabulary over ``abc`` of one of ``VOCAB_KINDS``."""
+    if kind == "full":
+        return random_vocab(rng, b"abc", max_tokens=12, max_len=3, eos=rng.random() < 0.5)
+    if kind == "partial":
+        return random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3,
+                                    eos=rng.random() < 0.5)
+    return random_vocab_with_eos(rng, kind)
+
+
 def random_dist(rng: random.Random, size: int, zeros: bool = True) -> list[float]:
     weights = [rng.random() + 1e-3 for _ in range(size)]
     if zeros and size > 2 and rng.random() < 0.3:

@@ -27,7 +27,15 @@ from fusedec import (
 from fusedec import byte_transform
 from fusedec.vocab import NextByteGroups, _tail_depth, alternatives_for_suffix, group_by_next_byte
 
-from conftest import random_coverable_bytes, random_model, random_partial_vocab, random_vocab
+from conftest import (
+    VOCAB_KINDS,
+    random_coverable_bytes,
+    random_model,
+    random_partial_vocab,
+    random_vocab,
+    random_vocab_of_kind,
+    random_vocab_with_eos,
+)
 
 NEG_INF = float("-inf")
 
@@ -401,21 +409,6 @@ class TestLiveDepthWindow:
         assert 0 < len(calls) <= v.max_token_len
 
 
-def _vocab_with_eos(rng, placement):
-    """Random partial-coverage vocabulary with EOS first, in the middle, last
-    or absent (None). ``build_vocabulary`` always puts EOS last, which keeps
-    the root's members one run of ids; the other placements split it."""
-    base = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=False)
-    tokens = [base.bytes_of(t) for t in base.non_eos_ids]
-    rng.shuffle(tokens)
-    if placement is None:
-        return Vocabulary(tokens, None)
-    eos_id = {"first": 0, "middle": rng.randint(1, max(1, len(tokens) - 1)),
-              "last": len(tokens)}[placement]
-    tokens.insert(eos_id, b"")
-    return Vocabulary(tokens, eos_id)
-
-
 class TestEosPlacement:
     """The kernel reads a depth's distribution through the trie record's
     ``index``: a view where its ids are one run, a gather elsewhere. Both
@@ -429,7 +422,7 @@ class TestEosPlacement:
     @settings(max_examples=150, deadline=None)
     def test_scores_and_groupings_match_the_reference(self, seed, walk, placement):
         rng = random.Random(seed)
-        v = _vocab_with_eos(rng, placement)
+        v = random_vocab_with_eos(rng, placement)
         if rng.random() < 0.3:
             m, ctx = NoisyChannelModel(v), SignalContext(walk, noise=0.1)
         else:
@@ -490,7 +483,7 @@ class TestStepGroupings:
     @settings(max_examples=150, deadline=None)
     def test_a_shared_memo_scores_bit_identically(self, seed, walks, place0, place1):
         rng = random.Random(seed)
-        v0, v1 = _vocab_with_eos(rng, place0), _vocab_with_eos(rng, place1)
+        v0, v1 = random_vocab_with_eos(rng, place0), random_vocab_with_eos(rng, place1)
         models = [(TableModel(v0, _rand_dist(rng, v0.size)), None)]
         if rng.random() < 0.3:
             models.append((NoisyChannelModel(v1), SignalContext(walks[0], noise=0.1)))
@@ -520,6 +513,72 @@ class TestStepGroupings:
             alone = next_byte_scores(m, cache, ctx)
             assert list(scores.log_scores.items()) == list(alone.log_scores.items())
             assert scores.log_terminal == alone.log_terminal
+
+
+class TestOneByteRefresh:
+    """A cache refreshed from its parent by one byte takes the parent's
+    tokens up to one new last token (``vocab.tokenize_extension``); it
+    must be the cache a cold build makes. A refresh from an older
+    ancestor (a catch-up over several bytes) re-matches the parent's tail
+    and must be cold-equal too."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.text(alphabet="abcd", max_size=30).map(str.encode),
+        st.sampled_from(VOCAB_KINDS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_cold_refresh(self, seed, walk, kind):
+        rng = random.Random(seed)
+        v = random_vocab_of_kind(rng, kind)
+        if rng.random() < 0.3:
+            m, ctx = NoisyChannelModel(v), SignalContext(walk, noise=0.1)
+        else:
+            m, ctx = random_model(rng, v), None
+        data, cache = b"", refresh_cache(m, b"", ctx)
+        ancestors = [cache]
+        for b in walk:  # "d" is in no vocabulary, and partial ones may miss more
+            ext = data + bytes([b])
+            try:
+                cold = refresh_cache(m, ext, ctx)
+            except TokenizationError as cold_err:
+                with pytest.raises(TokenizationError) as err:
+                    refresh_cache(m, ext, ctx, old=cache)
+                assert err.value.offset == cold_err.offset == len(data)
+                assert str(err.value) == str(cold_err)
+                continue  # the next byte extends the same parent
+            warm = refresh_cache(m, ext, ctx, old=cache)
+            caught_up = refresh_cache(m, ext, ctx, old=rng.choice(ancestors))
+            for got in (warm, caught_up):
+                assert got.main == cold.main
+                assert got.states == cold.states
+                assert got.log_rolling == cold.log_rolling
+                assert len(got.dists) == len(cold.dists)
+                for dist, want in zip(got.dists, cold.dists):
+                    if dist is not None and want is not None:
+                        assert dist.tolist() == want.tolist()
+            data, cache = ext, warm if rng.random() < 0.5 else cold
+            ancestors.append(cache)
+
+    def test_a_one_byte_refresh_tokenizes_nothing(self, monkeypatch):
+        rng = random.Random(18)
+        v = random_vocab(rng, b"ab", max_tokens=12, max_len=3, eos=True)
+        m = random_model(rng, v)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return tokenize(*args)
+
+        monkeypatch.setattr(byte_transform, "tokenize", counted)
+        data = bytes(rng.choice(b"ab") for _ in range(60))
+        cache = refresh_cache(m, b"")
+        for i in range(len(data)):
+            cache = refresh_cache(m, data[: i + 1], old=cache)
+        assert calls == [b""]  # the cold root alone
+        assert cache.main == tokenize(v, data)
+        refresh_cache(m, data + b"ab", old=cache)  # a catch-up still tokenizes
+        assert len(calls) == 2
 
 
 def _reference_logsumexp(parts):

@@ -127,6 +127,17 @@ class TestConfigFile:
                            match=rf"^{re.escape(str(path))}: unknown section \[fussion\]$"):
             load_experiment_config(str(path))
 
+    @pytest.mark.parametrize("body", ["seed = 9\n[experiment]\n",
+                                      "seed = 9\n[experiment]\n[fusion]\n", "[experiment]\n"],
+                             ids=["key", "key-and-fusion", "empty"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, body):
+        # configparser would copy [DEFAULT]'s keys into every other section
+        path = tmp_path / "exp.cfg"
+        path.write_text("[DEFAULT]\n" + body)
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: unknown section \[DEFAULT\]$"):
+            load_experiment_config(str(path))
+
     def test_sections_without_keys_load_the_record_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("".join(f"[{section}]\n" for section in dict.fromkeys(

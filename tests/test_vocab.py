@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fusedec import (
     SignalContext,
     TokenizationError,
     VocabError,
+    Vocabulary,
     build_vocabulary,
     tokenize,
 )
@@ -19,11 +21,13 @@ from fusedec.vocab import (
     alternatives_for_suffix,
     escape_token,
     group_by_next_byte,
+    last_token_starts,
     load_vocabulary,
+    tokenize_extension,
     unescape_token,
 )
 
-from conftest import random_partial_vocab, random_vocab
+from conftest import VOCAB_KINDS, random_partial_vocab, random_vocab, random_vocab_of_kind
 
 
 class TestBuildVocabulary:
@@ -46,6 +50,25 @@ class TestBuildVocabulary:
     def test_empty_token_rejected(self):
         with pytest.raises(VocabError, match="empty"):
             build_vocabulary([b""])
+
+
+class TestVocabularyTable:
+    @pytest.mark.parametrize(
+        "tokens, eos_id, message",
+        [
+            ([b"a", b"b", b"a"], None, r"^duplicate token b'a' at entry 2$"),
+            ([b"a", b"", b"b"], None, r"^entry 1 is empty"),
+            ([b"a", b"", b""], 1, r"^entry 2 is empty"),
+            ([b"a", b"b"], 5, r"^eos_id 5 must name an empty token in 0\.\.1$"),
+            ([b"a", b""], -1, r"^eos_id -1 must name an empty token in 0\.\.1$"),
+            ([b"a", b""], 0, r"^eos_id 0 must name an empty token in 0\.\.1$"),
+        ],
+        ids=["duplicate", "empty", "second-empty", "eos-past-end", "eos-negative", "eos-not-empty"],
+    )
+    def test_malformed_table_rejected(self, tokens, eos_id, message):
+        # a duplicate surface made id_of and greedy tokenize disagree
+        with pytest.raises(VocabError, match=message):
+            Vocabulary(tokens, eos_id)
 
 
 class TestTokenize:
@@ -121,6 +144,41 @@ class TestIncrementalTokenize:
         unrelated = _tokenize_outcome(v, other)
         if not isinstance(unrelated, int):
             assert _tokenize_outcome(v, data, unrelated) == cold
+
+
+class TestOneRuleTwoReaders:
+    """``last_token_starts`` (every next byte, one trie walk per start) and
+    ``tokenize_extension`` (one given byte, one lookup per start) read the
+    same rule off a tokenization; both must agree with a cold ``tokenize``."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.text(alphabet="abc", max_size=30).map(str.encode),
+        st.sampled_from(VOCAB_KINDS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_starts_and_extensions_agree(self, seed, data, kind):
+        rng = random.Random(seed)
+        v = random_vocab_of_kind(rng, kind)
+        main = _tokenize_outcome(v, data)
+        if isinstance(main, int):
+            main = tokenize(v, data[:main])
+        data = main.source_bytes
+        starts = last_token_starts(v, main)
+        assert set(starts) <= set(b"abc")
+        for b in b"abcd":  # no vocabulary has "d"
+            ext = data + bytes([b])
+            cold = _tokenize_outcome(v, ext)
+            try:
+                got = tokenize_extension(v, main, ext)
+            except TokenizationError as err:
+                assert err.offset == cold == len(data)
+                assert b not in starts
+                with pytest.raises(TokenizationError, match=re.escape(str(err))):
+                    tokenize(v, ext)
+            else:
+                assert got == cold
+                assert starts[b] == got.boundary_offsets[-1]
 
 
 class TestVocabularyLookups:
