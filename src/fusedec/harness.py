@@ -18,7 +18,9 @@ import math
 import os
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Sequence
 
 from . import __version__
@@ -187,7 +189,9 @@ class MarkovSource:
         self.alphabet = alphabet
         rng = random.Random(seed)
         k = len(alphabet)
-        self._next: dict[int, list[float]] = {}
+        # each byte's row of cumulative transition weights, as
+        # random.choices accumulates a row of weights
+        self._cum: dict[int, list[float]] = {}
         order = list(range(k))
         rng.shuffle(order)
         for i, b in enumerate(alphabet):
@@ -195,14 +199,21 @@ class MarkovSource:
             rest = (1.0 - self.DOMINANT) / k
             row = [rest] * k
             row[dominant] += self.DOMINANT
-            self._next[b] = row
+            self._cum[b] = list(accumulate(row))
 
     def generate(self, rng: random.Random, length: int) -> bytes:
-        out = bytearray()
-        b = self.alphabet[rng.randrange(len(self.alphabet))]
-        out.append(b)
+        """``length`` bytes: a uniform first byte, then one transition per
+        byte, each drawn as ``rng.choices(alphabet, weights=row)`` draws it
+        (one ``rng.random()`` bisected into the cumulative row)."""
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {length}")
+        alphabet, cum, draw = self.alphabet, self._cum, rng.random
+        hi = len(alphabet) - 1
+        b = alphabet[rng.randrange(len(alphabet))]
+        out = bytearray((b,))
         for _ in range(length - 1):
-            b = rng.choices(self.alphabet, weights=self._next[b])[0]
+            row = cum[b]
+            b = alphabet[bisect_right(row, draw() * row[-1], 0, hi)]
             out.append(b)
         return bytes(out)
 

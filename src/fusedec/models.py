@@ -194,14 +194,14 @@ class NgramModel(TokenModel):
         self._totals[ctx_key] = self._totals.get(ctx_key, 0.0) + n
 
     def _train_one(self, utterance: bytes) -> None:
-        ids = list(tokenize(self.vocabulary, utterance).token_ids)
+        ids = tokenize(self.vocabulary, utterance).token_ids
         if self.vocabulary.eos_id is not None:
-            ids.append(self.vocabulary.eos_id)
-        hist = [self.BOS] * (self.order - 1)
-        for tid in ids:
-            self._add_count(tuple(hist), tid, 1.0)
-            if self.order > 1:
-                hist = hist[1:] + [tid]
+            ids += (self.vocabulary.eos_id,)
+        # the history of the i-th token is the slice of order - 1 before it
+        pad = self.order - 1
+        seq = (self.BOS,) * pad + ids
+        for i, tid in enumerate(ids):
+            self._add_count(seq[i:i + pad], tid, 1.0)
 
     def initial_state(self, ctx: Context = None) -> tuple[int, ...]:
         hist = [self.BOS] * (self.order - 1)

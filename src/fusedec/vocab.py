@@ -136,7 +136,10 @@ class PrefixIndex:
             node = self._root
             node.ids.append(tid)
             for b in self._tokens[tid]:
-                node = node.children.setdefault(b, _TrieNode())
+                child = node.children.get(b)
+                if child is None:
+                    child = node.children[b] = _TrieNode()
+                node = child
                 node.ids.append(tid)
             node.terminal = tid
         # ids were appended in increasing tid order, so node.ids are sorted
@@ -181,8 +184,8 @@ class PrefixIndex:
 
 
 class Vocabulary:
-    """Immutable token table with dense ids and unique byte surfaces, all
-    non-empty but EOS's; a table that breaks this raises ``VocabError``."""
+    """Immutable token table with dense ids and unique ``bytes`` surfaces,
+    all non-empty but EOS's; a table that breaks this raises ``VocabError``."""
 
     def __init__(self, tokens: Sequence[bytes], eos_id: int | None):
         self._tokens = tuple(tokens)
@@ -193,6 +196,8 @@ class Vocabulary:
         # one id per surface, so id_of and the trie's greedy match agree
         self._ids: dict[bytes, int] = {}
         for tid, token in enumerate(self._tokens):
+            if not isinstance(token, bytes):
+                raise VocabError(f"entry {tid} is {type(token).__name__} {token!r}, not bytes")
             if not token and tid != eos_id:
                 raise VocabError(f"entry {tid} is empty; tokens must have at least one byte")
             if self._ids.setdefault(token, tid) != tid:
@@ -239,10 +244,16 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     """Build a vocabulary from byte strings, assigning dense ids in input order.
 
     When ``eos`` is set, an out-of-band EOS token (empty byte expansion)
-    is appended with the last id. ``Vocabulary`` rejects an empty or
+    is appended with the last id. An entry must be bytes-like (``bytes``,
+    ``bytearray`` or ``memoryview``); ``Vocabulary`` rejects an empty or
     duplicate entry.
     """
-    tokens = [bytes(entry) for entry in entries]
+    tokens = list(entries)
+    for i, entry in enumerate(tokens):
+        if type(entry) is not bytes:
+            if not isinstance(entry, (bytes, bytearray, memoryview)):
+                raise VocabError(f"entry {i} is {type(entry).__name__} {entry!r}, not bytes")
+            tokens[i] = bytes(entry)
     if not tokens:
         raise VocabError("vocabulary needs at least one token")
     eos_id = None

@@ -1,8 +1,11 @@
 import dataclasses
 import os
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedec.harness import (
     CONFIG_SCHEMA,
@@ -222,11 +225,48 @@ class TestConfigFile:
         assert resolve_seed(cfg) == 3
 
 
+def _reference_generate(alphabet: bytes, seed: int, rng: random.Random, length: int) -> bytes:
+    """The source's documented draw, spelled out: a seeded cycle over the
+    alphabet gives each byte a dominant successor, and every transition
+    calls ``rng.choices`` with that byte's row of weights."""
+    k = len(alphabet)
+    order = list(range(k))
+    random.Random(seed).shuffle(order)
+    rows = {}
+    for i, b in enumerate(alphabet):
+        row = [(1.0 - MarkovSource.DOMINANT) / k] * k
+        row[order[(order.index(i) + 1) % k] if k > 1 else 0] += MarkovSource.DOMINANT
+        rows[b] = row
+    out = [alphabet[rng.randrange(k)]]
+    for _ in range(length - 1):
+        out.append(rng.choices(alphabet, weights=rows[out[-1]])[0])
+    return bytes(out)
+
+
 class TestSyntheticData:
     def test_markov_source_deterministic(self):
         src_a = MarkovSource(b"abc", seed=5)
         src_b = MarkovSource(b"abc", seed=5)
         assert src_a.corpus(1, 10, 3, 6) == src_b.corpus(1, 10, 3, 6)
+
+    @given(
+        st.lists(st.integers(0, 255), min_size=1, max_size=16, unique=True).map(bytes),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generate_draws_as_choices_with_weights(self, alphabet, source_seed, seed, length):
+        # same bytes, and the generator left in the same state
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = MarkovSource(alphabet, source_seed).generate(rng, length)
+        assert got == _reference_generate(alphabet, source_seed, ref_rng, length)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_generate_rejects_length_below_one(self, length):
+        with pytest.raises(ValueError, match=rf"^length must be >= 1, got {length}$"):
+            MarkovSource(b"ab", 1).generate(random.Random(0), length)
 
     def test_corpora_split_by_stream(self):
         cfg = small_config()

@@ -187,6 +187,31 @@ class TestNgramModel:
         m = NgramModel(v, 1, corpus=[b"aab"], alpha=0.1)
         assert np.array_equal(m.next_token_dist([]), m.next_token_dist([1, 2]))
 
+    @pytest.mark.parametrize("eos", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_training_equals_counts_of_its_events(self, order, eos):
+        # the (history, token) events tallied here, with a history padded by
+        # BOS and shifted one token at a time, feed the counts= path
+        rng = random.Random(100 * order + eos)
+        v = build_vocabulary([b"a", b"b", b"c", b"ab", b"ca", b"bca"], eos=eos)
+        corpus = [bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 12)))
+                  for _ in range(30)]
+        events = {}
+        for utt in corpus:
+            ids = list(tokenize(v, utt).token_ids) + ([v.eos_id] if eos else [])
+            hist = [NgramModel.BOS] * (order - 1)
+            for tid in ids:
+                row = events.setdefault(tuple(hist), {})
+                row[tid] = row.get(tid, 0.0) + 1.0
+                hist = (hist + [tid])[1:] if order > 1 else hist
+        trained = NgramModel(v, order, corpus=corpus, alpha=0.1)
+        counted = NgramModel(v, order, counts=events, alpha=0.1)
+        assert trained._counts == counted._counts == events
+        assert trained._totals == counted._totals
+        unseen = (v.size - 1,) * (order - 1)
+        for state in [*events, unseen]:
+            assert trained._dist(state, None).tobytes() == counted._dist(state, None).tobytes()
+
     @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):

@@ -18,6 +18,7 @@ from fusedec import (
 from fusedec.vocab import (
     NextByteGroups,
     PrefixIndex,
+    _TrieNode,
     alternatives_for_suffix,
     escape_token,
     group_by_next_byte,
@@ -51,6 +52,25 @@ class TestBuildVocabulary:
         with pytest.raises(VocabError, match="empty"):
             build_vocabulary([b""])
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([3, b"a"], r"^entry 0 is int 3, not bytes$"),
+            ([b"a", "b"], r"^entry 1 is str 'b', not bytes$"),
+            ([b"a", None], r"^entry 1 is NoneType None, not bytes$"),
+        ],
+        ids=["int", "str", "none"],
+    )
+    def test_entry_that_is_not_bytes_like_rejected(self, entries, message):
+        # bytes(3) would have made token 0 three zero bytes
+        with pytest.raises(VocabError, match=message):
+            build_vocabulary(entries)
+
+    def test_bytearray_and_memoryview_entries_convert(self):
+        v = build_vocabulary([bytearray(b"a"), memoryview(b"bc")])
+        assert [v.bytes_of(i) for i in range(2)] == [b"a", b"bc"]
+        assert all(type(v.bytes_of(i)) is bytes for i in range(2))
+
 
 class TestVocabularyTable:
     @pytest.mark.parametrize(
@@ -62,11 +82,15 @@ class TestVocabularyTable:
             ([b"a", b"b"], 5, r"^eos_id 5 must name an empty token in 0\.\.1$"),
             ([b"a", b""], -1, r"^eos_id -1 must name an empty token in 0\.\.1$"),
             ([b"a", b""], 0, r"^eos_id 0 must name an empty token in 0\.\.1$"),
+            (["ab", "a"], None, r"^entry 0 is str 'ab', not bytes$"),
+            ([b"a", bytearray(b"b")], None, r"^entry 1 is bytearray bytearray\(b'b'\), not bytes$"),
         ],
-        ids=["duplicate", "empty", "second-empty", "eos-past-end", "eos-negative", "eos-not-empty"],
+        ids=["duplicate", "empty", "second-empty", "eos-past-end", "eos-negative", "eos-not-empty",
+             "str", "bytearray"],
     )
     def test_malformed_table_rejected(self, tokens, eos_id, message):
-        # a duplicate surface made id_of and greedy tokenize disagree
+        # a duplicate surface made id_of and greedy tokenize disagree; str
+        # tokens made tokenize fail at offset 0 instead of here
         with pytest.raises(VocabError, match=message):
             Vocabulary(tokens, eos_id)
 
@@ -355,6 +379,25 @@ class TestNextByteGroups:
         assert record.ids.tolist() == [0, 1, 2] and len(record) == 3
         assert record.keys == (ord("a"), ord("b"))
         assert list(record.longer) == [0, 1, 2] and list(record.slot) == [0, 1, 0]
+
+
+class TestPrefixIndexBuild:
+    def test_one_node_per_distinct_prefix(self, monkeypatch):
+        # the root plus one node per non-empty token prefix, none built and dropped
+        built = []
+        init = _TrieNode.__init__
+
+        def counting_init(node):
+            built.append(node)
+            init(node)
+
+        monkeypatch.setattr(_TrieNode, "__init__", counting_init)
+        rng = random.Random(11)
+        for _ in range(40):
+            v = random_partial_vocab(rng, b"abcd", max_tokens=24, max_len=4, eos=rng.random() < 0.5)
+            built.clear()
+            PrefixIndex(v)
+            assert len(built) == len(_trie_prefixes(v))
 
 
 class TestMatchingIds:
