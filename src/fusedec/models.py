@@ -11,7 +11,9 @@ Sharing one array among equal states pays in the decoder: a step groups
 each (trie node, distribution array) pair by next byte once (see
 ``fusion.decode``), so beams whose states share an array share that
 work. ``TableModel`` hands out one array per row, ``NgramModel`` one per
-(order-1)-token history and ``NoisyChannelModel`` one per byte offset.
+counted (order-1)-token history plus one uniform array shared by every
+history without counted mass, and ``NoisyChannelModel`` one per byte
+offset.
 """
 
 from __future__ import annotations
@@ -127,10 +129,12 @@ class TableModel(TokenModel):
     ):
         super().__init__(vocabulary)
         self._base = _normalized(table, vocabulary.size)
-        self._cond = {
-            tid: _normalized(row, vocabulary.size)
-            for tid, row in (conditional or {}).items()
-        }
+        self._cond = {}
+        for tid, row in (conditional or {}).items():
+            if not 0 <= tid < vocabulary.size:
+                raise ValueError(f"conditional key {tid!r} is not a token id "
+                                 f"in 0..{vocabulary.size - 1}")
+            self._cond[tid] = _normalized(row, vocabulary.size)
 
     def initial_state(self, ctx: Context = None) -> int | None:
         if isinstance(ctx, PromptContext) and ctx.prompt:
@@ -154,6 +158,9 @@ class NgramModel(TokenModel):
     Contexts shorter than order-1 are padded with a begin marker. When the
     vocabulary has an EOS token, each training utterance contributes a
     final EOS event, so the model can terminate sequences.
+
+    Each history with counted mass gets one array, built on its first
+    forward and kept; every other history shares one uniform array.
     """
 
     BOS = -1
@@ -177,16 +184,28 @@ class NgramModel(TokenModel):
         self.alpha = alpha
         self._counts: dict[tuple[int, ...], dict[int, float]] = {}
         self._totals: dict[tuple[int, ...], float] = {}
+        v = vocabulary.size
         if counts:
             for ctx_key, row in counts.items():
+                ctx_key = tuple(ctx_key)  # no state reaches a row that fails these
+                if len(ctx_key) != order - 1 or any(t != self.BOS and not 0 <= t < v
+                                                    for t in ctx_key):
+                    raise ValueError(f"context {ctx_key} must be {order - 1} entries, "
+                                     f"each BOS or a token id in 0..{v - 1}")
                 for tid, n in row.items():
+                    if not 0 <= tid < v:
+                        raise ValueError(f"counted id {tid} after context {ctx_key} is not "
+                                         f"a token id in 0..{v - 1}")
                     if not (math.isfinite(n) and n >= 0):
                         raise ValueError(f"count of token id {tid} after context "
-                                         f"{tuple(ctx_key)} must be finite and >= 0, got {n}")
-                    self._add_count(tuple(ctx_key), tid, n)
+                                         f"{ctx_key} must be finite and >= 0, got {n}")
+                    self._add_count(ctx_key, tid, n)
         for utterance in corpus:
             self._train_one(bytes(utterance))
         self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # what _dist builds for a total of 0.0, bit for bit
+        self._uniform = np.full(v, alpha, dtype=np.float64) / (0.0 + alpha * v)
+        self._uniform.flags.writeable = False
 
     def _add_count(self, ctx_key: tuple[int, ...], tid: int, n: float) -> None:
         row = self._counts.setdefault(ctx_key, {})
@@ -220,11 +239,12 @@ class NgramModel(TokenModel):
         cached = self._dist_cache.get(state)
         if cached is not None:
             return cached
-        v = self.vocabulary.size
-        row = self._counts.get(state, {})
         total = self._totals.get(state, 0.0)
+        if total == 0.0:  # unseen, or every count 0: not cached per history
+            return self._uniform
+        v = self.vocabulary.size
         dist = np.full(v, self.alpha, dtype=np.float64)
-        for tid, n in row.items():
+        for tid, n in self._counts[state].items():
             dist[tid] += n
         dist /= total + self.alpha * v
         dist.flags.writeable = False
@@ -244,14 +264,16 @@ class NoisyChannelModel(TokenModel):
     Beams at one offset share a distribution, so the distributions of
     the last context seen are kept, keyed by offset (every offset past
     the signal's end has the same one), and returned read-only; a new
-    context drops them. They take at most (len(signal) + 1) x V floats.
-    ``forward_count`` still counts every request.
+    context drops them and builds its map of confusion partners. They
+    take at most (len(signal) + 1) x V floats. ``forward_count`` still
+    counts every request.
     """
 
     def __init__(self, vocabulary: Vocabulary):
         super().__init__(vocabulary)
         self._memo_ctx: Context = None
         self._memo: dict[int, np.ndarray] = {}
+        self._partners: dict[int, tuple[int, ...]] = {}
 
     def initial_state(self, ctx: Context = None) -> int:
         return 0  # byte offset into the signal
@@ -269,22 +291,26 @@ class NoisyChannelModel(TokenModel):
         sig = ctx.signal
         if state >= len(sig):
             return (self.vocabulary.eos_id,) if self.vocabulary.eos_id is not None else ()
+        self._use_context(ctx)
+        return tuple(self.vocabulary.prefix_index.matching_ids(sig, state, self._partners))
+
+    def _use_context(self, ctx: SignalContext) -> None:
+        """Make ``ctx`` the memo's context: a new one drops the kept
+        distributions and maps each confused byte to its partners, sorted."""
+        if ctx is self._memo_ctx or ctx == self._memo_ctx:
+            return
         partners: dict[int, set[int]] = {}
         for a, b in ctx.confusions:
             if a != b:
                 partners.setdefault(a, set()).add(b)
                 partners.setdefault(b, set()).add(a)
-        return tuple(
-            self.vocabulary.prefix_index.matching_ids(
-                sig, state, {b: tuple(sorted(p)) for b, p in partners.items()}
-            )
-        )
+        self._memo_ctx, self._memo = ctx, {}
+        self._partners = {b: tuple(sorted(p)) for b, p in partners.items()}
 
     def _dist(self, state: int, ctx: Context) -> np.ndarray:
         if not isinstance(ctx, SignalContext):
             raise ValueError("NoisyChannelModel requires a SignalContext")
-        if ctx is not self._memo_ctx and ctx != self._memo_ctx:
-            self._memo_ctx, self._memo = ctx, {}
+        self._use_context(ctx)
         key = min(state, len(ctx.signal))
         dist = self._memo.get(key)
         if dist is None:

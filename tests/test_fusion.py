@@ -652,6 +652,36 @@ class TestStepGroupings:
             repeated += len(pairs) - len(distinct)
         assert repeated > 0
 
+    def test_uncounted_histories_share_one_grouping(self, monkeypatch):
+        # a bigram counted only after BOS: from the second step on, the two
+        # beams end in different tokens whose histories have no counts, so
+        # both hold the model's one uniform array, and a step groups the
+        # rescorer's root node once for the pair
+        lm_vocab = build_vocabulary([b"a", b"b"])
+        lm = NgramModel(lm_vocab, 2, alpha=0.1, counts={(NgramModel.BOS,): {0: 1.0, 1: 3.0}})
+        tr = TableModel(build_vocabulary([b"a", b"b"]), [0.5, 0.5])
+        root = byte_transform.alternatives_for_suffix(lm_vocab.prefix_index, b"")
+        steps = []  # per step: its memo, the rescorer's histories, its root groupings
+        scores, group = fusion.next_byte_scores, byte_transform.group_by_next_byte
+
+        def scored(model, cache, ctx, groupings):
+            if not steps or steps[-1][0] is not groupings:
+                steps.append((groupings, set(), [0]))
+            if model is lm:
+                steps[-1][1].add(cache.states[-1])
+            return scores(model, cache, ctx, groupings)
+
+        def counted(members, weights):
+            if members is root:
+                steps[-1][2][0] += 1
+            return group(members, weights)
+
+        monkeypatch.setattr(fusion, "next_byte_scores", scored)
+        monkeypatch.setattr(byte_transform, "group_by_next_byte", counted)
+        decode([(tr, None), (lm, None)], FusionConfig(r=0.5, num_beams=2, max_bytes=4))
+        assert [hists for _, hists, _ in steps] == [{(NgramModel.BOS,)}] + [{(0,), (1,)}] * 3
+        assert [calls for _, _, (calls,) in steps] == [1, 1, 1, 1]
+
 
 class TestForwardMinimality:
     @given(

@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusedec import (
     NgramModel,
@@ -145,6 +148,12 @@ class TestTableModel:
         with pytest.raises(ValueError):
             TableModel(v, [0.9, 0.3, 0.2])
 
+    @pytest.mark.parametrize("key", [7, 3, -1])
+    def test_conditional_key_outside_the_vocabulary_rejected(self, key):
+        # no state reaches such a row: a state is a token id in 0..V-1
+        with pytest.raises(ValueError, match=f"conditional key {key} "):
+            TableModel(_vocab(), [0.5, 0.3, 0.2], conditional={key: [0.0, 1.0, 0.0]})
+
 
 class TestNgramModel:
     def test_bigram_counts_match_hand_tally(self):
@@ -211,6 +220,80 @@ class TestNgramModel:
         unseen = (v.size - 1,) * (order - 1)
         for state in [*events, unseen]:
             assert trained._dist(state, None).tobytes() == counted._dist(state, None).tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([0.1, 0.37, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_histories_without_counted_mass_share_one_uniform_array(
+        self, seed, order, eos, from_corpus, alpha
+    ):
+        rng = random.Random(seed)
+        v = build_vocabulary([b"a", b"b", b"c", b"ab", b"ca"], eos=eos)
+        histories = list(itertools.product((NgramModel.BOS, *range(v.size)), repeat=order - 1))
+        events = {}  # history -> {token id: count}, tallied here
+        if from_corpus:
+            corpus = [bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 8)))
+                      for _ in range(rng.randint(0, 6))]
+            for utt in corpus:
+                ids = list(tokenize(v, utt).token_ids) + ([v.eos_id] if eos else [])
+                hist = [NgramModel.BOS] * (order - 1)
+                for tid in ids:
+                    row = events.setdefault(tuple(hist), {})
+                    row[tid] = row.get(tid, 0.0) + 1.0
+                    hist = (hist + [tid])[1:] if order > 1 else hist
+            model = NgramModel(v, order, corpus=corpus, alpha=alpha)
+        else:
+            for hist in histories:
+                kind = rng.choice(["absent", "zeros", "counts"])
+                if kind != "absent":
+                    tids = rng.sample(range(v.size), rng.randint(1, v.size))
+                    events[hist] = {t: 0.0 if kind == "zeros" else rng.choice([0.0, 0.5, 1.0, 3.0])
+                                    for t in tids}
+            model = NgramModel(v, order, counts=events, alpha=alpha)
+
+        uniform = np.full(v.size, alpha) / (alpha * v.size)
+        shared, counted, requests = [], [], 0
+        for hist in histories * 2:
+            dist = model.dist_from_state(hist, None)
+            requests += 1
+            assert not dist.flags.writeable
+            row = events.get(hist, {})
+            total = 0.0
+            for n in row.values():
+                total += n
+            if total == 0.0:
+                shared.append(dist)
+                assert dist.tobytes() == uniform.tobytes()
+            else:
+                counted.append(dist)
+                expected = np.array([alpha + row.get(t, 0.0) for t in range(v.size)])
+                assert dist.tobytes() == (expected / (total + alpha * v.size)).tobytes()
+        assert len({id(d) for d in shared}) <= 1
+        assert not {id(d) for d in shared} & {id(d) for d in counted}
+        assert model.forward_count == requests
+
+    @pytest.mark.parametrize(
+        "order,counts,named",
+        [
+            (2, {(0, 1): {0: 5.0}}, "context (0, 1) must be 1 entries"),
+            (3, {(NgramModel.BOS,): {0: 5.0}}, "context (-1,) must be 2 entries"),
+            (2, {(): {0: 5.0}}, "context () must be 1 entries"),
+            (2, {(3,): {0: 1.0}}, "context (3,) must be 1 entries, each BOS or a token id"),
+            (3, {(NgramModel.BOS, -2): {0: 1.0}}, "context (-1, -2) must be 2 entries"),
+            (1, {(): {-1: 5.0}}, "counted id -1 after context ()"),
+            (1, {(): {7: 5.0}}, "counted id 7 after context ()"),
+            (2, {(0,): {0: 1.0, 3: 1.0}}, "counted id 3 after context (0,)"),
+        ],
+    )
+    def test_counts_no_state_can_read_rejected(self, order, counts, named):
+        # V = 3: ids 0..2; BOS only pads a context, and -1 is BOS, not an id
+        with pytest.raises(ValueError, match=re.escape(named)):
+            NgramModel(_vocab(), order, counts=counts)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
