@@ -48,7 +48,6 @@ import numpy as np
 from .models import Context, TokenModel
 from .vocab import (
     MainSequence,
-    _stable_prefix,
     _suffix_start,
     _tail_depth,
     alternatives_for_suffix,
@@ -229,12 +228,11 @@ def refresh_cache(
     ``data`` is ``old``'s bytes plus one byte, as for every beam the
     decoder keeps, its main sequence is ``old``'s up to one new last token
     (``vocab.tokenize_extension``): nothing is tokenized again, and
-    every depth before that token is shared. When ``old`` covers a
-    shorter prefix of ``data``, only the unstable tail of its main
-    sequence is tokenized again, and the search for the shared token
-    prefix starts past the tokens kept (see ``tokenize``); for any other
-    ``old`` both start from the first byte, so the result is exact
-    either way. ``old`` must come from the same model and context.
+    every depth before that token is shared. For any other ``old``, a
+    shorter prefix of ``data`` included, ``data`` is tokenized cold and
+    the shared token prefix is counted from the first token, so the
+    result is exact either way. ``old`` must come from the same model
+    and context.
     The first new depth reads the last shared slot; if ``old`` has not
     evaluated it, it is filled in ``old`` (its own prefix, so ``old`` stays
     exact) before the copy, and every sibling refreshed from ``old`` shares
@@ -251,9 +249,8 @@ def refresh_cache(
             main = tokenize_extension(vocab, prev, data)
             keep = len(main.token_ids)  # every depth before the new last token
         else:
-            main = tokenize(vocab, data, prev)
-            shared = _stable_prefix(vocab, data, prev)[0]
-            limit = min(len(main.token_ids), len(prev.token_ids))
+            main = tokenize(vocab, data)
+            shared, limit = 0, min(len(main.token_ids), len(prev.token_ids))
             while shared < limit and main.token_ids[shared] == prev.token_ids[shared]:
                 shared += 1
             keep = shared + 1

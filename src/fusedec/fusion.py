@@ -21,12 +21,12 @@ Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is built from its parent's: its
 tokenization is the parent's up to one new last token, found with one
 lookup per live-tail token start (``vocab.tokenize_extension``; a
-delayed rescorer catching up after a byte it could not tokenize matches
-its tail again instead), and it takes over every distribution on their
-shared token prefix; the distribution at the end of that prefix is
-filled into the parent's slot, so its siblings share it (see
-``refresh_cache``). Each model thus evaluates each token prefix at most
-once per decode. The modes differ only in who reads the caches:
+delayed rescorer catching up after a byte it could not tokenize
+tokenizes its whole prefix instead), and it takes over every
+distribution on their shared token prefix; the distribution at the end
+of that prefix is filled into the parent's slot, so its siblings share
+it (see ``refresh_cache``). Each model thus evaluates each token prefix
+at most once per decode. The modes differ only in who reads the caches:
 ``next_byte_scores`` for every cached model in synchronous mode; in
 delayed mode the proposer through ``next_byte_scores`` and the rescorer
 through ``cache_log_score``, once per kept beam. A lagged prefix is an
@@ -44,7 +44,8 @@ starting fewer than ``max_token_len`` bytes before the end
 candidate bytes with one trie walk per proposer token start there
 (``vocab.last_token_starts``). Only candidates that take a slot build
 their bytes; copying those and a kept cache's lists, done in C, is what
-grows with length.
+grows with length. The one exception is a delayed rescorer's catch-up,
+which tokenizes its prefix cold: O(length), once per catch-up.
 """
 
 from __future__ import annotations

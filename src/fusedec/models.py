@@ -56,9 +56,6 @@ class SignalContext:
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise level must be in [0, 1], got {self.noise}")
 
-    def bytes_match(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.confusions or (b, a) in self.confusions
-
 
 Context = PromptContext | SignalContext | None
 
@@ -187,11 +184,7 @@ class NgramModel(TokenModel):
         v = vocabulary.size
         if counts:
             for ctx_key, row in counts.items():
-                ctx_key = tuple(ctx_key)  # no state reaches a row that fails these
-                if len(ctx_key) != order - 1 or any(t != self.BOS and not 0 <= t < v
-                                                    for t in ctx_key):
-                    raise ValueError(f"context {ctx_key} must be {order - 1} entries, "
-                                     f"each BOS or a token id in 0..{v - 1}")
+                ctx_key = _check_context(tuple(ctx_key), order, v)
                 for tid, n in row.items():
                     if not 0 <= tid < v:
                         raise ValueError(f"counted id {tid} after context {ctx_key} is not "
@@ -216,11 +209,19 @@ class NgramModel(TokenModel):
         ids = tokenize(self.vocabulary, utterance).token_ids
         if self.vocabulary.eos_id is not None:
             ids += (self.vocabulary.eos_id,)
-        # the history of the i-th token is the slice of order - 1 before it
+        # the history of the i-th token is the slice of order - 1 before it;
+        # events add 1.0 one at a time, as _add_count does: after a
+        # fractional counts= row, a tally added once rounds differently
         pad = self.order - 1
         seq = (self.BOS,) * pad + ids
+        counts, totals = self._counts, self._totals
         for i, tid in enumerate(ids):
-            self._add_count(seq[i:i + pad], tid, 1.0)
+            hist = seq[i:i + pad]
+            row = counts.get(hist)
+            if row is None:
+                row = counts[hist] = {}
+            row[tid] = row.get(tid, 0.0) + 1.0
+            totals[hist] = totals.get(hist, 0.0) + 1.0
 
     def initial_state(self, ctx: Context = None) -> tuple[int, ...]:
         hist = [self.BOS] * (self.order - 1)
@@ -332,6 +333,16 @@ class NoisyChannelModel(TokenModel):
         return dist
 
 
+def _check_context(ctx_key: tuple[int, ...], order: int, v: int) -> tuple[int, ...]:
+    """``ctx_key``, if some n-gram state can be it; else ValueError."""
+    bos = NgramModel.BOS
+    if (len(ctx_key) != order - 1 or any(t != bos and not 0 <= t < v for t in ctx_key)
+            or any(a != bos and b == bos for a, b in zip(ctx_key, ctx_key[1:]))):
+        raise ValueError(f"context {ctx_key} must be {order - 1} entries, each BOS or a token "
+                         f"id in 0..{v - 1}, with no BOS after a token id")
+    return ctx_key
+
+
 def _normalized(row: Sequence[float], size: int) -> np.ndarray:
     arr = np.asarray(row, dtype=np.float64)
     if arr.shape != (size,):
@@ -438,12 +449,10 @@ def _load_ngram(lines: Iterable[str], vocab: Vocabulary, order: int, path: str) 
         elif parts[0] == "count":
             if len(parts) != 4:
                 raise ModelFileError(f"expected 'count <ctx> <token> <n>', got {ln!r}")
-            ctx_key = tuple(
+            ctx_key = _check_context(tuple(
                 NgramModel.BOS if t == "<s>" else _parse_token_ref(vocab, t)
                 for t in (parts[1].split("+") if parts[1] != "_" else ())
-            )
-            if len(ctx_key) != order - 1:
-                raise ModelFileError(f"context {parts[1]!r} has wrong length for order {order}")
+            ), order, vocab.size)  # here, so the error names this line
             token = _parse_token_ref(vocab, parts[2])
             counts.setdefault(ctx_key, {})[token] = float(parts[3])
         else:

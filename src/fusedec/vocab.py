@@ -4,6 +4,10 @@ A vocabulary maps dense token ids to unique, non-empty byte strings. An
 optional end-of-sequence token is kept out-of-band: it has an empty byte
 expansion and never appears in the prefix index, so byte-space arithmetic
 never sees it.
+
+Tokenization is greedy longest match. ``tokenize`` segments a byte string
+cold, one prefix-trie walk per token; ``tokenize_extension`` grows a
+segmentation by one byte without matching any byte again.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ def _suffix_start(main: MainSequence, s: int) -> int:
 def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
     """Count of the tokens of ``main`` that start ``max_token_len`` or more
     bytes before its end. The rest, the live tail, are all that extending
-    the tokenization (``tokenize_extension``, ``_stable_prefix``), next-byte
-    scoring and the lag search read."""
+    the tokenization (``tokenize_extension``, ``last_token_starts``),
+    next-byte scoring and the lag search read."""
     return bisect_right(main.boundary_offsets, len(main.source_bytes) - vocab.max_token_len)
 
 
@@ -119,9 +123,10 @@ class _TrieNode:
 class PrefixIndex:
     """Byte trie answering "which tokens start with this prefix" queries.
 
-    Each node stores every token id whose bytes pass through or end at
-    that node and the id of the token ending exactly there, if any. EOS
-    is excluded. The first ``alternatives_for_suffix`` query that reaches
+    ``tokenize`` and ``last_token_starts`` walk its nodes directly. Each
+    node stores every token id whose bytes pass through or end at that
+    node and the id of the token ending exactly there, if any. EOS is
+    excluded. The first ``alternatives_for_suffix`` query that reaches
     a node builds its :class:`NextByteGroups` record; later queries return
     the same record, so a query is a walk. Building the records lazily
     keeps the index cheap to construct. The index holds the token tuple,
@@ -143,18 +148,6 @@ class PrefixIndex:
                 node.ids.append(tid)
             node.terminal = tid
         # ids were appended in increasing tid order, so node.ids are sorted
-
-    def longest_match(self, data: bytes, start: int) -> int | None:
-        """Id of the longest token whose bytes match ``data`` at ``start``."""
-        node = self._root
-        best: int | None = None
-        for pos in range(start, len(data)):
-            node = node.children.get(data[pos])
-            if node is None:
-                break
-            if node.terminal is not None:
-                best = node.terminal
-        return best
 
     def matching_ids(
         self, data: bytes, start: int, partners: Mapping[int, tuple[int, ...]]
@@ -263,60 +256,35 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     return Vocabulary(tokens, eos_id)
 
 
-def _stable_prefix(
-    vocab: Vocabulary, data: bytes, prev: MainSequence | None
-) -> tuple[int, int]:
-    """Leading tokens of ``prev`` that segment ``data`` unchanged.
-
-    Returns their count and the byte offset where greedy matching
-    resumes after them. Matching at a token start reads at most
-    ``max_token_len`` bytes, so when ``data`` extends ``prev`` every
-    token of ``prev`` before its live tail (``_tail_depth``) matches
-    again. Any other ``prev``, an extension of ``data`` included, keeps
-    none.
-    """
-    if prev is None or not data.startswith(prev.source_bytes):
-        return 0, 0
-    keep = _tail_depth(vocab, prev)
-    return keep, _suffix_start(prev, keep)
-
-
 def _no_match(data: bytes, pos: int) -> TokenizationError:
     return TokenizationError(
         f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})", offset=pos
     )
 
 
-def _match_tail(
-    vocab: Vocabulary, data: bytes, pos: int, ids: list[int], offsets: list[int]
-) -> None:
-    """Greedy longest-match of ``data[pos:]``, appended to ``ids`` and ``offsets``."""
-    longest_match, tokens = vocab.prefix_index.longest_match, vocab._tokens
-    while pos < len(data):
-        tid = longest_match(data, pos)
+def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
+    """Greedy longest-match left-to-right segmentation of ``data``.
+
+    Each token is one walk down the prefix trie from its start, taking
+    the last token that ends on the way; a start where none does raises
+    ``TokenizationError``.
+    """
+    data = bytes(data)
+    root, tokens = vocab.prefix_index._root, vocab._tokens
+    ids: list[int] = []
+    offsets: list[int] = []
+    pos, n = 0, len(data)
+    while pos < n:
+        node, tid, i = root, None, pos
+        while i < n and (node := node.children.get(data[i])) is not None:
+            if node.terminal is not None:
+                tid = node.terminal
+            i += 1
         if tid is None:
             raise _no_match(data, pos)
         ids.append(tid)
         offsets.append(pos)
-        pos += len(tokens[tid])  # ids come from the trie, so no range check
-
-
-def tokenize(
-    vocab: Vocabulary, data: bytes, prev: MainSequence | None = None
-) -> MainSequence:
-    """Greedy longest-match left-to-right segmentation of ``data``.
-
-    ``prev``, the segmentation of a prefix of ``data``, makes the call
-    incremental: the tokens of ``prev`` that lie at least
-    ``max_token_len`` bytes before its end are kept (see
-    ``_stable_prefix``) and only the rest is matched again. Any other
-    ``prev``, an extension of ``data`` included, is ignored.
-    """
-    data = bytes(data)
-    keep, pos = _stable_prefix(vocab, data, prev)
-    ids: list[int] = list(prev.token_ids[:keep]) if keep else []
-    offsets: list[int] = list(prev.boundary_offsets[:keep]) if keep else []
-    _match_tail(vocab, data, pos, ids, offsets)
+        pos += len(tokens[tid])
     return MainSequence(tuple(ids), tuple(offsets), data)
 
 

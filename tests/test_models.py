@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -248,7 +249,11 @@ class TestNgramModel:
                     hist = (hist + [tid])[1:] if order > 1 else hist
             model = NgramModel(v, order, corpus=corpus, alpha=alpha)
         else:
+            # counts= rows only for contexts a state can be: no BOS after a token id
+            bos = NgramModel.BOS
             for hist in histories:
+                if any(a != bos and b == bos for a, b in zip(hist, hist[1:])):
+                    continue
                 kind = rng.choice(["absent", "zeros", "counts"])
                 if kind != "absent":
                     tids = rng.sample(range(v.size), rng.randint(1, v.size))
@@ -288,12 +293,62 @@ class TestNgramModel:
             (1, {(): {-1: 5.0}}, "counted id -1 after context ()"),
             (1, {(): {7: 5.0}}, "counted id 7 after context ()"),
             (2, {(0,): {0: 1.0, 3: 1.0}}, "counted id 3 after context (0,)"),
+            (3, {(0, NgramModel.BOS): {0: 1.0}},
+             "context (0, -1) must be 2 entries, each BOS or a token id in 0..2, with no BOS"),
+            (4, {(NgramModel.BOS, 2, NgramModel.BOS): {0: 1.0}},
+             "context (-1, 2, -1) must be 3 entries, each BOS or a token id in 0..2, with no BOS"),
         ],
     )
     def test_counts_no_state_can_read_rejected(self, order, counts, named):
         # V = 3: ids 0..2; BOS only pads a context, and -1 is BOS, not an id
         with pytest.raises(ValueError, match=re.escape(named)):
             NgramModel(_vocab(), order, counts=counts)
+
+    @pytest.mark.parametrize("ctx_key", [(NgramModel.BOS, 0), (NgramModel.BOS,) * 2, (0, 1)])
+    def test_counts_context_a_state_can_be_accepted(self, ctx_key):
+        m = NgramModel(_vocab(), 3, counts={ctx_key: {2: 4.0}})
+        assert m._dist(ctx_key, None)[2] == pytest.approx(4.1 / 4.3)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_counts_rows_then_corpus_add_one_event_at_a_time(self, order):
+        # rows, then the corpus: c + 1.0 + 1.0 != c + 2.0 for c = 1/3, so a
+        # tally of each event's repeats, added once, differs
+        rng = random.Random(order)
+        v = build_vocabulary([b"a", b"b", b"c", b"ab", b"ca"], eos=True)
+        corpus = [bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 10)))
+                  for _ in range(20)]
+        events = []  # (history, token id), in corpus order
+        for utt in corpus:
+            hist = (NgramModel.BOS,) * (order - 1)
+            for tid in tokenize(v, utt).token_ids + (v.eos_id,):
+                events.append((hist, tid))
+                hist = (hist + (tid,))[1:]
+        rows = {}
+        for hist, tid in events:
+            rows.setdefault(hist, {})[tid] = rng.choice((1 / 7, 1 / 3, 4 / 3))
+        model = NgramModel(v, order, corpus=corpus, alpha=0.1, counts=rows)
+
+        counts = {hist: dict(row) for hist, row in rows.items()}
+        totals = {}
+        for hist, row in rows.items():
+            for n in row.values():
+                totals[hist] = totals.get(hist, 0.0) + n
+        batched = {hist: dict(row) for hist, row in counts.items()}
+        for hist, tid in events:
+            counts[hist][tid] += 1.0
+            totals[hist] += 1.0
+        for (hist, tid), k in collections.Counter(events).items():
+            batched[hist][tid] += float(k)
+        assert batched != counts  # the case this test is for
+        assert model._counts == counts
+        assert {h: t.hex() for h, t in model._totals.items()} == {
+            h: t.hex() for h, t in totals.items()}
+        for hist in [*counts, (0,) * (order - 1)]:
+            want = np.full(v.size, 0.1)
+            for tid, n in counts.get(hist, {}).items():
+                want[tid] += n
+            want /= totals.get(hist, 0.0) + 0.1 * v.size
+            assert model._dist(hist, None).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
@@ -485,7 +540,9 @@ class TestModelFiles:
             load_model(str(tmp_path / "m.txt"), v)
 
     @pytest.mark.parametrize(
-        "text, line", [("ngram x\n", 1), ("iid\na 0.5\n\n# b\nb x\n", 5)]
+        "text, line",
+        [("ngram x\n", 1), ("iid\na 0.5\n\n# b\nb x\n", 5),
+         ("ngram 3\ncount <s>+a b 1\ncount a+<s> b 5\n", 3)],
     )
     def test_unparsable_value_names_file_and_line(self, tmp_path, text, line):
         (tmp_path / "m.txt").write_text(text)
