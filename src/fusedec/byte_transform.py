@@ -8,7 +8,9 @@ with a given byte string:
   only). It is the oracle the fast route is checked against.
 * ``approx_byte_score`` keeps only the deterministic main tokenization
   of the byte string plus single-token branching alternatives at each
-  token boundary, which needs at most S model forwards.
+  token boundary, which needs at most S model forwards. Bytes the main
+  tokenization leaves as a pending tail (``vocab.MainSequence``) are
+  scored through the tokens that cover them, not the main path.
 
 ``refresh_cache`` / ``next_byte_scores`` are the incremental form of the
 approximation used by the decoder: one cache per (beam, model), joint
@@ -16,10 +18,10 @@ approximation used by the decoder: one cache per (beam, model), joint
 ending the sequence. A cache holds one distribution slot per token
 boundary; a child cache takes over its parent's slots on their shared
 token prefix, so a cold cache costs at most S+1 model forwards and an
-extended one evaluates only the depths past that prefix. A child one
-byte longer than its parent, as every beam the decoder keeps is,
-tokenizes nothing: its main sequence is the parent's up to one new last
-token (``vocab.tokenize_extension``).
+extended one evaluates only the depths past that prefix. A child is
+one byte longer than its parent and tokenizes nothing: its main
+sequence is the parent's up to one new last token, or the parent's
+with a longer pending tail (``vocab.tokenize_extension``).
 ``cache_log_score`` reads ``approx_byte_log_score`` off a cache, which
 is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
 itself always builds a cold cache. ``cache_log_score`` and
@@ -48,13 +50,15 @@ import numpy as np
 from .models import Context, TokenModel
 from .vocab import (
     MainSequence,
+    _greedy,
     _suffix_start,
     _tail_depth,
     alternatives_for_suffix,
     group_by_next_byte,
-    tokenize,
     tokenize_extension,
 )
+# not called here, but kept bound: the benchmark tracer patches byte_transform.tokenize
+from .vocab import tokenize  # noqa: F401
 
 NEG_INF = float("-inf")
 
@@ -219,21 +223,19 @@ def refresh_cache(
     ctx: Context = None,
     old: ModelCache | None = None,
 ) -> ModelCache:
-    """Build (or rebuild) the decoding cache for a committed byte string.
+    """Build the decoding cache for a committed byte string, cold or from
+    ``old``, the cache of ``data`` minus its last byte (any other ``old``
+    is a ``ValueError``).
 
-    States, rolling products and evaluated distributions are carried over
-    from ``old`` for every depth up to the longest token prefix shared
-    with the new main sequence: a model is deterministic in its token
-    prefix, so they are exactly what a cold build would compute. When
-    ``data`` is ``old``'s bytes plus one byte, as for every beam the
-    decoder keeps, its main sequence is ``old``'s up to one new last token
-    (``vocab.tokenize_extension``): nothing is tokenized again, and
-    every depth before that token is shared. For any other ``old``, a
-    shorter prefix of ``data`` included, ``data`` is tokenized cold and
-    the shared token prefix is counted from the first token, so the
-    result is exact either way. ``old`` must come from the same model
-    and context.
-    The first new depth reads the last shared slot; if ``old`` has not
+    From ``old``, the main sequence is ``old``'s up to one new last token,
+    or ``old``'s with the new byte added to its pending tail
+    (``vocab.tokenize_extension``): nothing is tokenized again. States,
+    rolling products and evaluated distributions are carried over for
+    every depth before the new token, or for every depth when the tail
+    only grew: a model is deterministic in its token prefix, so they are
+    exactly what a cold build would compute. ``old`` must come from the
+    same model and context.
+    The last shared slot is the first the child reads; if ``old`` has not
     evaluated it, it is filled in ``old`` (its own prefix, so ``old`` stays
     exact) before the copy, and every sibling refreshed from ``old`` shares
     that one forward.
@@ -241,20 +243,16 @@ def refresh_cache(
     vocab = model.vocabulary
     data = bytes(data)
     if old is None:
-        main, keep = tokenize(vocab, data), 1
+        main, keep = _greedy(vocab, data), 1
         states, log_rolling, dists = [model.initial_state(ctx)], [0.0], [None]
     else:
-        prev = old.main
-        if len(data) == len(prev.source_bytes) + 1 and data.startswith(prev.source_bytes):
-            main = tokenize_extension(vocab, prev, data)
-            keep = len(main.token_ids)  # every depth before the new last token
-        else:
-            main = tokenize(vocab, data)
-            shared, limit = 0, min(len(main.token_ids), len(prev.token_ids))
-            while shared < limit and main.token_ids[shared] == prev.token_ids[shared]:
-                shared += 1
-            keep = shared + 1
-        if keep <= len(main.token_ids) and old.log_rolling[keep - 1] > NEG_INF:
+        prev = old.main.source_bytes
+        if len(data) != len(prev) + 1 or not data.startswith(prev):
+            raise ValueError("old must hold data minus its last byte")
+        main = tokenize_extension(vocab, old.main, data)
+        # every depth before the new last token; all of them if the tail grew
+        keep = len(main.token_ids) + (main.covered < len(data))
+        if old.log_rolling[keep - 1] > NEG_INF:
             _dist_at(model, old, keep - 1, ctx)
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
@@ -328,13 +326,17 @@ def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -
 def cache_log_score(
     model: TokenModel, cache: ModelCache, ctx: Context = None, groupings: dict | None = None
 ) -> float:
-    """``approx_byte_log_score`` of the bytes ``cache`` holds; every
-    distribution this reads was evaluated by ``refresh_cache``. Only the
+    """``approx_byte_log_score`` of the bytes ``cache`` holds. Only the
     live tail's depths (``vocab._tail_depth``) are scanned, as in
-    ``next_byte_scores``, through the same kernel and ``groupings``."""
-    s_count = len(cache.main.token_ids)
-    parts = [cache.log_rolling[s_count]]
-    for s in range(_tail_depth(model.vocabulary, cache.main), s_count):
+    ``next_byte_scores``, through the same kernel and ``groupings``. With
+    a pending tail the main path covers too little and is dropped, and
+    depth S adds the tokens covering the tail; with none left, -inf."""
+    main = cache.main
+    s_count = len(main.token_ids)
+    # a pending tail drops the main path, and its covering tokens read depth S
+    pending = main.covered < len(main.source_bytes)
+    parts = [] if pending else [cache.log_rolling[s_count]]
+    for s in range(_tail_depth(model.vocabulary, main), s_count + pending):
         lr = cache.log_rolling[s]
         if lr == NEG_INF:
             continue
@@ -355,8 +357,10 @@ def next_byte_scores(
 
     For each depth s each positive restricted next-byte mass
     (``_restricted_mass``) is weighted by the rolling product and added
-    to its byte's score. EOS mass at the final depth becomes the terminal
-    score. Only the depths of the live tail (``vocab._tail_depth``), whose
+    to its byte's score; at depth S the suffix is the pending tail, if
+    any. EOS mass at the final depth becomes the terminal score, unless a
+    tail is pending: bytes that end no token cannot end the sequence.
+    Only the depths of the live tail (``vocab._tail_depth``), whose
     suffix is shorter than ``max_token_len``, are scanned: no token covers
     a longer suffix with a byte to spare, so the earlier depths have no
     mass and a step costs at most ``max_token_len`` depths whatever the
@@ -384,7 +388,7 @@ def next_byte_scores(
 
     log_terminal = NEG_INF
     lr = log_rolling[s_count]
-    if eos is not None and lr > NEG_INF:
+    if eos is not None and lr > NEG_INF and cache.main.covered == len(cache.main.source_bytes):
         p = float(_dist_at(model, cache, s_count, ctx)[eos])
         if p > 0.0:
             log_terminal = lr + log(p)

@@ -15,14 +15,14 @@ first model proposes bytes while the second scores a prefix lagging
 behind the proposal, re-ranking beams on past bytes instead of reacting
 to the newest one: the prefix up to where the proposer's last
 main-sequence token starts, which the proposer has committed as whole
-tokens.
+tokens, or up to where its pending tail starts (see
+``vocab.MainSequence``).
 
 Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is built from its parent's: its
-tokenization is the parent's up to one new last token, found with one
-lookup per live-tail token start (``vocab.tokenize_extension``; a
-delayed rescorer catching up after a byte it could not tokenize
-tokenizes its whole prefix instead), and it takes over every
+tokenization is the parent's up to one new last token, or the parent's
+with a longer pending tail, found with one lookup per live-tail token
+start (``vocab.tokenize_extension``), and it takes over every
 distribution on their shared token prefix; the distribution at the end
 of that prefix is filled into the parent's slot, so its siblings share
 it (see ``refresh_cache``). Each model thus evaluates each token prefix
@@ -44,8 +44,7 @@ starting fewer than ``max_token_len`` bytes before the end
 candidate bytes with one trie walk per proposer token start there
 (``vocab.last_token_starts``). Only candidates that take a slot build
 their bytes; copying those and a kept cache's lists, done in C, is what
-grows with length. The one exception is a delayed rescorer's catch-up,
-which tokenizes its prefix cold: O(length), once per catch-up.
+grows with length.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .byte_transform import (
     NEG_INF,
@@ -63,7 +62,7 @@ from .byte_transform import (
     refresh_cache,
 )
 from .models import Context, TokenModel
-from .vocab import TokenizationError, last_token_starts
+from .vocab import last_token_starts
 # not called here, but kept bound: the benchmark tracer patches
 # fusion.tokenize and fusion.approx_byte_log_score
 from .byte_transform import approx_byte_log_score  # noqa: F401
@@ -74,27 +73,13 @@ DELAYED = "delayed"
 
 
 class DecodeFailure(RuntimeError):
-    """The search ran out of beams before any finished.
+    """Every beam lost its fused probability mass before any finished.
 
-    ``step`` is the step it happened at, when known. ``skipped`` names,
-    as (model index, byte offset, byte), each tokenization failure that
-    dropped a candidate at that step (see ``decode``); the message lists
-    them too.
+    ``step`` is the step it happened at, when known.
     """
 
-    def __init__(
-        self,
-        message: str,
-        step: int | None = None,
-        skipped: Iterable[tuple[int, int, int]] = (),
-    ):
+    def __init__(self, message: str, step: int | None = None):
         self.step = step
-        self.skipped = tuple(skipped)
-        if self.skipped:
-            message += ": " + "; ".join(
-                f"model {i} cannot tokenize byte 0x{b:02x} at offset {o}"
-                for i, o, b in self.skipped
-            )
         super().__init__(message)
 
 
@@ -175,12 +160,11 @@ def fuse_scores(per_model: Sequence[float], weights: Sequence[float]) -> float:
 class Beam:
     """One hypothesis: committed bytes plus per-model caches and scores.
 
-    ``caches[i]`` is None for a zero-weight model that does not propose.
-    A delayed rescorer that cannot tokenize ``data`` keeps its cache of
-    the longest prefix of ``data`` it can tokenize (see ``decode``). In
-    delayed mode a live beam's ``lagged`` holds the rescorer's scores of
-    its last prefixes, one per length, ending with ``data`` (-inf where
-    it cannot tokenize); the root's is ``(0.0,)``.
+    ``caches[i]`` is None for a zero-weight model that does not propose;
+    every other cache holds all of ``data``, as tokens and a pending tail.
+    In delayed mode a live beam's ``lagged`` holds the rescorer's scores
+    of its last prefixes, one per length, ending with ``data`` (-inf
+    where no token covers its tail); the root's is ``(0.0,)``.
     """
 
     data: bytes
@@ -238,25 +222,17 @@ def decode(
     own), so each (trie node, distribution array) pair is grouped once
     per step; models that hand equal states one array (see
     :mod:`fusedec.models`) share that work. A candidate's lag is where the
-    proposer's last token starts once the candidate takes its byte; its
-    lagged score and every ending score are read from the window, never
-    recomputed. A zero-weight model keeps no cache and is never asked
-    about a beam's bytes, so a byte it cannot tokenize cannot fail the
-    decode. A prefix the rescorer cannot tokenize scores -inf, and a beam
-    whose bytes it cannot tokenize keeps the rescorer cache of the longest
-    prefix it can, so a descendant it can tokenize is not scored cold.
+    proposer's last token, or else its pending tail, starts once the
+    candidate takes its byte; its lagged score and every ending score are
+    read from the window, never recomputed. A zero-weight model keeps no
+    cache and is never asked about a beam's bytes.
 
-    A model that scores through ``next_byte_scores`` can propose a byte
-    through a longer token and then be unable to tokenize the candidate
-    that byte makes. Slots are therefore filled in rank order: each
-    selected candidate's caches are refreshed, one that such a model
-    cannot tokenize scores -inf for it and is dropped, and the next
-    candidate takes its slot. ``trace`` records the candidates kept. In
-    delayed mode a positively weighted rescorer reads the proposer's
-    tokenization of every candidate for its lag, so one the proposer
-    cannot tokenize scores -inf before ranking. If a step keeps no
-    candidate, ``DecodeFailure`` names each model, byte offset and byte
-    that failed.
+    Bytes a model cannot tokenize whole are its cache's pending tail,
+    scored through the tokens that cover it (-inf if none does), and a
+    pending tail cannot end the sequence. So every candidate has a score
+    from every model and a kept candidate never fails to refresh: the
+    ``num_beams`` best candidates are the next beams. If no candidate has
+    fused mass left, ``DecodeFailure`` names the step.
     """
     if not models:
         raise ValueError("decode needs at least one model")
@@ -265,37 +241,12 @@ def decode(
     if delayed and len(models) != 2:
         raise ValueError("delayed feedback needs exactly two models (proposer, rescorer)")
 
-    def cached_score(i: int, cache: ModelCache | None, data: bytes, groupings: dict) -> float:
-        # no cache, or one of a shorter prefix: model i cannot tokenize ``data``
-        if cache is None or len(cache.main.source_bytes) < len(data):
-            return NEG_INF
-        return cache_log_score(models[i][0], cache, models[i][1], groupings)
-
     scoring = [i == 0 if delayed else weights[i] > 0.0 for i in range(len(models))]
     keeps_cache = [scoring[i] or weights[i] > 0.0 for i in range(len(models))]
 
-    # (model, byte offset, byte) of each tokenization failure that dropped
-    # a candidate in the current step, in first-seen order
-    skipped: dict[tuple[int, int, int], None] = {}
-
-    def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None] | None:
-        """Caches for ``data``; None if a model that scores through its
-        cache cannot tokenize it (noted in ``skipped``). The delayed
-        rescorer keeps ``old``'s cache where it cannot tokenize ``data``."""
-        caches: list[ModelCache | None] = []
-        tokenized = True
-        for i, (m, ctx) in enumerate(models):
-            cache = None
-            if keeps_cache[i]:
-                try:
-                    cache = refresh_cache(m, data, ctx, old=old[i])
-                except TokenizationError as err:
-                    if scoring[i]:
-                        skipped[(i, err.offset, data[err.offset])] = None
-                        tokenized = False
-                    cache = old[i]
-            caches.append(cache)
-        return caches if tokenized else None
+    def refreshed(data: bytes, old: list[ModelCache | None]) -> list[ModelCache | None]:
+        return [refresh_cache(m, data, ctx, old=old[i]) if keeps_cache[i] else None
+                for i, (m, ctx) in enumerate(models)]
 
     # no lag reaches further back than this (a last token is at most
     # max_token_len bytes), and the ending reads the last entry
@@ -305,17 +256,11 @@ def decode(
         """The delayed rescorer's score of ``beam`` extended by each of
         ``cand_bytes``, at its lagged prefix, then of ``beam`` ended, at
         the full prefix. The lag is found once per beam."""
-        n = len(beam.data)
-        starts = last_token_starts(models[0][0].vocabulary, beam.caches[0].main)
-        out = []
-        for b in cand_bytes:
-            t = starts.get(b)
-            if t is None:  # the proposer could not keep this candidate as a beam
-                skipped[(0, n, b)] = None
-                out.append(NEG_INF)
-            else:
-                out.append(beam.lagged[t - n - 1])
-        return [*out, beam.lagged[-1]]
+        n, main = len(beam.data), beam.caches[0].main
+        starts = last_token_starts(models[0][0].vocabulary, main)
+        # a byte missing from ``starts`` grows the proposer's pending tail
+        return [*(beam.lagged[starts.get(b, main.covered) - n - 1] for b in cand_bytes),
+                beam.lagged[-1]]
 
     live = [Beam(b"", refreshed(b"", [None] * len(models)), [0.0] * len(models), 0.0, (0.0,))]
     finished: list[Beam] = []
@@ -326,7 +271,6 @@ def decode(
 
     while live and steps < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
-        skipped.clear()
         groupings: dict = {}  # the step's (trie node, distribution) groupings
         # (-fused, beam bytes, next byte or -1, beam, per-model scores); -1
         # ends ``beam``, and a finished beam competes as its own ending. The
@@ -358,34 +302,24 @@ def decode(
                     candidates.append((-fused, beam.data, b, beam, per_model))
 
         if not candidates:
-            raise DecodeFailure(
-                f"all beams lost fused probability mass at step {steps}", steps, skipped
-            )
+            raise DecodeFailure(f"all beams lost fused probability mass at step {steps}", steps)
         candidates.sort()
 
-        # fill the slots in rank order; a candidate whose bytes a scoring
-        # model cannot tokenize has no next-byte scores for that model, so
-        # it is dropped and the next candidate takes its slot
         kept: list[tuple[bytes, float]] = []
         new_live: list[Beam] = []
         new_finished: list[Beam] = []
-        for neg_fused, data, b, beam, per_model in candidates:
-            if len(kept) == cfg.num_beams:
-                break
+        for neg_fused, data, b, beam, per_model in candidates[: cfg.num_beams]:
             if b < 0:
                 new_finished.append(Beam(data, beam.caches, list(per_model), -neg_fused))
             else:
                 data += bytes((b,))
                 caches = refreshed(data, beam.caches)
-                if caches is None:
-                    continue
-                lagged = ((*beam.lagged, cached_score(1, caches[1], data, groupings))[-window:]
-                          if delayed else ())
+                lagged = ()
+                if delayed and keeps_cache[1]:
+                    score = cache_log_score(models[1][0], caches[1], models[1][1], groupings)
+                    lagged = (*beam.lagged, score)[-window:]
                 new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
             kept.append((data, -neg_fused))
-        if not kept:
-            raise DecodeFailure(f"no selected candidate could be kept at step {steps}",
-                                steps, skipped)
         live, finished = new_live, new_finished
         trace.append(kept)
         after = [m.forward_count for m, _ in models]
@@ -400,7 +334,7 @@ def decode(
         beam.per_model_scores = [
             NEG_INF if weights[i] == 0.0
             else beam.lagged[-1] if delayed and i == 1
-            else cached_score(i, beam.caches[i], beam.data, groupings)
+            else cache_log_score(models[i][0], beam.caches[i], models[i][1], groupings)
             for i in range(len(models))
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)

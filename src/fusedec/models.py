@@ -453,8 +453,10 @@ def _load_ngram(lines: Iterable[str], vocab: Vocabulary, order: int, path: str) 
                 NgramModel.BOS if t == "<s>" else _parse_token_ref(vocab, t)
                 for t in (parts[1].split("+") if parts[1] != "_" else ())
             ), order, vocab.size)  # here, so the error names this line
-            token = _parse_token_ref(vocab, parts[2])
-            counts.setdefault(ctx_key, {})[token] = float(parts[3])
+            token, row = _parse_token_ref(vocab, parts[2]), counts.setdefault(ctx_key, {})
+            if token in row:  # a second line would silently replace the first
+                raise ModelFileError(f"repeated count for {parts[2]} after {parts[1]}")
+            row[token] = float(parts[3])
         else:
             raise ModelFileError(f"unknown ngram directive {parts[0]!r}")
     return NgramModel(vocab, order, corpus=corpus, alpha=alpha, counts=counts)

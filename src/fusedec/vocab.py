@@ -5,9 +5,12 @@ optional end-of-sequence token is kept out-of-band: it has an empty byte
 expansion and never appears in the prefix index, so byte-space arithmetic
 never sees it.
 
-Tokenization is greedy longest match. ``tokenize`` segments a byte string
-cold, one prefix-trie walk per token; ``tokenize_extension`` grows a
-segmentation by one byte without matching any byte again.
+Tokenization is greedy longest match, one prefix-trie walk per token.
+It stops at the first start where no token ends; the bytes from there
+on are the segmentation's pending tail. ``tokenize`` requires whole
+tokens and raises on a tail; ``tokenize_extension`` grows a
+segmentation, tail included, by one byte without matching any byte
+again.
 """
 
 from __future__ import annotations
@@ -36,20 +39,24 @@ class MainSequence:
     """Deterministic segmentation of a byte string into vocabulary tokens.
 
     ``boundary_offsets[i]`` is the byte offset where token ``i`` starts;
-    concatenating the tokens' bytes reproduces ``source_bytes`` exactly.
+    concatenating the tokens' bytes reproduces ``source_bytes[:covered]``.
+    The rest, ``source_bytes[covered:]``, is the pending tail: it starts
+    where no token ends, and is empty when the tokens cover every byte.
     """
 
     token_ids: tuple[int, ...]
     boundary_offsets: tuple[int, ...]
     source_bytes: bytes
+    covered: int
 
     def __len__(self) -> int:
         return len(self.token_ids)
 
 
 def _suffix_start(main: MainSequence, s: int) -> int:
-    """Byte offset after the first ``s`` tokens of ``main``."""
-    return main.boundary_offsets[s] if s < len(main) else len(main.source_bytes)
+    """Byte offset after the first ``s`` tokens of ``main``; after all of
+    them, where the pending tail starts."""
+    return main.boundary_offsets[s] if s < len(main) else main.covered
 
 
 def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
@@ -123,7 +130,7 @@ class _TrieNode:
 class PrefixIndex:
     """Byte trie answering "which tokens start with this prefix" queries.
 
-    ``tokenize`` and ``last_token_starts`` walk its nodes directly. Each
+    The greedy loop and ``last_token_starts`` walk its nodes directly. Each
     node stores every token id whose bytes pass through or end at that
     node and the id of the token ending exactly there, if any. EOS is
     excluded. The first ``alternatives_for_suffix`` query that reaches
@@ -256,18 +263,12 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     return Vocabulary(tokens, eos_id)
 
 
-def _no_match(data: bytes, pos: int) -> TokenizationError:
-    return TokenizationError(
-        f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})", offset=pos
-    )
-
-
-def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
+def _greedy(vocab: Vocabulary, data: bytes) -> MainSequence:
     """Greedy longest-match left-to-right segmentation of ``data``.
 
     Each token is one walk down the prefix trie from its start, taking
-    the last token that ends on the way; a start where none does raises
-    ``TokenizationError``.
+    the last token that ends on the way; the first start where none does
+    begins the pending tail.
     """
     data = bytes(data)
     root, tokens = vocab.prefix_index._root, vocab._tokens
@@ -281,30 +282,43 @@ def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
                 tid = node.terminal
             i += 1
         if tid is None:
-            raise _no_match(data, pos)
+            break
         ids.append(tid)
         offsets.append(pos)
         pos += len(tokens[tid])
-    return MainSequence(tuple(ids), tuple(offsets), data)
+    return MainSequence(tuple(ids), tuple(offsets), data, pos)
+
+
+def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
+    """Greedy longest-match segmentation of all of ``data``; a pending tail
+    raises ``TokenizationError`` at its start."""
+    main = _greedy(vocab, data)
+    pos, data = main.covered, main.source_bytes
+    if pos < len(data):
+        raise TokenizationError(
+            f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})", offset=pos
+        )
+    return main
 
 
 def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
-    """Where the last token of ``tokenize(vocab, data + bytes([b]))`` starts, per ``b``.
+    """Where the last token of greedy ``data + bytes([b])`` starts, per ``b``.
 
-    ``main`` is ``tokenize(vocab, data)``. A byte missing from the result
-    cannot follow ``data``: tokenizing fails at offset ``len(data)``.
-    Greedy matching of ``data + b`` follows ``main`` up to the first token
-    start ``t`` where ``data[t:] + b`` is a token, which ends it; with no
-    such ``t``, ``b`` alone ends it if it is a token. Such a ``t`` lies
-    in the live tail (``_tail_depth``), so one trie walk per start there
-    answers every byte, whatever the length of ``data``.
-    ``tokenize_extension`` applies the same rule to one given byte.
+    ``main`` is the greedy segmentation of ``data``. Greedy matching of
+    ``data + b`` follows ``main`` up to the first token start ``t`` where
+    ``data[t:] + b`` is a token, which ends it; the tail start counts as
+    a token start. Such a ``t`` lies in the live tail (``_tail_depth``),
+    so one trie walk per start there answers every byte, whatever the
+    length of ``data``. A byte missing from the result leaves the tokens
+    as they are and grows the pending tail, which starts at
+    ``main.covered``. ``tokenize_extension`` applies the same rule to
+    one given byte.
     """
     data, root = main.source_bytes, vocab.prefix_index._root
     first = _tail_depth(vocab, main)
     starts: dict[int, int] = {}
     # latest start first, so the earliest qualifying start is written last
-    for t in reversed((*main.boundary_offsets[first:], len(data))):
+    for t in reversed((*main.boundary_offsets[first:], main.covered)):
         node = root
         for x in data[t:]:
             if (node := node.children.get(x)) is None:
@@ -315,22 +329,24 @@ def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
 
 
 def tokenize_extension(vocab: Vocabulary, main: MainSequence, data: bytes) -> MainSequence:
-    """``tokenize(vocab, data)``, where ``data`` is ``main``'s bytes plus one byte.
+    """The greedy segmentation of ``data``, where ``data`` is ``main``'s
+    bytes plus one byte.
 
     By the rule of ``last_token_starts``, the result is ``main``'s tokens
     before the first start ``t`` where ``data[t:]`` is a token, plus that
     token. The starts checked, in order, are those of the live tail
-    (``_tail_depth``), then the end of ``main``'s bytes; each costs one
-    dictionary lookup, and no byte is matched again. With no such start,
-    ``TokenizationError`` at the new byte, as ``tokenize`` raises.
+    (``_tail_depth``), then the start of ``main``'s pending tail; each
+    costs one dictionary lookup, and no byte is matched again. With no
+    such start, the result is ``main``'s tokens with the new byte added
+    to the pending tail.
     """
     ids, offsets = vocab._ids, main.boundary_offsets
     for k in range(_tail_depth(vocab, main), len(offsets) + 1):
         t = _suffix_start(main, k)
         tid = ids.get(data[t:])  # never EOS: data[t:] holds at least the new byte
         if tid is not None:
-            return MainSequence(main.token_ids[:k] + (tid,), offsets[:k] + (t,), data)
-    raise _no_match(data, len(data) - 1)
+            return MainSequence(main.token_ids[:k] + (tid,), offsets[:k] + (t,), data, len(data))
+    return MainSequence(main.token_ids, offsets, data, main.covered)
 
 
 def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:

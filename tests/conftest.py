@@ -138,3 +138,19 @@ def random_model(rng: random.Random, vocab: Vocabulary):
 def random_coverable_bytes(rng: random.Random, alphabet: bytes, max_len: int) -> bytes:
     n = rng.randint(1, max_len)
     return bytes(rng.choice(alphabet) for _ in range(n))
+
+
+def greedy_reference(vocab: Vocabulary, data: bytes) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Greedy longest match by a scan of every token at each start:
+    (token ids, their starts, covered). It stops at the first start where
+    no token matches; ``data[covered:]`` is the pending tail."""
+    ids, offsets, pos = [], [], 0
+    while pos < len(data):
+        matches = [t for t in vocab.non_eos_ids if data.startswith(vocab.bytes_of(t), pos)]
+        if not matches:
+            break
+        tid = max(matches, key=lambda t: len(vocab.bytes_of(t)))
+        ids.append(tid)
+        offsets.append(pos)
+        pos += len(vocab.bytes_of(tid))
+    return tuple(ids), tuple(offsets), pos

@@ -13,7 +13,6 @@ from fusedec import (
     NoisyChannelModel,
     SignalContext,
     TableModel,
-    TokenizationError,
     Vocabulary,
     approx_byte_log_score,
     approx_byte_score,
@@ -29,6 +28,7 @@ from fusedec.vocab import NextByteGroups, _tail_depth, alternatives_for_suffix, 
 
 from conftest import (
     VOCAB_KINDS,
+    greedy_reference,
     random_coverable_bytes,
     random_model,
     random_partial_vocab,
@@ -335,6 +335,45 @@ class TestIncrementalAgainstOracle:
         assert checked >= 500
 
 
+class TestPendingTailAgainstOracle:
+    """Prefixes a partial vocabulary cannot tokenize whole end in a pending
+    tail, scored through the tokens that cover it. Over every EOS
+    placement, each prefix of a walk, pending or not, must stay under the
+    brute-force oracle, and a cache grown byte by byte must equal a cold
+    one bit for bit."""
+
+    def test_dominance_and_cold_equality_on_untokenizable_prefixes(self):
+        rng = random.Random(2205)
+        cases = pending_finite = 0
+        for _ in range(800):
+            kind = rng.choice(["partial", "first", "middle", "last", None])
+            v = random_vocab_of_kind(rng, kind)
+            m = random_model(rng, v)
+            data, cache = b"", refresh_cache(m, b"")
+            for _ in range(rng.randint(1, 7)):
+                cold = refresh_cache(m, data)
+                assert cache.main == cold.main
+                assert cache.states == cold.states and cache.log_rolling == cold.log_rolling
+                log_score = byte_transform.cache_log_score(m, cache)
+                assert log_score == byte_transform.cache_log_score(m, cold)
+                assert math.exp(log_score) <= exact_byte_marginal(m, data) + 1e-12
+                sc = next_byte_scores(m, cache)
+                assert sc == next_byte_scores(m, cold)
+                assert math.exp(sc.log_terminal) <= exact_terminal_mass(m, data) + 1e-12
+                for b, s in sc.log_scores.items():
+                    assert math.exp(s) <= exact_byte_marginal(m, data + bytes([b])) + 1e-12
+                cases += 1
+                pending_finite += cache.main.covered < len(data) and log_score > NEG_INF
+                # a proposed byte, or any byte of the alphabet
+                if sc.log_scores and rng.random() < 0.5:
+                    b = rng.choice(sorted(sc.log_scores))
+                else:
+                    b = rng.choice(b"abc")
+                data += bytes([b])
+                cache = refresh_cache(m, data, old=cache)
+        assert cases >= 3000 and pending_finite >= 200
+
+
 class TestLiveDepthWindow:
     """Scoring scans only the depths whose suffix a token can cover.
 
@@ -353,22 +392,17 @@ class TestLiveDepthWindow:
         else:
             m, ctx = random_model(rng, v), None
         data, cache = b"", refresh_cache(m, b"", ctx)
-        for b in walk:
+        for b in walk:  # prefixes with a pending tail are scored too
             _assert_matches_reference(m, cache, ctx)
-            try:
-                extended = refresh_cache(m, data + bytes([b]), ctx, old=cache)
-            except TokenizationError:
-                break
-            prev_data, data = data, data + bytes([b])
+            extended = refresh_cache(m, data + bytes([b]), ctx, old=cache)
+            data += bytes([b])
             assert approx_byte_log_score(m, data, ctx) == _reference_approx(m, data, ctx)
             assert byte_transform.cache_log_score(m, extended, ctx) == _reference_approx(m, data, ctx)
             cache = extended
-            # a longer cache hands nothing over: the shorter prefix is matched cold
-            cut = rng.randint(0, len(prev_data))
-            shorter = refresh_cache(m, data[:cut], ctx, old=cache)
-            assert byte_transform.cache_log_score(m, shorter, ctx) == _reference_approx(
-                m, data[:cut], ctx
-            )
+            # a cache refreshes only from the one of its bytes minus the last
+            cut = rng.randint(0, len(data) - 1)
+            with pytest.raises(ValueError, match="minus its last byte"):
+                refresh_cache(m, data[:cut], ctx, old=cache)
         _assert_matches_reference(m, cache, ctx)
 
     @given(st.integers(0, 2**32 - 1), st.text(alphabet="abc", max_size=30).map(str.encode))
@@ -377,10 +411,7 @@ class TestLiveDepthWindow:
         rng = random.Random(seed)
         v = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=rng.random() < 0.7)
         m = random_model(rng, v)
-        try:
-            cache = refresh_cache(m, data)
-        except TokenizationError:
-            return
+        cache = refresh_cache(m, data)  # a pending tail too
         for s in range(_tail_depth(v, cache.main)):
             if cache.log_rolling[s] == NEG_INF:
                 continue
@@ -434,12 +465,9 @@ class TestEosPlacement:
                 record = alternatives_for_suffix(idx, v.bytes_of(t)[:d])
                 assert list(dist[record.index]) == list(dist[record.ids])
         data, cache = b"", refresh_cache(m, b"", ctx)
-        for b in walk:
+        for b in walk:  # prefixes with a pending tail are scored too
             _assert_matches_reference(m, cache, ctx)
-            try:
-                cache = refresh_cache(m, data + bytes([b]), ctx, old=cache)
-            except TokenizationError:
-                break
+            cache = refresh_cache(m, data + bytes([b]), ctx, old=cache)
             data += bytes([b])
             assert byte_transform.cache_log_score(m, cache, ctx) == _reference_approx(m, data, ctx)
         _assert_matches_reference(m, cache, ctx)
@@ -489,17 +517,14 @@ class TestStepGroupings:
             models.append((NoisyChannelModel(v1), SignalContext(walks[0], noise=0.1)))
         else:
             models.append((random_model(rng, v1), None))
-        scored = []  # (model, ctx, cache) for every tokenizable prefix of every walk
+        scored = []  # (model, ctx, cache) for every prefix of every walk, pending or not
         for m, ctx in models:
             for walk in walks:
                 data, cache = b"", refresh_cache(m, b"", ctx)
                 scored.append((m, ctx, cache))
                 for b in walk:
-                    try:
-                        cache = refresh_cache(m, data + bytes([b]), ctx, old=cache)
-                    except TokenizationError:
-                        break
                     data += bytes([b])
+                    cache = refresh_cache(m, data, ctx, old=cache)
                     scored.append((m, ctx, cache))
         rng.shuffle(scored)
         groupings = {}
@@ -517,10 +542,10 @@ class TestStepGroupings:
 
 class TestOneByteRefresh:
     """A cache refreshed from its parent by one byte takes the parent's
-    tokens up to one new last token (``vocab.tokenize_extension``); it
-    must be the cache a cold build makes. A refresh from an older
-    ancestor (a catch-up over several bytes) re-matches the parent's tail
-    and must be cold-equal too."""
+    tokens up to one new last token, or all of them when the byte only
+    grows the pending tail (``vocab.tokenize_extension``); it must be the
+    cache a cold build makes. A refresh from any other ancestor is an
+    error."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -536,29 +561,23 @@ class TestOneByteRefresh:
         else:
             m, ctx = random_model(rng, v), None
         data, cache = b"", refresh_cache(m, b"", ctx)
-        ancestors = [cache]
+        ancestors = []
         for b in walk:  # "d" is in no vocabulary, and partial ones may miss more
             ext = data + bytes([b])
-            try:
-                cold = refresh_cache(m, ext, ctx)
-            except TokenizationError as cold_err:
-                with pytest.raises(TokenizationError) as err:
-                    refresh_cache(m, ext, ctx, old=cache)
-                assert err.value.offset == cold_err.offset == len(data)
-                assert str(err.value) == str(cold_err)
-                continue  # the next byte extends the same parent
+            cold = refresh_cache(m, ext, ctx)
             warm = refresh_cache(m, ext, ctx, old=cache)
-            caught_up = refresh_cache(m, ext, ctx, old=rng.choice(ancestors))
-            for got in (warm, caught_up):
-                assert got.main == cold.main
-                assert got.states == cold.states
-                assert got.log_rolling == cold.log_rolling
-                assert len(got.dists) == len(cold.dists)
-                for dist, want in zip(got.dists, cold.dists):
-                    if dist is not None and want is not None:
-                        assert dist.tolist() == want.tolist()
-            data, cache = ext, warm if rng.random() < 0.5 else cold
+            assert warm.main == cold.main
+            assert warm.states == cold.states
+            assert warm.log_rolling == cold.log_rolling
+            assert len(warm.dists) == len(cold.dists)
+            for dist, want in zip(warm.dists, cold.dists):
+                if dist is not None and want is not None:
+                    assert dist.tolist() == want.tolist()
+            if ancestors:
+                with pytest.raises(ValueError, match="minus its last byte"):
+                    refresh_cache(m, ext, ctx, old=rng.choice(ancestors))
             ancestors.append(cache)
+            data, cache = ext, warm if rng.random() < 0.5 else cold
 
     def test_a_one_byte_refresh_tokenizes_nothing(self, monkeypatch):
         rng = random.Random(18)
@@ -566,19 +585,23 @@ class TestOneByteRefresh:
         m = random_model(rng, v)
         calls = []
 
-        def counted(*args):
-            calls.append(args[1])
-            return tokenize(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, args[1]))
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(byte_transform, "tokenize", counted)
+        for name in ("tokenize", "_greedy"):
+            monkeypatch.setattr(byte_transform, name, counted(name, getattr(byte_transform, name)))
         data = bytes(rng.choice(b"ab") for _ in range(60))
         cache = refresh_cache(m, b"")
         for i in range(len(data)):
             cache = refresh_cache(m, data[: i + 1], old=cache)
-        assert calls == [b""]  # the cold root alone
+        assert calls == [("_greedy", b"")]  # the cold root alone
         assert cache.main == tokenize(v, data)
-        refresh_cache(m, data + b"ab", old=cache)  # a catch-up still tokenizes
-        assert len(calls) == 2
+        with pytest.raises(ValueError, match="minus its last byte"):
+            refresh_cache(m, data + b"ab", old=cache)  # no catch-up over two bytes
+        assert len(calls) == 1
 
 
 def _reference_logsumexp(parts):
@@ -594,10 +617,12 @@ def _reference_logsumexp(parts):
 
 
 def _reference_depths(model, data, ctx):
-    """(log rolling, distribution, next-byte masses) at every depth 0..S, cold."""
+    """(log rolling, distribution, next-byte masses) at every depth 0..S,
+    cold; depth S's suffix is the pending tail, empty when the greedy
+    tokens cover ``data``."""
     v = model.vocabulary
-    main = tokenize(v, data)
-    starts = list(main.boundary_offsets) + [len(data)]
+    token_ids, offsets, covered = greedy_reference(v, data)
+    starts = list(offsets) + [covered]
     state, lr, depths = model.initial_state(ctx), 0.0, []
     for s, start in enumerate(starts):
         dist = model.dist_from_state(state, ctx)
@@ -609,8 +634,8 @@ def _reference_depths(model, data, ctx):
             buckets = group_by_next_byte(groups, dist[members])
             masses = {b: mass for b, mass in buckets.items() if mass > 0.0}
         depths.append((lr, dist, masses))
-        if s < len(main):
-            tid = main.token_ids[s]
+        if s < len(token_ids):
+            tid = token_ids[s]
             if lr > NEG_INF:
                 p = float(dist[tid])
                 lr = (lr + math.log(p)) if p > 0.0 else NEG_INF
@@ -619,11 +644,16 @@ def _reference_depths(model, data, ctx):
 
 
 def _reference_approx(model, data, ctx):
+    """The main path plus each depth's covering tokens; with a pending
+    tail there is no main path, and depth S's tokens cover the tail."""
     if not data:
         return 0.0
     depths = _reference_depths(model, data, ctx)
-    parts = [depths[-1][0]]
-    for lr, _, masses in depths[:-1]:
+    if greedy_reference(model.vocabulary, data)[2] < len(data):
+        parts, scanned = [], depths
+    else:
+        parts, scanned = [depths[-1][0]], depths[:-1]
+    for lr, _, masses in scanned:
         if lr == NEG_INF:
             continue
         mass = 0.0  # added in order, as for _reference_logsumexp
@@ -635,7 +665,8 @@ def _reference_approx(model, data, ctx):
 
 
 def _assert_matches_reference(model, cache, ctx):
-    depths = _reference_depths(model, cache.main.source_bytes, ctx)
+    data = cache.main.source_bytes
+    depths = _reference_depths(model, data, ctx)
     log_buckets = {}
     for lr, _, masses in depths:
         if lr == NEG_INF:
@@ -645,8 +676,9 @@ def _assert_matches_reference(model, cache, ctx):
     want = {b: _reference_logsumexp(parts) for b, parts in sorted(log_buckets.items())}
     lr, dist, _ = depths[-1]
     eos = model.vocabulary.eos_id
-    want_terminal = NEG_INF
-    if eos is not None and lr > NEG_INF and float(dist[eos]) > 0.0:
+    want_terminal = NEG_INF  # a pending tail cannot end the sequence
+    pending = greedy_reference(model.vocabulary, data)[2] < len(data)
+    if eos is not None and lr > NEG_INF and float(dist[eos]) > 0.0 and not pending:
         want_terminal = lr + math.log(float(dist[eos]))
     got = next_byte_scores(model, cache, ctx)
     assert got.log_scores == want

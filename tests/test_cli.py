@@ -71,6 +71,18 @@ class TestScoreAndOracle:
         assert "approx=0.2" in out
         assert out.rstrip().endswith("ok")
 
+    def test_oracle_check_on_a_mid_character_prefix(self, tmp_path, capsys):
+        # U+4E00 and U+4E01 as whole-character tokens: "\xe4\xb8" ends
+        # mid-character, a pending tail that both tokens cover
+        vocab = tmp_path / "v.txt"
+        vocab.write_text("\\xe4\\xb8\\x80\n\\xe4\\xb8\\x81\n")
+        model = tmp_path / "m.txt"
+        model.write_text("iid\n\\xe4\\xb8\\x80 0.75\n\\xe4\\xb8\\x81 0.25\n")
+        code = cli_main(["oracle-check", "--vocab", str(vocab), "--model", str(model),
+                         "--bytes", "\\xe4\\xb8"])
+        assert capsys.readouterr().out == "exact=1.0 approx=1.0 ok\n"
+        assert code == 0
+
     def test_score_with_prompt_context(self, tmp_path, capsys):
         vocab = tmp_path / "v.txt"
         vocab.write_text("a\nb\n")

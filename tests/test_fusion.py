@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -27,6 +28,7 @@ from fusedec import byte_transform, fusion
 from fusedec.vocab import last_token_starts
 
 from conftest import (
+    greedy_reference,
     random_bigram_model,
     random_dist,
     random_iid_model,
@@ -253,9 +255,10 @@ class TestDegeneracy:
         )
         assert result.best == b"ab"
 
-    def test_synchronous_candidate_a_scorer_cannot_tokenize_is_dropped(self):
+    def test_synchronous_candidate_with_a_pending_tail_is_kept(self):
         # the rescorer {a, ab, bc} proposes "b" through "bc" but cannot
-        # tokenize "b"; that candidate gives its slot to the next one
+        # tokenize "b" whole; "b" is its pending tail, scored through "bc",
+        # and the candidate keeps its slot
         tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c"], eos=True))
         lm = NgramModel(build_vocabulary([b"a", b"ab", b"bc"], eos=True), 2,
                         corpus=[b"a", b"aab"])
@@ -263,11 +266,12 @@ class TestDegeneracy:
         cfg = FusionConfig(r=0.2, num_beams=5)
         result = decode([(tr, ctx), (lm, None)], cfg)
         assert result.best == b"a"
-        assert [data for data, _ in result.trace[0]] == [b"a", b""]
+        assert [data for data, _ in result.trace[0]] == [b"a", b"", b"b"]
+        assert any(data == b"bc" for step in result.trace for data, _ in step)
+        lm_score = approx_byte_log_score(lm, b"b")
+        assert NEG_INF < lm_score == math.log(float(lm.dist_from_state(lm.initial_state())[2]))
         for step in result.trace:
             assert len(step) <= cfg.num_beams
-            for data, _ in step:
-                tokenize(lm.vocabulary, data)  # every kept candidate is tokenizable
         for _, fused, per_model in result.all_beams:
             assert fused == fuse_scores(per_model, cfg.resolve_weights(2))
 
@@ -449,6 +453,32 @@ class TestDelayedFeedback:
             at_budget += sum(len(data) == max_bytes for data, _, _ in result.all_beams)
         assert at_budget > 0
 
+    def test_a_pending_proposer_tail_lags_to_where_it_starts(self):
+        # as above, over partial vocabularies: a kept extension whose
+        # proposer bytes end in a pending tail is lagged to where the tail
+        # starts, and ends and beams at max_bytes score their whole bytes
+        extensions = pending = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            tr = random_model(rng, random_partial_vocab(rng, b"abc", eos=True))
+            lm = random_model(rng, random_partial_vocab(rng, b"abc", eos=True))
+            cfg = FusionConfig(r=1.0, num_beams=4, max_bytes=6, feedback="delayed")
+            try:
+                result = decode([(tr, None), (lm, None)], cfg)
+            except DecodeFailure:
+                continue
+            for step, kept in enumerate(result.trace):
+                for data, fused in kept:
+                    if len(data) == step + 1:
+                        _, offsets, covered = greedy_reference(tr.vocabulary, data)
+                        extensions += 1
+                        pending += covered < len(data)
+                        data = data[: offsets[-1] if covered == len(data) else covered]
+                    assert fused == approx_byte_log_score(lm, data)
+            for data, fused, (_, lm_score) in result.all_beams:
+                assert fused == lm_score == approx_byte_log_score(lm, data)
+        assert extensions > pending > 0
+
     def test_lagged_scores_are_read_not_rescored(self, monkeypatch):
         # the rescorer scores a beam's bytes once, when the beam is kept, and
         # every lagged and ending score is read from the beam's window; each
@@ -519,17 +549,20 @@ class TestDelayedFeedback:
 
 
 class TestFailureAndEdges:
-    def test_failure_names_step_model_offset_and_byte(self):
-        # {ab} proposes "a" but cannot tokenize it, and there is no EOS to end on
+    def test_a_mid_token_byte_pends_and_a_failure_names_its_step(self):
+        # {ab} proposes "a" but cannot tokenize it whole: "a" pends, covered
+        # by "ab", so the decode reaches "ab". There the signal ends and
+        # {ab} has no EOS to end on, so every beam loses its mass at step 2
         tr = NoisyChannelModel(build_vocabulary([b"a", b"b"], eos=True))
         lm = TableModel(build_vocabulary([b"ab"]), [1.0])
-        cfg = FusionConfig(r=0.5, num_beams=2, max_bytes=4)
+        models = [(tr, SignalContext(b"ab")), (lm, None)]
+        result = decode(models, FusionConfig(r=0.5, num_beams=2, max_bytes=2))
+        assert [[data for data, _ in step] for step in result.trace] == [[b"a"], [b"ab"]]
+        assert result.all_beams[0][2][1] == 0.0  # log P(ab)
         with pytest.raises(DecodeFailure) as info:
-            decode([(tr, SignalContext(b"ab")), (lm, None)], cfg)
-        assert info.value.step == 0
-        assert info.value.skipped == ((1, 0, ord("a")),)
-        assert "step 0" in str(info.value)
-        assert "model 1 cannot tokenize byte 0x61 at offset 0" in str(info.value)
+            decode(models, FusionConfig(r=0.5, num_beams=2, max_bytes=4))
+        assert info.value.step == 2
+        assert str(info.value) == "all beams lost fused probability mass at step 2"
 
     def test_disjoint_supports_fail_cleanly(self):
         va = build_vocabulary([b"a"])
@@ -710,9 +743,9 @@ class TestForwardMinimality:
         assert counts == tuple(len(set(m.seen)) for m in models)
 
     def test_a_rescorer_gap_does_not_cold_start_the_descendants(self):
-        # the rescorer's {a, b, ca} cannot tokenize "abc" but can "abca",
-        # whose cache is refreshed from that of "ab", not built cold; the
-        # proposer's "ca" lags "abca" to "ab"
+        # the rescorer's {a, b, ca} leaves "c" of "abc" pending but tokenizes
+        # "abca", whose cache is refreshed from that of "abc", not built
+        # cold; the proposer's "ca" lags "abca" to "ab"
         tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c", b"ca"], eos=True))
         lm = _PrefixModel(build_vocabulary([b"a", b"b", b"ca"], eos=True), 0)
         result = decode([(tr, SignalContext(b"abca", noise=0.2)), (lm, None)],

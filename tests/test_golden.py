@@ -59,8 +59,8 @@ def test_demo_report_and_outputs_match_golden(tmp_path, monkeypatch, capsys):
 # --- pinned decodes -----------------------------------------------------------
 #
 # The demo never reaches delayed feedback at r = 0 or 1, three models, a
-# length penalty, a byte budget that cuts beams off, or candidates
-# dropped by a partial-coverage vocabulary. Each case below is decoded
+# length penalty, a byte budget that cuts beams off, or the pending tails
+# of a partial-coverage vocabulary. Each case below is decoded
 # from fresh seeded models. Two files pin it, one line per case:
 # ``decode_digests.txt`` the SHA-256 of its outputs (best, all beams and
 # trace, or the failure message), and ``decode_forwards.txt`` its
@@ -125,8 +125,8 @@ def _decode_cases():
                 f"{feedback}-budget-s{seed}", lambda s=seed: _signal_pair(s),
                 FusionConfig(r=0.2, num_beams=6, max_bytes=4, feedback=feedback),
             ))
-    # without EOS nothing ends before the budget, so a step that drops its
-    # only candidates fails
+    # without EOS nothing ends before the budget, so a step whose
+    # candidates all lose their mass (a pending tail no token covers) fails
     for seed, eos, feedback in itertools.product(range(12), (True, False),
                                                  ("synchronous", "delayed")):
         cases.append((

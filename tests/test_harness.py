@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusedec import FusionConfig, NgramModel, NoisyChannelModel, build_vocabulary
 from fusedec.harness import (
     CONFIG_SCHEMA,
     CorpusSpec,
     ExperimentConfig,
+    ExperimentSetup,
     MarkovSource,
     build_corpora,
     build_setup,
@@ -393,3 +395,56 @@ class TestDirectionalBenefit:
         assert by_key[(0.2, "fused")].cer <= by_key[(0.2, "beam")].cer
         assert by_key[(0.0, "fused")].cer == 0.0
         assert by_key[(0.0, "beam")].cer == 0.0
+
+
+class TestMultiByteFusion:
+    """A recognizer over bytes fused with an LM over whole Chinese characters.
+
+    Every mid-character prefix is a pending tail for the LM, scored through
+    the characters and words that cover it. The instance: the characters
+    U+4E00-U+4E07 (UTF-8 ``E4 B8 80``-``87``), references from an 8-symbol
+    ``MarkovSource`` (seed 7; 300 train strings of 3-8 characters from seed
+    8, 50 test strings from seed 9), a channel confusing the last bytes
+    80:81, 82:83, 84:85 and 86:87 at eps 0.1, a recognizer over the 10
+    distinct bytes and EOS, and a bigram LM (alpha 0.1) over the 8
+    characters, 20 two-character words and EOS; r 0.2, 5 beams, length
+    penalty 1.0, ``max_bytes`` the longest reference plus 8. The CERs are
+    pinned as the code gives them; the instance is not tuned.
+    """
+
+    @staticmethod
+    def _setup() -> ExperimentSetup:
+        chars = [chr(0x4E00 + i).encode() for i in range(8)]
+        source = MarkovSource(bytes(range(8)), 7)
+
+        def text(symbols: bytes) -> bytes:
+            return b"".join(chars[i] for i in symbols)
+
+        train = [text(s) for s in source.corpus(8, 300, 3, 8)]
+        words = [a + b for a in chars for b in chars]
+        random.Random(3).shuffle(words)
+        tr_vocab = build_vocabulary(sorted({bytes([b]) for c in chars for b in c}), eos=True)
+        lm_vocab = build_vocabulary(chars + words[:20], eos=True)
+        return ExperimentSetup(
+            seed=7,
+            tr_model=NoisyChannelModel(tr_vocab),
+            lm_model=NgramModel(lm_vocab, 2, corpus=train, alpha=0.1),
+            test=[text(s) for s in source.corpus(9, 50, 3, 8)],
+        )
+
+    def test_fusion_beats_beam_in_both_modes(self):
+        setup = self._setup()
+        confusions = frozenset((0x80 + k, 0x81 + k) for k in range(0, 8, 2))
+        cer = {}
+        for name, decoder, feedback in (("beam", "beam", "synchronous"),
+                                        ("synchronous", "fused", "synchronous"),
+                                        ("delayed", "fused", "delayed")):
+            cfg = ExperimentConfig(confusions=confusions, fusion=FusionConfig(
+                r=0.2, num_beams=5, feedback=feedback, length_penalty=1.0))
+            # a TokenizationError would escape decode_corpus and fail the test
+            result = decode_corpus(decoder, setup, cfg, 0.1)
+            assert result.failures == 0
+            assert b"" not in result.hypotheses
+            cer[name] = round(result.report.cer, 4)
+        assert cer == {"beam": 0.1722, "synchronous": 0.0372, "delayed": 0.0471}
+        assert cer["synchronous"] < cer["beam"] and cer["delayed"] < cer["beam"]

@@ -550,6 +550,14 @@ class TestModelFiles:
         with pytest.raises(ModelFileError, match=f"^{re.escape(str(tmp_path / 'm.txt'))}:{line}: "):
             load_model(str(tmp_path / "m.txt"), v)
 
+    def test_repeated_count_rejected_naming_its_line(self, tmp_path):
+        # the second line would replace the first, so the row is ambiguous
+        (tmp_path / "m.txt").write_text("ngram 2\ncount <s> a 3\ncount <s> b 1\ncount <s> a 2\n")
+        v = build_vocabulary([b"a", b"b"])
+        message = f"{tmp_path / 'm.txt'}:4: repeated count for a after <s>"
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
+            load_model(str(tmp_path / "m.txt"), v)
+
     def test_unknown_kind_rejected(self, tmp_path):
         (tmp_path / "v.txt").write_text("a\n")
         (tmp_path / "m.txt").write_text("gaussian\n")

@@ -20,6 +20,7 @@ from fusedec.vocab import (
     NextByteGroups,
     PrefixIndex,
     _TrieNode,
+    _greedy,
     alternatives_for_suffix,
     escape_token,
     group_by_next_byte,
@@ -31,6 +32,7 @@ from fusedec.vocab import (
 
 from conftest import (
     VOCAB_KINDS,
+    greedy_reference,
     random_partial_vocab,
     random_vocab,
     random_vocab_of_kind,
@@ -147,19 +149,9 @@ _WALK = st.text(alphabet="abc", max_size=24).map(str.encode)
 
 
 def _greedy_reference(vocab, data):
-    """Greedy longest match by a scan of every token at each start."""
-    ids, offsets, pos = [], [], 0
-    while pos < len(data):
-        matches = [t for t in vocab.non_eos_ids if data.startswith(vocab.bytes_of(t), pos)]
-        if not matches:
-            raise TokenizationError(
-                f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})", pos
-            )
-        tid = max(matches, key=lambda t: len(vocab.bytes_of(t)))
-        ids.append(tid)
-        offsets.append(pos)
-        pos += len(vocab.bytes_of(tid))
-    return MainSequence(tuple(ids), tuple(offsets), data)
+    """The reference segmentation of ``data``, pending tail included."""
+    ids, offsets, covered = greedy_reference(vocab, data)
+    return MainSequence(ids, offsets, data, covered)
 
 
 class TestGreedyReference:
@@ -171,14 +163,18 @@ class TestGreedyReference:
     @settings(max_examples=300, deadline=None)
     def test_tokenize_equals_greedy_reference(self, seed, data, placement):
         # every EOS placement; "d" is in no vocabulary, and an alphabet
-        # byte may be in none
+        # byte may be in none. The greedy loop leaves the bytes from the
+        # first start no token matches as a pending tail; tokenize, which
+        # needs whole tokens, raises there instead
         v = random_vocab_with_eos(random.Random(seed), placement)
-        try:
-            want = _greedy_reference(v, data)
-        except TokenizationError as err:
-            with pytest.raises(TokenizationError, match=f"^{re.escape(str(err))}$") as got:
+        want = _greedy_reference(v, data)
+        assert _greedy(v, data) == want
+        pos = want.covered
+        if pos < len(data):
+            message = f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})"
+            with pytest.raises(TokenizationError, match=f"^{re.escape(message)}$") as got:
                 tokenize(v, data)
-            assert got.value.offset == err.offset
+            assert got.value.offset == pos
         else:
             assert tokenize(v, data) == want
 
@@ -194,24 +190,16 @@ class TestIncrementalTokenize:
     @given(st.integers(0, 2**32 - 1), _WALK, _WALK)
     @settings(max_examples=300, deadline=None)
     def test_matches_cold_run(self, seed, head, tail):
-        # growing a segmentation one byte at a time gives a cold run's, up
-        # to the first byte that cannot follow, where both fail
+        # growing a segmentation one byte at a time gives a cold run's,
+        # pending tail included: a byte that no token can take grows the
+        # tail, and a later one may complete a token that covers it
         rng = random.Random(seed)
-        v = random_partial_vocab(rng, b"abc", eos=rng.random() < 0.5)
-        main = _tokenize_outcome(v, head)
-        if isinstance(main, int):
-            # greedy matching stopped at a token boundary, so the bytes
-            # before it tokenize on their own
-            main = tokenize(v, head[:main])
+        v = random_partial_vocab(rng, b"abcd", eos=rng.random() < 0.5)
+        main = _greedy(v, head)
         for b in tail:
             data = main.source_bytes + bytes([b])
-            cold = _tokenize_outcome(v, data)
-            try:
-                main = tokenize_extension(v, main, data)
-            except TokenizationError as err:
-                assert err.offset == cold == len(data) - 1
-                break
-            assert main == cold
+            main = tokenize_extension(v, main, data)
+            assert main == _greedy_reference(v, data)
 
 
 class TestOneRuleTwoReaders:
@@ -226,27 +214,23 @@ class TestOneRuleTwoReaders:
     )
     @settings(max_examples=300, deadline=None)
     def test_starts_and_extensions_agree(self, seed, data, kind):
+        # a byte in ``starts`` ends a new last token there; any other byte
+        # leaves the tokens as they are and grows the pending tail
         rng = random.Random(seed)
         v = random_vocab_of_kind(rng, kind)
-        main = _tokenize_outcome(v, data)
-        if isinstance(main, int):
-            main = tokenize(v, data[:main])
-        data = main.source_bytes
+        main = _greedy_reference(v, data)
         starts = last_token_starts(v, main)
         assert set(starts) <= set(b"abc")
         for b in b"abcd":  # no vocabulary has "d"
             ext = data + bytes([b])
-            cold = _tokenize_outcome(v, ext)
-            try:
-                got = tokenize_extension(v, main, ext)
-            except TokenizationError as err:
-                assert err.offset == cold == len(data)
-                assert b not in starts
-                with pytest.raises(TokenizationError, match=re.escape(str(err))):
-                    tokenize(v, ext)
-            else:
-                assert got == cold
+            got = tokenize_extension(v, main, ext)
+            assert got == _greedy_reference(v, ext)
+            if b in starts:
+                assert got.covered == len(ext)
                 assert starts[b] == got.boundary_offsets[-1]
+            else:
+                assert got.covered == main.covered < len(ext)
+                assert got.token_ids == main.token_ids
 
 
 class TestVocabularyLookups:
