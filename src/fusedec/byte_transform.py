@@ -238,7 +238,8 @@ def refresh_cache(
     The last shared slot is the first the child reads; if ``old`` has not
     evaluated it, it is filled in ``old`` (its own prefix, so ``old`` stays
     exact) before the copy, and every sibling refreshed from ``old`` shares
-    that one forward.
+    that one forward. The slot of a pending tail that no token covers is
+    read by nothing and left empty.
     """
     vocab = model.vocabulary
     data = bytes(data)
@@ -251,8 +252,11 @@ def refresh_cache(
             raise ValueError("old must hold data minus its last byte")
         main = tokenize_extension(vocab, old.main, data)
         # every depth before the new last token; all of them if the tail grew
-        keep = len(main.token_ids) + (main.covered < len(data))
-        if old.log_rolling[keep - 1] > NEG_INF:
+        pending = main.covered < len(data)
+        keep = len(main.token_ids) + pending
+        if old.log_rolling[keep - 1] > NEG_INF and (
+            not pending or alternatives_for_suffix(vocab, data[main.covered :]).keys
+        ):
             _dist_at(model, old, keep - 1, ctx)
         states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
 
@@ -278,8 +282,8 @@ def _restricted_mass(
     whole remaining suffix and routed to the byte each proposes past it.
     Tokens that match the suffix exactly complete it through an off-main
     segmentation; the main-sequence approximation drops them. The tokens
-    are the trie node's shared record for the suffix, built once per
-    vocabulary, read through its ``index`` (a view at the root). Buckets
+    are the shared record of the suffix's node in the vocabulary's trie,
+    read through its ``index`` (a view at the root). Buckets
     are returned unfiltered: callers skip masses <= 0. ``groupings`` is a
     step's memo (see ``fusion.decode``): a (record, distribution) pair in
     it is not grouped again, and its buckets are shared, so callers only
@@ -288,7 +292,7 @@ def _restricted_mass(
     """
     vocab = model.vocabulary
     suffix = cache.main.source_bytes[_suffix_start(cache.main, s) :]
-    members = alternatives_for_suffix(vocab.prefix_index, suffix)
+    members = alternatives_for_suffix(vocab, suffix)
     if not members.keys:  # no member proposes a byte past the suffix
         return {}
     dist = cache.dists[s]

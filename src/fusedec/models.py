@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, tokenize, unescape_token
+from .vocab import Vocabulary, matching_ids, tokenize, unescape_token
 
 
 class ModelFileError(ValueError):
@@ -257,10 +257,11 @@ class NoisyChannelModel(TokenModel):
     """Signal-conditioned channel: a desk-scale stand-in for a recognizer.
 
     At byte offset ``o`` into the context signal R, mass (1 - noise) is
-    split uniformly over tokens whose bytes match R at ``o`` (under the
-    context's confusion pairs), and ``noise`` is spread uniformly over the
-    whole vocabulary. Once the signal is consumed the matching set is
-    {EOS}. The offset is the byte length of the committed token prefix.
+    split uniformly over tokens whose bytes match R at ``o`` under the
+    context's confusion pairs (``vocab.matching_ids``, one trie walk), and
+    ``noise`` is spread uniformly over the whole vocabulary. Once the
+    signal is consumed the matching set is {EOS}. The offset is the byte
+    length of the committed token prefix.
 
     Beams at one offset share a distribution, so the distributions of
     the last context seen are kept, keyed by offset (every offset past
@@ -281,19 +282,6 @@ class NoisyChannelModel(TokenModel):
 
     def advance_state(self, state: int, token_id: int) -> int:
         return state + len(self.vocabulary.bytes_of(self._check_id(token_id)))
-
-    def _matching_ids(self, state: int, ctx: SignalContext) -> tuple[int, ...]:
-        """Ids of the tokens matching the signal at byte ``state``, ascending.
-
-        Found by walking the vocabulary's prefix trie along the signal,
-        following each signal byte and its confusion partners, so the
-        cost is the number of matches rather than the vocabulary size.
-        """
-        sig = ctx.signal
-        if state >= len(sig):
-            return (self.vocabulary.eos_id,) if self.vocabulary.eos_id is not None else ()
-        self._use_context(ctx)
-        return tuple(self.vocabulary.prefix_index.matching_ids(sig, state, self._partners))
 
     def _use_context(self, ctx: SignalContext) -> None:
         """Make ``ctx`` the memo's context: a new one drops the kept
@@ -322,7 +310,10 @@ class NoisyChannelModel(TokenModel):
     def _fresh_dist(self, state: int, ctx: SignalContext) -> np.ndarray:
         v = self.vocabulary.size
         dist = np.full(v, ctx.noise / v, dtype=np.float64)
-        matching = self._matching_ids(state, ctx)
+        if state < len(ctx.signal):
+            matching = matching_ids(self.vocabulary, ctx.signal, state, self._partners)
+        else:
+            matching = [] if self.vocabulary.eos_id is None else [self.vocabulary.eos_id]
         if matching:
             share = (1.0 - ctx.noise) / len(matching)
             for tid in matching:

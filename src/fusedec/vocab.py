@@ -1,11 +1,12 @@
-"""Vocabularies, byte-prefix indexing, and deterministic tokenization.
+"""Vocabularies, their byte tries, and deterministic tokenization.
 
-A vocabulary maps dense token ids to unique, non-empty byte strings. An
+A vocabulary maps dense token ids to unique, non-empty byte strings and
+builds the byte trie of its tokens (``Vocabulary.prefix_index``). An
 optional end-of-sequence token is kept out-of-band: it has an empty byte
-expansion and never appears in the prefix index, so byte-space arithmetic
-never sees it.
+expansion and never appears in the trie, so byte-space arithmetic never
+sees it.
 
-Tokenization is greedy longest match, one prefix-trie walk per token.
+Tokenization is greedy longest match, one trie walk per token.
 It stops at the first start where no token ends; the bytes from there
 on are the segmentation's pending tail. ``tokenize`` requires whole
 tokens and raises on a tail; ``tokenize_extension`` grows a
@@ -71,38 +72,33 @@ class NextByteGroups:
     """Token ids sharing a byte prefix, grouped by the byte that follows it.
 
     Holds the member ids (``ids``, a read-only array) and has their
-    count as its length. For the members longer than the prefix
-    (``depth`` bytes) it holds their positions among the members
-    (``longer``) and the slot of each one's next byte in ``keys``, the
-    distinct next bytes in order of first appearance. Summing weights
-    per slot with ``np.bincount`` in member order is then the whole of
+    count as its length. ``keys`` are the distinct bytes that follow the
+    prefix in the members longer than it, in order of first appearance,
+    and ``slot`` gives each member the position of its next byte in
+    ``keys``. The member that matches the prefix exactly, if any (one at
+    most: surfaces are unique), gets the extra slot ``len(keys)``, so
+    ``np.bincount`` over every member in member order is the whole of
     ``group_by_next_byte``. ``index`` is a basic slice when the ids are
-    consecutive, as at the root when EOS is the last id, so ``dist[index]``
-    is a view; else ``ids``. ``all_longer``: every member is longer.
+    consecutive, as at the root when EOS is the last id, so
+    ``dist[index]`` is a view; else ``ids``.
     """
 
-    __slots__ = ("ids", "longer", "slot", "keys", "depth", "index", "all_longer")
+    __slots__ = ("ids", "slot", "keys", "index")
 
     def __init__(self, tokens: Sequence[bytes], ids: Sequence[int], depth: int):
-        longer: list[int] = []
         slot: list[int] = []
         slot_of: dict[int, int] = {}
-        for pos, tid in enumerate(ids):
+        for tid in ids:
             tb = tokens[tid]
             if depth > len(tb):
                 raise AssertionError(f"depth {depth} exceeds byte length of token {tid}")
-            if len(tb) > depth:
-                longer.append(pos)
-                slot.append(slot_of.setdefault(tb[depth], len(slot_of)))
+            slot.append(slot_of.setdefault(tb[depth], len(slot_of)) if len(tb) > depth else -1)
         self.ids = _frozen(ids)
-        self.longer = _frozen(longer)
-        self.slot = _frozen(slot)
         self.keys = tuple(slot_of)
-        self.depth = depth
+        self.slot = _frozen([len(slot_of) if k < 0 else k for k in slot])
         n = len(self.ids)
         run = n > 0 and bool((self.ids == np.arange(self.ids[0], self.ids[0] + n)).all())
         self.index = slice(int(self.ids[0]), int(self.ids[0]) + n) if run else self.ids
-        self.all_longer = len(longer) == n
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -122,75 +118,50 @@ class _TrieNode:
 
     def __init__(self):
         self.children: dict[int, _TrieNode] = {}
-        self.ids: list[int] = []
+        self.ids: list[int] = []  # the tokens through or ending here, ascending
         self.terminal: int | None = None  # id of the token ending here
         self.groups: NextByteGroups | None = None  # built on the first query
 
 
-class PrefixIndex:
-    """Byte trie answering "which tokens start with this prefix" queries.
+def matching_ids(
+    vocab: Vocabulary, data: bytes, start: int, partners: Mapping[int, tuple[int, ...]]
+) -> list[int]:
+    """Ids of the tokens whose bytes match ``data`` at ``start``, ascending.
 
-    The greedy loop and ``last_token_starts`` walk its nodes directly. Each
-    node stores every token id whose bytes pass through or end at that
-    node and the id of the token ending exactly there, if any. EOS is
-    excluded. The first ``alternatives_for_suffix`` query that reaches
-    a node builds its :class:`NextByteGroups` record; later queries return
-    the same record, so a query is a walk. Building the records lazily
-    keeps the index cheap to construct. The index holds the token tuple,
-    not the vocabulary, so the vocabulary and its index form no reference
-    cycle.
+    A token byte matches the data byte ``b`` when it is ``b`` or one of
+    ``partners[b]``, distinct bytes other than ``b``; tokens running
+    past the end of ``data`` do not match. The trie walk follows every
+    matching child, so it costs O(matches), not O(vocabulary).
     """
-
-    def __init__(self, vocab: Vocabulary):
-        self._tokens = vocab._tokens
-        self._root = _TrieNode()
-        for tid in vocab.non_eos_ids:
-            node = self._root
-            node.ids.append(tid)
-            for b in self._tokens[tid]:
-                child = node.children.get(b)
-                if child is None:
-                    child = node.children[b] = _TrieNode()
-                node = child
-                node.ids.append(tid)
-            node.terminal = tid
-        # ids were appended in increasing tid order, so node.ids are sorted
-
-    def matching_ids(
-        self, data: bytes, start: int, partners: Mapping[int, tuple[int, ...]]
-    ) -> list[int]:
-        """Ids of the tokens whose bytes match ``data`` at ``start``, ascending.
-
-        A token byte matches the data byte ``b`` when it is ``b`` or one of
-        ``partners[b]``, distinct bytes other than ``b``; tokens running
-        past the end of ``data`` do not match. The walk follows every matching
-        child, so it costs O(matches), not O(vocabulary).
-        """
-        frontier = [self._root]
-        found: list[int] = []
-        for pos in range(start, len(data)):
-            b = data[pos]
-            frontier = [
-                child
-                for node in frontier
-                for c in (b, *partners.get(b, ()))
-                if (child := node.children.get(c)) is not None
-            ]
-            if not frontier:
-                break
-            found.extend(node.terminal for node in frontier if node.terminal is not None)
-        found.sort()
-        return found
+    frontier = [vocab.prefix_index]
+    found: list[int] = []
+    for pos in range(start, len(data)):
+        b = data[pos]
+        frontier = [
+            child
+            for node in frontier
+            for c in (b, *partners.get(b, ()))
+            if (child := node.children.get(c)) is not None
+        ]
+        if not frontier:
+            break
+        found.extend(node.terminal for node in frontier if node.terminal is not None)
+    found.sort()
+    return found
 
 
 class Vocabulary:
     """Immutable token table with dense ids and unique ``bytes`` surfaces,
-    all non-empty but EOS's; a table that breaks this raises ``VocabError``."""
+    all non-empty but EOS's; a table that breaks this raises ``VocabError``.
+
+    ``prefix_index``, the root of the byte trie of the non-EOS tokens,
+    is built here; tokenization, the lag search, the channel's signal
+    match and next-byte grouping all walk it.
+    """
 
     def __init__(self, tokens: Sequence[bytes], eos_id: int | None):
         self._tokens = tuple(tokens)
         self.eos_id = eos_id
-        self._index: PrefixIndex | None = None
         if eos_id is not None and not (0 <= eos_id < self.size and self._tokens[eos_id] == b""):
             raise VocabError(f"eos_id {eos_id} must name an empty token in 0..{self.size - 1}")
         # one id per surface, so id_of and the trie's greedy match agree
@@ -206,6 +177,17 @@ class Vocabulary:
         if eos_id is not None:
             self._non_eos = tuple(t for t in range(self.size) if t != eos_id)
         self._max_len = max((len(t) for t in self._tokens), default=0)
+        self.prefix_index = _TrieNode()
+        for tid in self._non_eos:
+            node = self.prefix_index
+            node.ids.append(tid)
+            for b in self._tokens[tid]:
+                child = node.children.get(b)
+                if child is None:
+                    child = node.children[b] = _TrieNode()
+                node = child
+                node.ids.append(tid)
+            node.terminal = tid
 
     @property
     def size(self) -> int:
@@ -229,12 +211,6 @@ class Vocabulary:
             return self._ids[token_bytes]
         except KeyError:
             raise VocabError(f"no token with bytes {token_bytes!r}") from None
-
-    @property
-    def prefix_index(self) -> PrefixIndex:
-        if self._index is None:
-            self._index = PrefixIndex(self)
-        return self._index
 
     def __repr__(self) -> str:
         return f"Vocabulary(size={self.size}, eos={self.eos_id})"
@@ -271,7 +247,7 @@ def _greedy(vocab: Vocabulary, data: bytes) -> MainSequence:
     begins the pending tail.
     """
     data = bytes(data)
-    root, tokens = vocab.prefix_index._root, vocab._tokens
+    root, tokens = vocab.prefix_index, vocab._tokens
     ids: list[int] = []
     offsets: list[int] = []
     pos, n = 0, len(data)
@@ -314,7 +290,7 @@ def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
     ``main.covered``. ``tokenize_extension`` applies the same rule to
     one given byte.
     """
-    data, root = main.source_bytes, vocab.prefix_index._root
+    data, root = main.source_bytes, vocab.prefix_index
     first = _tail_depth(vocab, main)
     starts: dict[int, int] = {}
     # latest start first, so the earliest qualifying start is written last
@@ -349,19 +325,20 @@ def tokenize_extension(vocab: Vocabulary, main: MainSequence, data: bytes) -> Ma
     return MainSequence(main.token_ids, offsets, data, main.covered)
 
 
-def alternatives_for_suffix(idx: PrefixIndex, suffix: bytes) -> NextByteGroups:
+def alternatives_for_suffix(vocab: Vocabulary, suffix: bytes) -> NextByteGroups:
     """Ids of the tokens whose bytes start with ``suffix``, ascending.
 
     The empty suffix returns every non-EOS token. The result is the trie
-    node's shared grouping record, not a copy.
+    node's grouping record, built by the first query that reaches the
+    node and shared by every later one, not a copy.
     """
-    node = idx._root
+    node = vocab.prefix_index
     for b in suffix:
         node = node.children.get(b)
         if node is None:
             return _NO_GROUPS
     if node.groups is None:
-        node.groups = NextByteGroups(idx._tokens, node.ids, len(suffix))
+        node.groups = NextByteGroups(vocab._tokens, node.ids, len(suffix))
     return node.groups
 
 
@@ -369,19 +346,16 @@ def group_by_next_byte(members: NextByteGroups, weights: Sequence[float]) -> dic
     """Route the members' weights to the bucket of the byte after their prefix.
 
     ``weights[i]`` belongs to the member ``members.ids[i]``. Members
-    longer than the prefix (``members.depth`` bytes) add their weight to
-    the bucket of the byte right after it. Members that match it exactly
-    complete the match and propose no new byte, so their weight is left
-    out. Buckets are keyed in order of first appearance and each sums its
-    weights in member order; a bucket may be 0. When every member is
-    longer, as at the root, ``weights`` is summed as given, so a view is
-    not copied.
+    longer than the prefix add their weight to the bucket of the byte
+    right after it. A member that matches it exactly completes the match
+    and proposes no new byte: its weight goes to the extra last bin, which
+    is dropped. Buckets are keyed in order of first appearance and each
+    sums its weights in member order; a bucket may be 0. ``weights`` is
+    summed as given, so a view is not copied.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(members.ids) != len(weights):
         raise ValueError("members and weights must have equal length")
-    if not members.all_longer:
-        weights = weights[members.longer]
     sums = np.bincount(members.slot, weights=weights, minlength=len(members.keys))
     return dict(zip(members.keys, sums.tolist()))
 

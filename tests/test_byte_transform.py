@@ -163,9 +163,9 @@ class TestRefreshCache:
         cache = refresh_cache(tiny_model, b"a")
         seen = []
 
-        def recorded(idx, suffix):
+        def recorded(vocab, suffix):
             seen.append(suffix)
-            return alternatives_for_suffix(idx, suffix)
+            return alternatives_for_suffix(vocab, suffix)
 
         monkeypatch.setattr(byte_transform, "alternatives_for_suffix", recorded)
         next_byte_scores(tiny_model, cache)
@@ -178,12 +178,13 @@ class TestRefreshCache:
         grouped = []
 
         def recorded(members, weights):
-            grouped.append(members.depth)
+            grouped.append(members)
             return group_by_next_byte(members, weights)
 
         monkeypatch.setattr(byte_transform, "group_by_next_byte", recorded)
         next_byte_scores(tiny_model, cache)
-        assert grouped == [0]  # depth 1 only, with the empty suffix
+        # depth 1 only, with the empty suffix
+        assert grouped == [alternatives_for_suffix(tiny_model.vocabulary, b"")]
 
     def test_reuses_shared_prefix_without_forwards(self, tiny_model):
         cache = refresh_cache(tiny_model, b"ab")
@@ -459,10 +460,9 @@ class TestEosPlacement:
         else:
             m, ctx = random_model(rng, v), None
         dist = np.array(_rand_dist(rng, v.size))
-        idx = v.prefix_index
         for t in v.non_eos_ids:
             for d in range(len(v.bytes_of(t)) + 1):
-                record = alternatives_for_suffix(idx, v.bytes_of(t)[:d])
+                record = alternatives_for_suffix(v, v.bytes_of(t)[:d])
                 assert list(dist[record.index]) == list(dist[record.ids])
         data, cache = b"", refresh_cache(m, b"", ctx)
         for b in walk:  # prefixes with a pending tail are scored too
@@ -578,6 +578,24 @@ class TestOneByteRefresh:
                     refresh_cache(m, ext, ctx, old=rng.choice(ancestors))
             ancestors.append(cache)
             data, cache = ext, warm if rng.random() < 0.5 else cold
+
+    def test_a_tail_no_token_covers_leaves_the_parent_slot_empty(self):
+        # only tokens covering a pending tail read the slot of its depth,
+        # so growing a tail that none covers costs no forward
+        v = build_vocabulary([b"a", b"bc"], eos=True)
+        m = TableModel(v, [0.5, 0.3, 0.2])
+        old = refresh_cache(m, b"a")
+        before = m.forward_count
+        grown = refresh_cache(m, b"ac", old=old)
+        assert grown.main.covered == 1  # "c" pends, and no token starts with it
+        assert m.forward_count == before
+        assert old.dists[1] is None and grown.dists[1] is None
+        # a tail that "bc" covers fills the parent's slot, which scoring reads
+        covered = refresh_cache(m, b"ab", old=old)
+        assert m.forward_count == before + 1
+        assert covered.dists[1] is old.dists[1] is not None
+        next_byte_scores(m, covered)
+        assert m.forward_count == before + 1
 
     def test_a_one_byte_refresh_tokenizes_nothing(self, monkeypatch):
         rng = random.Random(18)
@@ -709,8 +727,7 @@ def _alternatives(model, cache):
     """Ids of the tokens covering the suffix after each of the cache's S+1 depths."""
     data = cache.main.source_bytes
     starts = [*cache.main.boundary_offsets, len(data)]
-    idx = model.vocabulary.prefix_index
-    return [alternatives_for_suffix(idx, data[t:]).ids.tolist() for t in starts]
+    return [alternatives_for_suffix(model.vocabulary, data[t:]).ids.tolist() for t in starts]
 
 
 def _suffix_lengths(cache):

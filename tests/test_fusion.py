@@ -693,7 +693,7 @@ class TestStepGroupings:
         lm_vocab = build_vocabulary([b"a", b"b"])
         lm = NgramModel(lm_vocab, 2, alpha=0.1, counts={(NgramModel.BOS,): {0: 1.0, 1: 3.0}})
         tr = TableModel(build_vocabulary([b"a", b"b"]), [0.5, 0.5])
-        root = byte_transform.alternatives_for_suffix(lm_vocab.prefix_index, b"")
+        root = byte_transform.alternatives_for_suffix(lm_vocab, b"")
         steps = []  # per step: its memo, the rescorer's histories, its root groupings
         scores, group = fusion.next_byte_scores, byte_transform.group_by_next_byte
 

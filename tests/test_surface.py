@@ -1,8 +1,10 @@
-"""What code outside the package relies on: the public names, and the
-attributes the benchmark tracer patches (``benchmarks/tracer.py``)."""
+"""What code outside the package relies on: the public names, the
+attributes the benchmark tracer patches (``benchmarks/tracer.py``), and
+those the benchmark workloads read (``benchmarks/workloads.py``)."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -79,3 +81,15 @@ def test_tracer_hooks_install_and_restore():
         assert after.keys() == saved.keys()
         for name, value in saved.items():
             assert after[name] is value, f"{owner.__name__}.{name} was not restored"
+
+
+def test_attributes_the_benchmark_reads_exist():
+    # read without patching, so a rename would otherwise fail only a
+    # benchmark run
+    assert vocab.Vocabulary([b"a", b""], eos_id=1).prefix_index.children.keys() == {ord("a")}
+    fields = {f.name for f in dataclasses.fields(fusion.DecodeResult)}
+    assert {"best", "all_beams", "step_count", "forward_counts"} <= fields
+    for name in ("decode", "build_setup", "MarkovSource", "run_experiment",
+                 "load_experiment_config"):
+        assert callable(getattr(harness, name)), name
+    assert {fusion.SYNCHRONOUS, fusion.DELAYED} == {"synchronous", "delayed"}

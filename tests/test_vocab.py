@@ -18,7 +18,6 @@ from fusedec import (
 from fusedec.vocab import (
     MainSequence,
     NextByteGroups,
-    PrefixIndex,
     _TrieNode,
     _greedy,
     alternatives_for_suffix,
@@ -273,31 +272,30 @@ class TestVocabularyLookups:
 
 class TestAlternativesForSuffix:
     def test_single_byte_suffix(self, tiny_vocab):
-        alts = alternatives_for_suffix(tiny_vocab.prefix_index, b"a")
+        alts = alternatives_for_suffix(tiny_vocab, b"a")
         assert set(alts.ids.tolist()) == {0, 2}
 
     def test_full_token_suffix(self, tiny_vocab):
-        alts = alternatives_for_suffix(tiny_vocab.prefix_index, b"ab")
+        alts = alternatives_for_suffix(tiny_vocab, b"ab")
         assert set(alts.ids.tolist()) == {2}
 
     def test_empty_suffix_returns_all_non_eos(self):
         v = build_vocabulary([b"a", b"b", b"ab"], eos=True)
-        alts = alternatives_for_suffix(v.prefix_index, b"")
+        alts = alternatives_for_suffix(v, b"")
         assert set(alts.ids.tolist()) == {0, 1, 2}
 
     def test_unmatched_suffix_is_empty(self, tiny_vocab):
-        assert alternatives_for_suffix(tiny_vocab.prefix_index, b"ba").ids.tolist() == []
+        assert alternatives_for_suffix(tiny_vocab, b"ba").ids.tolist() == []
 
     def test_matches_linear_scan_on_random_vocabularies(self):
         rng = random.Random(20240917)
         for _ in range(1000):
             alphabet = bytes(rng.sample(range(256), rng.randint(2, 5)))
             v = random_vocab(rng, alphabet, max_tokens=64, max_len=4)
-            idx = PrefixIndex(v)
             suffix = bytes(
                 rng.choice(alphabet) for _ in range(rng.randint(0, 5))
             )
-            got = set(alternatives_for_suffix(idx, suffix).ids.tolist())
+            got = set(alternatives_for_suffix(v, suffix).ids.tolist())
             want = {
                 t
                 for t in v.non_eos_ids
@@ -382,9 +380,8 @@ class TestNextByteGroups:
         v = build_vocabulary(tokens, eos=v.eos_id is not None)
         dist = np.array([rng.choice([0.0, 1e-300, rng.random(), rng.random() * 1e-9])
                          for _ in range(v.size)])
-        idx = v.prefix_index
         for prefix in _trie_prefixes(v):
-            record = alternatives_for_suffix(idx, prefix)
+            record = alternatives_for_suffix(v, prefix)
             ids = record.ids.tolist()
             assert ids == sorted(t for t in v.non_eos_ids if v.bytes_of(t).startswith(prefix))
             want = list(_brute_force_grouping(v, ids, dist[ids], len(prefix)).items())
@@ -397,22 +394,30 @@ class TestNextByteGroups:
         rng = random.Random(7)
         for _ in range(50):
             v = random_partial_vocab(rng, b"abc", max_tokens=16, max_len=3)
-            idx = v.prefix_index
             for prefix in _trie_prefixes(v):
-                record = alternatives_for_suffix(idx, prefix)
-                assert alternatives_for_suffix(idx, prefix) is record
+                record = alternatives_for_suffix(v, prefix)
+                assert alternatives_for_suffix(v, prefix) is record
                 assert len(record) == len(record.ids)
-                for arr in (record.ids, record.longer, record.slot):
+                for arr in (record.ids, record.slot):
                     assert not arr.flags.writeable
                     if len(arr):
                         with pytest.raises(ValueError):
                             arr[0] = 0
 
+    def test_an_exact_member_takes_the_discarded_last_slot(self, tiny_vocab):
+        # "a" matches the prefix exactly: its weight goes to slot len(keys),
+        # which the grouping drops, so the full member weights group as is
+        record = alternatives_for_suffix(tiny_vocab, b"a")
+        assert record.ids.tolist() == [0, 2] and record.keys == (ord("b"),)
+        assert record.slot.tolist() == [1, 0]
+        w = np.array([0.5, 0.2])
+        assert group_by_next_byte(record, w) == {ord("b"): w[1]}
+
     def test_record_fields_for_the_root(self, tiny_vocab):
-        record = alternatives_for_suffix(tiny_vocab.prefix_index, b"")
+        record = alternatives_for_suffix(tiny_vocab, b"")
         assert record.ids.tolist() == [0, 1, 2] and len(record) == 3
         assert record.keys == (ord("a"), ord("b"))
-        assert list(record.longer) == [0, 1, 2] and list(record.slot) == [0, 1, 0]
+        assert list(record.slot) == [0, 1, 0]
 
 
 class TestPrefixIndexBuild:
@@ -430,7 +435,7 @@ class TestPrefixIndexBuild:
         for _ in range(40):
             v = random_partial_vocab(rng, b"abcd", max_tokens=24, max_len=4, eos=rng.random() < 0.5)
             built.clear()
-            PrefixIndex(v)
+            build_vocabulary([v.bytes_of(t) for t in v.non_eos_ids], eos=v.eos_id is not None)
             assert len(built) == len(_trie_prefixes(v))
 
 
@@ -471,7 +476,13 @@ class TestMatchingIds:
         )
         model = NoisyChannelModel(v)
         for state in range(len(ctx.signal) + 2):
-            assert model._matching_ids(state, ctx) == self._linear_scan(v, state, ctx)
+            want = np.full(v.size, ctx.noise / v.size)
+            matching = self._linear_scan(v, state, ctx)
+            for tid in matching:
+                want[tid] += (1.0 - ctx.noise) / len(matching)
+            if not matching:
+                want += (1.0 - ctx.noise) / v.size
+            assert np.array_equal(model.dist_from_state(state, ctx), want)
 
 
 class TestVocabularyFile:
