@@ -22,10 +22,9 @@ extended one evaluates only the depths past that prefix. A child is
 one byte longer than its parent and tokenizes nothing: its main
 sequence is the parent's up to one new last token, or the parent's
 with a longer pending tail (``vocab.tokenize_extension``).
-``cache_log_score`` reads ``approx_byte_log_score`` off a cache, which
-is how the decoder scores a beam's own bytes; ``approx_byte_log_score``
-itself always builds a cold cache. ``cache_log_score`` and
-``next_byte_scores`` score each depth of the live tail
+``approx_byte_log_score`` reads a beam's cache when given one, which is
+how the decoder scores a beam's own bytes, and builds a cold one
+otherwise. It and ``next_byte_scores`` score each depth of the live tail
 (``vocab._tail_depth``) through one kernel, ``_restricted_mass``, which
 reads the depth's alternatives, the trie node's grouping record, through
 ``vocab.alternatives_for_suffix``; a cache holds model state. It reads a
@@ -318,23 +317,24 @@ def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> fl
     return math.exp(approx_byte_log_score(model, data, ctx))
 
 
-def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None) -> float:
-    """Log-space form of :func:`approx_byte_score` (beam search ranks in logs),
-    read off a cold cache; the decoder reads it off its beams' caches
-    through ``cache_log_score`` instead."""
-    if not data:
-        return 0.0
-    return cache_log_score(model, refresh_cache(model, data, ctx), ctx)
-
-
-def cache_log_score(
-    model: TokenModel, cache: ModelCache, ctx: Context = None, groupings: dict | None = None
+def approx_byte_log_score(
+    model: TokenModel, data: bytes, ctx: Context = None,
+    cache: ModelCache | None = None, groupings: dict | None = None,
 ) -> float:
-    """``approx_byte_log_score`` of the bytes ``cache`` holds. Only the
-    live tail's depths (``vocab._tail_depth``) are scanned, as in
+    """Log-space form of :func:`approx_byte_score` (beam search ranks in logs).
+
+    It reads ``cache``, which must hold ``data`` (any other is a
+    ``ValueError``), or else a cold cache of ``data``. Only the live
+    tail's depths (``vocab._tail_depth``) are scanned, as in
     ``next_byte_scores``, through the same kernel and ``groupings``. With
     a pending tail the main path covers too little and is dropped, and
     depth S adds the tokens covering the tail; with none left, -inf."""
+    if cache is None:
+        if not data:
+            return 0.0
+        cache = refresh_cache(model, data, ctx)
+    elif cache.main.source_bytes != data:
+        raise ValueError("cache must hold data")
     main = cache.main
     s_count = len(main.token_ids)
     # a pending tail drops the main path, and its covering tokens read depth S

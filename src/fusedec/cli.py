@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .byte_transform import approx_byte_score, exact_byte_marginal
@@ -115,18 +116,12 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_decode(args) -> int:
     cfg = load_experiment_config(args.config)
     if args.r is not None:
-        cfg = _replace_fusion(cfg, r=args.r)
+        cfg = replace(cfg, fusion=replace(cfg.fusion, r=args.r))
     setup = build_setup(cfg)
     eps = args.eps if args.eps is not None else cfg.noise_grid[0]
     result = decode_corpus(args.decoder, setup, cfg, eps)
     _emit([escape_token(h) for h in result.hypotheses], args.out)
     return 0
-
-
-def _replace_fusion(cfg, **kwargs):
-    from dataclasses import replace
-
-    return replace(cfg, fusion=replace(cfg.fusion, **kwargs))
 
 
 def _cmd_eval(args) -> int:
@@ -145,8 +140,6 @@ def _cmd_eval(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = load_experiment_config(args.config)
     if args.out:
-        from dataclasses import replace
-
         cfg = replace(cfg, out_dir=args.out)
     report = run_experiment(cfg)
     for line in report.records():

@@ -29,12 +29,12 @@ it (see ``refresh_cache``). Each model thus evaluates each token prefix
 at most once per decode. The modes differ only in who reads the caches:
 ``next_byte_scores`` for every cached model in synchronous mode; in
 delayed mode the proposer through ``next_byte_scores`` and the rescorer
-through ``cache_log_score``, once per kept beam. A lagged prefix is an
-ancestor of its beam, so its rescorer score is read from the beam's
-window of its ancestors' scores (``Beam.lagged``), never recomputed. The
-scoring calls of one step share a memo of next-byte groupings, so a step
-groups each (trie node, distribution array) pair once, however many of
-its beams ask for it.
+through ``approx_byte_log_score``, once per kept beam. A lagged prefix
+is an ancestor of its beam, so its rescorer score is read from the
+beam's window of its ancestors' scores (``Beam.lagged``), never
+recomputed. The scoring calls of one step share a memo of next-byte
+groupings, so a step groups each (trie node, distribution array) pair
+once, however many of its beams ask for it.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: extending a tokenization looks up,
@@ -57,15 +57,13 @@ from typing import Sequence
 from .byte_transform import (
     NEG_INF,
     ModelCache,
-    cache_log_score,
+    approx_byte_log_score,
     next_byte_scores,
     refresh_cache,
 )
 from .models import Context, TokenModel
 from .vocab import last_token_starts
-# not called here, but kept bound: the benchmark tracer patches
-# fusion.tokenize and fusion.approx_byte_log_score
-from .byte_transform import approx_byte_log_score  # noqa: F401
+# not called here, but kept bound: the benchmark tracer patches fusion.tokenize
 from .vocab import tokenize  # noqa: F401
 
 SYNCHRONOUS = "synchronous"
@@ -179,9 +177,9 @@ class DecodeResult:
     """Outcome of a fused decode.
 
     ``all_beams`` lists (bytes, fused log score, per-model log scores) in
-    final ranking order; ``trace`` records the (bytes, fused score) pairs
-    selected at each step; ``step_forwards`` the per-step, per-model
-    forward counts.
+    final ranking order, a zero-weight model's score being -inf; ``trace``
+    records the (bytes, fused score) pairs selected at each step;
+    ``step_forwards`` the per-step, per-model forward counts.
     """
 
     best: bytes
@@ -215,7 +213,7 @@ def decode(
     the beam commits, built from its parent's cache. In synchronous mode
     each of them scores through ``next_byte_scores``. In delayed mode the
     proposer does so (always, since it defines the candidate bytes), and
-    each kept beam appends the rescorer's ``cache_log_score`` to the
+    each kept beam appends the rescorer's ``approx_byte_log_score`` to the
     window it inherits (``Beam.lagged``), which spans the longest lag, the
     proposer's ``max_token_len``. The scoring calls of a step share one
     memo of next-byte groupings (the ``max_bytes`` finishing pass has its
@@ -224,8 +222,9 @@ def decode(
     :mod:`fusedec.models`) share that work. A candidate's lag is where the
     proposer's last token, or else its pending tail, starts once the
     candidate takes its byte; its lagged score and every ending score are
-    read from the window, never recomputed. A zero-weight model keeps no
-    cache and is never asked about a beam's bytes.
+    read from the window, never recomputed. A zero-weight model scores
+    -inf; it keeps no cache and is never asked about a beam's bytes
+    unless, as the delayed proposer, it proposes them.
 
     Bytes a model cannot tokenize whole are its cache's pending tail,
     scored through the tokens that cover it (-inf if none does), and a
@@ -289,11 +288,11 @@ def decode(
             # one score per candidate byte, then one for the ending, per model;
             # a model that keeps a cache without scoring is the delayed rescorer
             columns = [
-                [*(sc.log_scores.get(b, NEG_INF) for b in cand_bytes), sc.log_terminal]
+                [NEG_INF] * (len(cand_bytes) + 1)
+                if weights[i] == 0.0
+                else [*(sc.log_scores.get(b, NEG_INF) for b in cand_bytes), sc.log_terminal]
                 if sc is not None
                 else rescorer_scores(beam, cand_bytes)
-                if keeps_cache[i]
-                else [NEG_INF] * (len(cand_bytes) + 1)
                 for i, sc in enumerate(scores)
             ]
             for b, per_model in zip([*cand_bytes, -1], zip(*columns)):
@@ -316,7 +315,8 @@ def decode(
                 caches = refreshed(data, beam.caches)
                 lagged = ()
                 if delayed and keeps_cache[1]:
-                    score = cache_log_score(models[1][0], caches[1], models[1][1], groupings)
+                    m, ctx = models[1]
+                    score = approx_byte_log_score(m, data, ctx, caches[1], groupings)
                     lagged = (*beam.lagged, score)[-window:]
                 new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
             kept.append((data, -neg_fused))
@@ -334,8 +334,8 @@ def decode(
         beam.per_model_scores = [
             NEG_INF if weights[i] == 0.0
             else beam.lagged[-1] if delayed and i == 1
-            else cache_log_score(models[i][0], beam.caches[i], models[i][1], groupings)
-            for i in range(len(models))
+            else approx_byte_log_score(m, beam.data, ctx, beam.caches[i], groupings)
+            for i, (m, ctx) in enumerate(models)
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)
         finished.append(beam)

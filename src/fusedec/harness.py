@@ -31,6 +31,8 @@ from .vocab import Vocabulary, build_vocabulary, escape_token, load_vocabulary, 
 
 SEED_ENV_VAR = "FUSEDEC_SEED"
 DECODERS = ("greedy", "beam", "fused")
+# bytes a decode may run past the longest test reference
+MAX_BYTES_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,6 @@ class ExperimentConfig:
     fusion: FusionConfig = FusionConfig(
         r=0.2, num_beams=5, feedback="delayed", length_penalty=1.0
     )
-    max_bytes_margin: int = 8
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -83,10 +84,6 @@ class ExperimentConfig:
             raise ValueError(f"[lm] order must be >= 1, got {self.lm_order}")
         if not (math.isfinite(self.lm_alpha) and self.lm_alpha > 0):
             raise ValueError(f"[lm] alpha must be positive and finite, got {self.lm_alpha}")
-        if self.max_bytes_margin < 0:
-            raise ValueError(
-                f"[experiment] max_bytes_margin must be >= 0, got {self.max_bytes_margin}"
-            )
 
 
 def _parse_confusions(text: str) -> frozenset[tuple[int, int]]:
@@ -103,31 +100,37 @@ def _parse_confusions(text: str) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-# every config key: (section, key) -> (record, field of that record, parser);
-# the records hold the defaults, and a parser of None marks a path, which
-# resolves against the config file's directory (an absolute one stays as it is)
+def _show_confusions(pairs: frozenset[tuple[int, int]]) -> str:
+    return ",".join(f"{escape_token(bytes([a]))}:{escape_token(bytes([b]))}"
+                    for a, b in sorted(pairs))
+
+
+# every config key: (section, key) -> (record, field of that record, parser,
+# printer); the records hold the defaults, a parser of None marks a path, which
+# resolves against the config file's directory (an absolute one stays as it
+# is), and the report echoes each key with a printer as field=value, in order
 CONFIG_SCHEMA = {
-    ("experiment", "seed"): ("experiment", "seed", int),
-    ("experiment", "out"): ("experiment", "out_dir", None),
-    ("experiment", "max_bytes_margin"): ("experiment", "max_bytes_margin", int),
-    ("corpus", "path"): ("corpus", "path", None),
-    ("corpus", "alphabet"): ("corpus", "alphabet", unescape_token),
-    ("corpus", "utterances"): ("corpus", "utterances", int),
-    ("corpus", "train_utterances"): ("corpus", "train_utterances", int),
-    ("corpus", "min_len"): ("corpus", "min_len", int),
-    ("corpus", "max_len"): ("corpus", "max_len", int),
+    ("experiment", "seed"): ("experiment", "seed", int, None),
+    ("experiment", "out"): ("experiment", "out_dir", None, None),
+    ("corpus", "path"): ("corpus", "path", None, None),
+    ("corpus", "alphabet"): ("corpus", "alphabet", unescape_token, escape_token),
+    ("corpus", "utterances"): ("corpus", "utterances", int, str),
+    ("corpus", "train_utterances"): ("corpus", "train_utterances", int, str),
+    ("corpus", "min_len"): ("corpus", "min_len", int, str),
+    ("corpus", "max_len"): ("corpus", "max_len", int, str),
+    ("lm", "vocab"): ("experiment", "lm_vocab_path", None, None),
+    ("lm", "order"): ("experiment", "lm_order", int, str),
+    ("lm", "alpha"): ("experiment", "lm_alpha", float, str),
     ("noise", "grid"): (
-        "experiment", "noise_grid", lambda v: tuple(float(x) for x in v.split(",") if x.strip())
+        "experiment", "noise_grid", lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
+        lambda grid: ",".join(map(repr, grid)),
     ),
-    ("noise", "confusions"): ("experiment", "confusions", _parse_confusions),
-    ("lm", "vocab"): ("experiment", "lm_vocab_path", None),
-    ("lm", "order"): ("experiment", "lm_order", int),
-    ("lm", "alpha"): ("experiment", "lm_alpha", float),
-    ("tr", "vocab"): ("experiment", "tr_vocab_path", None),
-    ("fusion", "r"): ("fusion", "r", float),
-    ("fusion", "num_beams"): ("fusion", "num_beams", int),
-    ("fusion", "feedback"): ("fusion", "feedback", str),
-    ("fusion", "length_penalty"): ("fusion", "length_penalty", float),
+    ("noise", "confusions"): ("experiment", "confusions", _parse_confusions, _show_confusions),
+    ("tr", "vocab"): ("experiment", "tr_vocab_path", None, None),
+    ("fusion", "r"): ("fusion", "r", float, str),
+    ("fusion", "num_beams"): ("fusion", "num_beams", int, str),
+    ("fusion", "feedback"): ("fusion", "feedback", str, str),
+    ("fusion", "length_penalty"): ("fusion", "length_penalty", float, str),
 }
 
 
@@ -148,14 +151,14 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     except configparser.Error as err:
         raise ValueError(f"{path}: {err}") from None
     base = os.path.dirname(os.path.abspath(path))
-    fields: dict[str, dict] = {record: {} for record, _, _ in CONFIG_SCHEMA.values()}
+    fields: dict[str, dict] = {record: {} for record, *_ in CONFIG_SCHEMA.values()}
     for name, keys in sections.items():
         if not any(name == section for section, _ in CONFIG_SCHEMA):
             raise ValueError(f"{path}: unknown section [{name}]")
         for key, text in keys.items():
             if (name, key) not in CONFIG_SCHEMA:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{name}]")
-            record, attr, parse = CONFIG_SCHEMA[name, key]
+            record, attr, parse, _ = CONFIG_SCHEMA[name, key]
             try:
                 fields[record][attr] = os.path.join(base, text) if parse is None else parse(text)
             except ValueError as err:
@@ -395,7 +398,7 @@ def decode_corpus(
 ) -> ConditionResult:
     """Decode every test utterance under one (decoder, noise) condition."""
     confusions = cfg.confusions if noise > 0.0 else frozenset()
-    max_bytes = max(len(r) for r in setup.test) + cfg.max_bytes_margin
+    max_bytes = max(len(r) for r in setup.test) + MAX_BYTES_MARGIN
     run_cfg = _decoder_config(decoder, cfg.fusion, max_bytes)
     hyps: list[bytes] = []
     failures = 0
@@ -452,22 +455,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def _echo(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    pairs = [
-        ("alphabet", escape_token(cfg.corpus.alphabet)),
-        ("utterances", str(cfg.corpus.utterances)),
-        ("train_utterances", str(cfg.corpus.train_utterances)),
-        ("min_len", str(cfg.corpus.min_len)),
-        ("max_len", str(cfg.corpus.max_len)),
-        ("lm_order", str(cfg.lm_order)),
-        ("lm_alpha", repr(cfg.lm_alpha)),
-        ("noise_grid", ",".join(repr(x) for x in cfg.noise_grid)),
-        ("confusions", ",".join(
-            f"{escape_token(bytes([a]))}:{escape_token(bytes([b]))}"
-            for a, b in sorted(cfg.confusions)
-        )),
-        ("r", repr(cfg.fusion.r)),
-        ("num_beams", str(cfg.fusion.num_beams)),
-        ("feedback", cfg.fusion.feedback),
-        ("length_penalty", repr(cfg.fusion.length_penalty)),
-    ]
-    return pairs
+    records = {"experiment": cfg, "corpus": cfg.corpus, "fusion": cfg.fusion}
+    return [(attr, show(getattr(records[record], attr)))
+            for record, attr, _, show in CONFIG_SCHEMA.values() if show is not None]

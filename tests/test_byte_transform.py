@@ -355,8 +355,8 @@ class TestPendingTailAgainstOracle:
                 cold = refresh_cache(m, data)
                 assert cache.main == cold.main
                 assert cache.states == cold.states and cache.log_rolling == cold.log_rolling
-                log_score = byte_transform.cache_log_score(m, cache)
-                assert log_score == byte_transform.cache_log_score(m, cold)
+                log_score = approx_byte_log_score(m, data, cache=cache)
+                assert log_score == approx_byte_log_score(m, data, cache=cold)
                 assert math.exp(log_score) <= exact_byte_marginal(m, data) + 1e-12
                 sc = next_byte_scores(m, cache)
                 assert sc == next_byte_scores(m, cold)
@@ -398,13 +398,21 @@ class TestLiveDepthWindow:
             extended = refresh_cache(m, data + bytes([b]), ctx, old=cache)
             data += bytes([b])
             assert approx_byte_log_score(m, data, ctx) == _reference_approx(m, data, ctx)
-            assert byte_transform.cache_log_score(m, extended, ctx) == _reference_approx(m, data, ctx)
+            assert approx_byte_log_score(m, data, ctx, extended) == _reference_approx(m, data, ctx)
             cache = extended
             # a cache refreshes only from the one of its bytes minus the last
             cut = rng.randint(0, len(data) - 1)
             with pytest.raises(ValueError, match="minus its last byte"):
                 refresh_cache(m, data[:cut], ctx, old=cache)
         _assert_matches_reference(m, cache, ctx)
+
+    def test_a_cache_must_hold_the_scored_bytes(self):
+        m = random_model(random.Random(5), build_vocabulary([b"a", b"b", b"ab"], eos=True))
+        cache = refresh_cache(m, b"ab")
+        assert approx_byte_log_score(m, b"ab", cache=cache) == approx_byte_log_score(m, b"ab")
+        for other in (b"", b"a", b"ba", b"abb"):
+            with pytest.raises(ValueError, match="cache must hold data"):
+                approx_byte_log_score(m, other, cache=cache)
 
     @given(st.integers(0, 2**32 - 1), st.text(alphabet="abc", max_size=30).map(str.encode))
     @settings(max_examples=150, deadline=None)
@@ -469,7 +477,7 @@ class TestEosPlacement:
             _assert_matches_reference(m, cache, ctx)
             cache = refresh_cache(m, data + bytes([b]), ctx, old=cache)
             data += bytes([b])
-            assert byte_transform.cache_log_score(m, cache, ctx) == _reference_approx(m, data, ctx)
+            assert approx_byte_log_score(m, data, ctx, cache) == _reference_approx(m, data, ctx)
         _assert_matches_reference(m, cache, ctx)
 
     def test_root_reads_the_distribution_through_a_view(self, monkeypatch):
@@ -529,7 +537,7 @@ class TestStepGroupings:
         rng.shuffle(scored)
         groupings = {}
         shared = [
-            (byte_transform.cache_log_score(m, cache, ctx, groupings),
+            (approx_byte_log_score(m, cache.main.source_bytes, ctx, cache, groupings),
              next_byte_scores(m, cache, ctx, groupings))
             for m, ctx, cache in scored
         ]

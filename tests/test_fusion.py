@@ -453,6 +453,19 @@ class TestDelayedFeedback:
             at_budget += sum(len(data) == max_bytes for data, _, _ in result.all_beams)
         assert at_budget > 0
 
+    def test_a_zero_weight_proposer_scores_minus_inf_however_its_beam_finished(self):
+        # at r = 1 the proposer still proposes the bytes, but like any
+        # zero-weight model it scores -inf on every beam, ended or cut at max_bytes
+        ended = cut = 0
+        for seed, max_bytes in itertools.product(range(4), (2, 12)):
+            tr, ctx, lm = _fusion_instance(seed)
+            cfg = FusionConfig(r=1.0, num_beams=4, max_bytes=max_bytes, feedback="delayed")
+            for data, _, (tr_score, _) in decode([(tr, ctx), (lm, None)], cfg).all_beams:
+                assert tr_score == NEG_INF
+                cut += len(data) == max_bytes
+                ended += len(data) < max_bytes
+        assert ended > 0 and cut > 0
+
     def test_a_pending_proposer_tail_lags_to_where_it_starts(self):
         # as above, over partial vocabularies: a kept extension whose
         # proposer bytes end in a pending tail is lagged to where the tail
@@ -485,7 +498,7 @@ class TestDelayedFeedback:
         # cache is built exactly once
         calls = {"score": 0, "refresh": 0}
 
-        for name, attr in (("score", "cache_log_score"), ("refresh", "refresh_cache")):
+        for name, attr in (("score", "approx_byte_log_score"), ("refresh", "refresh_cache")):
             monkeypatch.setattr(fusion, attr, _counted(calls, name, getattr(fusion, attr)))
         built = scored = at_budget = 0
         for seed in range(4):

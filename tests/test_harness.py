@@ -45,7 +45,6 @@ def small_config(**overrides) -> ExperimentConfig:
 KEY_SAMPLES = {
     ("experiment", "seed"): ("11", 11),
     ("experiment", "out"): ("runs/x", "runs/x"),
-    ("experiment", "max_bytes_margin"): ("3", 3),
     ("corpus", "path"): ("refs.txt", "refs.txt"),
     ("corpus", "alphabet"): ("x\\x00y", b"x\x00y"),
     ("corpus", "utterances"): ("9", 9),
@@ -151,7 +150,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("section, key", sorted(CONFIG_SCHEMA))
     def test_each_key_sets_only_its_field(self, tmp_path, section, key):
-        record, attr, parse = CONFIG_SCHEMA[section, key]
+        record, attr, parse, _ = CONFIG_SCHEMA[section, key]
         text, expected = KEY_SAMPLES[section, key]
         if parse is None:
             expected = str(tmp_path / expected)
@@ -169,7 +168,6 @@ class TestConfigFile:
             ("lm", "alpha", "nan"),
             ("lm", "alpha", "inf"),
             ("lm", "alpha", "0"),
-            ("experiment", "max_bytes_margin", "-50"),
             ("corpus", "utterances", "0"),
             ("corpus", "train_utterances", "-3"),
             ("lm", "order", "0"),
@@ -199,7 +197,6 @@ class TestConfigFile:
             ("corpus", "alphabet", "aab"),
             ("lm", "alpha", "nan"),
             ("noise", "grid", "1.5"),
-            ("experiment", "max_bytes_margin", "-50"),
             ("corpus", "min_len", "0"),
             ("fusion", "feedback", "x"),
         ],

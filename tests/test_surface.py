@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 from pathlib import Path
 
 import fusedec
@@ -54,12 +55,17 @@ def test_public_names_are_pinned():
         assert getattr(fusedec, name) is not None
 
 
-def test_tracer_hooks_install_and_restore():
-    # every name the tracer patches must exist, and uninstalling must put
-    # back the very object it replaced
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("fusedec_bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_install_and_restore():
+    # every name the tracer patches must exist, and uninstalling must put
+    # back the very object it replaced
+    module = _load_tracer()
     owners = (byte_transform, fusion, harness, metrics, models, vocab, models.TokenModel)
     before = [dict(vars(owner)) for owner in owners]
     tracer = module.Tracer()
@@ -81,6 +87,37 @@ def test_tracer_hooks_install_and_restore():
         assert after.keys() == saved.keys()
         for name, value in saved.items():
             assert after[name] is value, f"{owner.__name__}.{name} was not restored"
+
+
+def test_tracer_spans_every_prefix_score_of_a_decode():
+    # the decoder scores a beam's own bytes through approx_byte_log_score:
+    # delayed, the rescorer once per kept extension and the proposer once
+    # per beam cut at max_bytes; synchronous, each model once per cut beam
+    module = _load_tracer()
+    tr = models.NoisyChannelModel(vocab.build_vocabulary([b"a", b"b", b"ab"], eos=True))
+    lm = models.NgramModel(vocab.build_vocabulary([b"a", b"b", b"ba"], eos=True), 2,
+                           corpus=[b"abab", b"abba", b"baba"], alpha=0.1)
+    ctx = models.SignalContext(b"abab", noise=0.3)
+    seen = set()
+    for feedback, max_bytes in itertools.product((fusion.DELAYED, fusion.SYNCHRONOUS), (4, 16)):
+        cfg = fusion.FusionConfig(r=0.2, num_beams=4, max_bytes=max_bytes, feedback=feedback)
+        tracer = module.Tracer()
+        tracer.install()
+        try:
+            result = fusion.decode([(tr, ctx), (lm, None)], cfg)
+        finally:
+            tracer.uninstall()
+        cut = [data for data, _, _ in result.all_beams if len(data) == max_bytes]
+        if feedback == fusion.DELAYED:
+            scored = cut + [data for step, kept in enumerate(result.trace)
+                            for data, _ in kept if len(data) == step + 1]
+        else:
+            scored = cut * 2
+        totals = tracer.layer_totals()
+        assert totals["byte_transform.approx_byte_log_score.calls"] == len(scored)
+        assert totals["byte_transform.approx_byte_log_score.amount"] == sum(map(len, scored))
+        seen.add((feedback, bool(cut)))
+    assert len(seen) == 4
 
 
 def test_attributes_the_benchmark_reads_exist():
