@@ -15,21 +15,19 @@ with a given byte string:
 ``refresh_cache`` / ``next_byte_scores`` are the incremental form of the
 approximation used by the decoder: one cache per (beam, model), joint
 (unnormalized) scores per candidate next byte plus a terminal score for
-ending the sequence. A cache holds one distribution slot per token
-boundary; a child cache takes over its parent's slots on their shared
-token prefix, so a cold cache costs at most S+1 model forwards and an
-extended one evaluates only the depths past that prefix. A child is
-one byte longer than its parent and tokenizes nothing: its main
-sequence is the parent's up to one new last token, or the parent's
-with a longer pending tail (``vocab.tokenize_extension``).
-``approx_byte_log_score`` reads a beam's cache when given one, which is
-how the decoder scores a beam's own bytes, and builds a cold one
-otherwise. It and ``next_byte_scores`` score each depth of the live tail
-(``vocab._tail_depth``) through one kernel, ``_restricted_mass``, which
-reads the depth's alternatives, the trie node's grouping record, through
-``vocab.alternatives_for_suffix``; a cache holds model state. It reads a
-distribution through the record's ``index``, a view at the root, and
-returns ``group_by_next_byte(record, weights)``'s buckets unfiltered. Both
+ending the sequence. A cache holds one record per token boundary
+(state, rolling product, distribution evaluated on first read). A child
+is one byte longer than its parent and tokenizes nothing: its main
+sequence is the parent's up to one new last token, or the parent's with
+a longer pending tail (``vocab.tokenize_extension``), and it holds the
+parent's own records on that shared token prefix. So a cold cache costs
+at most S+1 model forwards, and a parent and all its children evaluate
+each distribution once. ``approx_byte_log_score`` reads a beam's cache
+when given one, which is how the decoder scores a beam's own bytes, and
+builds a cold one otherwise. It and ``next_byte_scores`` score each
+depth of the live tail (``vocab._tail_depth``) through one kernel,
+``_restricted_mass``, which groups the depth's distribution over the
+trie node of its suffix (``vocab.alternatives_for_suffix``). Both
 scorers take an optional memo shared by a decode step, so a step groups
 each (trie node, distribution array) pair once.
 
@@ -174,24 +172,26 @@ def exact_terminal_mass(
 # --- per-model decoding cache -------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
+class _Depth:
+    """One token prefix of a cache's ``main``: the model state after it, the
+    log of its tokens' probability product (0.0 when empty) and the next-token
+    distribution, evaluated on first read (``_dist_at``) by any cache holding it."""
+
+    state: Any
+    log_rolling: float
+    dist: np.ndarray | None = None
+
+
 @dataclass
 class ModelCache:
-    """Per-beam, per-model decoding state for a committed byte string.
-
-    It holds only what the model computed along ``main``, one entry per
-    depth ``s``, the count of main tokens read (S+1 depths, the last with
-    the empty suffix): the state ``states[s]``; ``log_rolling[s]``, the log
-    of the product of those tokens' probabilities (``log_rolling[0] == 0``);
-    and the distribution ``dists[s]``, evaluated on first use
-    (``_dist_at``), which may be a child's ``refresh_cache``. The tokens
-    covering a depth's suffix are read from the trie when it is scored
-    (``_restricted_mass``).
-    """
+    """Per-beam, per-model decoding state for a committed byte string:
+    ``depths[s]`` is the record after the first ``s`` tokens of ``main``
+    (S+1 depths, the last with the empty suffix). A cache refreshed from
+    another holds that cache's own records on their shared token prefix."""
 
     main: MainSequence
-    log_rolling: list[float]
-    states: list[Any]
-    dists: list[np.ndarray | None]
+    depths: list[_Depth]
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,11 @@ class ByteScore:
     log_terminal: float
 
 
-def _dist_at(model: TokenModel, cache: ModelCache, s: int, ctx: Context) -> np.ndarray:
-    """Distribution after the first ``s`` main tokens; one forward per slot."""
-    dist = cache.dists[s]
+def _dist_at(model: TokenModel, depth: _Depth, ctx: Context) -> np.ndarray:
+    """The distribution of a depth record; its first read is its one forward."""
+    dist = depth.dist
     if dist is None:
-        dist = model.dist_from_state(cache.states[s], ctx)
-        cache.dists[s] = dist
+        dist = depth.dist = model.dist_from_state(depth.state, ctx)
     return dist
 
 
@@ -224,52 +223,35 @@ def refresh_cache(
 ) -> ModelCache:
     """Build the decoding cache for a committed byte string, cold or from
     ``old``, the cache of ``data`` minus its last byte (any other ``old``
-    is a ``ValueError``).
+    is a ``ValueError``) for the same model and context.
 
-    From ``old``, the main sequence is ``old``'s up to one new last token,
-    or ``old``'s with the new byte added to its pending tail
-    (``vocab.tokenize_extension``): nothing is tokenized again. States,
-    rolling products and evaluated distributions are carried over for
-    every depth before the new token, or for every depth when the tail
-    only grew: a model is deterministic in its token prefix, so they are
-    exactly what a cold build would compute. ``old`` must come from the
-    same model and context.
-    The last shared slot is the first the child reads; if ``old`` has not
-    evaluated it, it is filled in ``old`` (its own prefix, so ``old`` stays
-    exact) before the copy, and every sibling refreshed from ``old`` shares
-    that one forward. The slot of a pending tail that no token covers is
-    read by nothing and left empty.
+    From ``old``, nothing is tokenized again: the main sequence is
+    ``old``'s up to one new last token, or ``old``'s with a longer pending
+    tail (``vocab.tokenize_extension``). The new cache holds ``old``'s own
+    depth records before that token, or all of them: a model is
+    deterministic in its token prefix, so they are what a cold build
+    computes, and ``old`` and its children evaluate each distribution once.
     """
     vocab = model.vocabulary
     data = bytes(data)
     if old is None:
-        main, keep = _greedy(vocab, data), 1
-        states, log_rolling, dists = [model.initial_state(ctx)], [0.0], [None]
+        main, depths = _greedy(vocab, data), [_Depth(model.initial_state(ctx), 0.0)]
     else:
         prev = old.main.source_bytes
         if len(data) != len(prev) + 1 or not data.startswith(prev):
             raise ValueError("old must hold data minus its last byte")
         main = tokenize_extension(vocab, old.main, data)
         # every depth before the new last token; all of them if the tail grew
-        pending = main.covered < len(data)
-        keep = len(main.token_ids) + pending
-        if old.log_rolling[keep - 1] > NEG_INF and (
-            not pending or alternatives_for_suffix(vocab, data[main.covered :]).keys
-        ):
-            _dist_at(model, old, keep - 1, ctx)
-        states, log_rolling, dists = old.states[:keep], old.log_rolling[:keep], old.dists[:keep]
+        depths = old.depths[: len(main.token_ids) + (main.covered < len(data))]
 
-    cache = ModelCache(main=main, log_rolling=log_rolling, states=states, dists=dists)
-    for s in range(keep, len(main.token_ids) + 1):
-        tid = main.token_ids[s - 1]
-        lr = log_rolling[s - 1]
+    for tid in main.token_ids[len(depths) - 1 :]:
+        last = depths[-1]
+        lr = last.log_rolling
         if lr > NEG_INF:
-            p = float(_dist_at(model, cache, s - 1, ctx)[tid])
+            p = float(_dist_at(model, last, ctx)[tid])
             lr = (lr + math.log(p)) if p > 0.0 else NEG_INF
-        states.append(model.advance_state(states[s - 1], tid))
-        log_rolling.append(lr)
-        dists.append(None)
-    return cache
+        depths.append(_Depth(model.advance_state(last.state, tid), lr))
+    return ModelCache(main=main, depths=depths)
 
 
 def _restricted_mass(
@@ -294,9 +276,7 @@ def _restricted_mass(
     members = alternatives_for_suffix(vocab, suffix)
     if not members.keys:  # no member proposes a byte past the suffix
         return {}
-    dist = cache.dists[s]
-    if dist is None:
-        dist = _dist_at(model, cache, s, ctx)
+    dist = _dist_at(model, cache.depths[s], ctx)
     key = (id(members), id(dist))
     if groupings is not None and (hit := groupings.get(key)) is not None:
         return hit[1]
@@ -339,9 +319,10 @@ def approx_byte_log_score(
     s_count = len(main.token_ids)
     # a pending tail drops the main path, and its covering tokens read depth S
     pending = main.covered < len(main.source_bytes)
-    parts = [] if pending else [cache.log_rolling[s_count]]
+    depths = cache.depths
+    parts = [] if pending else [depths[s_count].log_rolling]
     for s in range(_tail_depth(model.vocabulary, main), s_count + pending):
-        lr = cache.log_rolling[s]
+        lr = depths[s].log_rolling
         if lr == NEG_INF:
             continue
         # in order, as _logsumexp adds; empty buckets add 0.0, which leaves
@@ -377,10 +358,10 @@ def next_byte_scores(
     """
     eos = model.vocabulary.eos_id
     s_count = len(cache.main.token_ids)
-    log, log_rolling = math.log, cache.log_rolling
+    log, depths = math.log, cache.depths
     log_buckets: dict[int, list[float]] = {}
     for s in range(_tail_depth(model.vocabulary, cache.main), s_count + 1):
-        lr = log_rolling[s]
+        lr = depths[s].log_rolling
         if lr == NEG_INF:
             continue
         for b, mass in _restricted_mass(model, cache, s, ctx, groupings).items():
@@ -391,9 +372,9 @@ def next_byte_scores(
                     parts.append(lr + log(mass))
 
     log_terminal = NEG_INF
-    lr = log_rolling[s_count]
+    lr = depths[s_count].log_rolling
     if eos is not None and lr > NEG_INF and cache.main.covered == len(cache.main.source_bytes):
-        p = float(_dist_at(model, cache, s_count, ctx)[eos])
+        p = float(_dist_at(model, depths[s_count], ctx)[eos])
         if p > 0.0:
             log_terminal = lr + log(p)
 

@@ -22,11 +22,11 @@ Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is built from its parent's: its
 tokenization is the parent's up to one new last token, or the parent's
 with a longer pending tail, found with one lookup per live-tail token
-start (``vocab.tokenize_extension``), and it takes over every
-distribution on their shared token prefix; the distribution at the end
-of that prefix is filled into the parent's slot, so its siblings share
-it (see ``refresh_cache``). Each model thus evaluates each token prefix
-at most once per decode. The modes differ only in who reads the caches:
+start (``vocab.tokenize_extension``), and it holds the parent's own
+depth records on their shared token prefix, so the parent and its
+siblings share every distribution any of them evaluates (see
+``refresh_cache``). Each model thus evaluates each token prefix at most
+once per decode. The modes differ only in who reads the caches:
 ``next_byte_scores`` for every cached model in synchronous mode; in
 delayed mode the proposer through ``next_byte_scores`` and the rescorer
 through ``approx_byte_log_score``, once per kept beam. A lagged prefix
@@ -43,8 +43,8 @@ starting fewer than ``max_token_len`` bytes before the end
 (``vocab._tail_depth``); a beam finds the last-token lag of all its
 candidate bytes with one trie walk per proposer token start there
 (``vocab.last_token_starts``). Only candidates that take a slot build
-their bytes; copying those and a kept cache's lists, done in C, is what
-grows with length.
+their bytes; copying those and a kept cache's list of depth records,
+done in C, is what grows with length.
 """
 
 from __future__ import annotations

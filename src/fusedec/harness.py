@@ -77,6 +77,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each message names the config file's section and key
+        if not self.noise_grid or len(set(self.noise_grid)) < len(self.noise_grid):
+            raise ValueError(f"[noise] grid must list distinct levels, got {self.noise_grid}")
         for eps in self.noise_grid:
             if not 0.0 <= eps <= 1.0:
                 raise ValueError(f"[noise] grid level {eps} outside [0, 1]")

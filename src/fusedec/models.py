@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, matching_ids, tokenize, unescape_token
+from .vocab import Vocabulary, _as_bytes, matching_ids, tokenize, unescape_token
 
 
 class ModelFileError(ValueError):
@@ -37,6 +37,9 @@ class PromptContext:
     """Language-model conditioning: prompt bytes tokenized and prepended."""
 
     prompt: bytes = b""
+
+    def __post_init__(self):
+        object.__setattr__(self, "prompt", _as_bytes(self.prompt, "prompt"))
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,7 @@ class SignalContext:
     confusions: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "signal", _as_bytes(self.signal, "signal"))
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise level must be in [0, 1], got {self.noise}")
 

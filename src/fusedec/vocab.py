@@ -216,6 +216,13 @@ class Vocabulary:
         return f"Vocabulary(size={self.size}, eos={self.eos_id})"
 
 
+def _as_bytes(value: object, what: str, error: type[ValueError] = ValueError) -> bytes:
+    """Bytes-like ``value`` as ``bytes``; anything else is ``error``, naming ``what``."""
+    if not isinstance(value, (bytes, bytearray, memoryview)):
+        raise error(f"{what} is {type(value).__name__} {value!r}, not bytes")
+    return bytes(value)
+
+
 def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     """Build a vocabulary from byte strings, assigning dense ids in input order.
 
@@ -224,12 +231,8 @@ def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
     ``bytearray`` or ``memoryview``); ``Vocabulary`` rejects an empty or
     duplicate entry.
     """
-    tokens = list(entries)
-    for i, entry in enumerate(tokens):
-        if type(entry) is not bytes:
-            if not isinstance(entry, (bytes, bytearray, memoryview)):
-                raise VocabError(f"entry {i} is {type(entry).__name__} {entry!r}, not bytes")
-            tokens[i] = bytes(entry)
+    tokens = [entry if type(entry) is bytes else _as_bytes(entry, f"entry {i}", VocabError)
+              for i, entry in enumerate(entries)]
     if not tokens:
         raise VocabError("vocabulary needs at least one token")
     eos_id = None

@@ -108,7 +108,7 @@ def test_criterion_02_singleton_vocab_identity():
         scores = next_byte_scores(model, cache)
         s_count = len(cache.main.token_ids)
         dist = model.next_token_dist(list(cache.main.token_ids))
-        rolling = math.exp(cache.log_rolling[s_count])
+        rolling = math.exp(cache.depths[s_count].log_rolling)
         for tid in vocab.non_eos_ids:
             want = float(dist[tid]) * rolling
             got = math.exp(scores.log_scores.get(vocab.bytes_of(tid)[0], NEG_INF))

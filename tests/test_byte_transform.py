@@ -133,18 +133,18 @@ class TestRefreshCache:
         cache = refresh_cache(tiny_model, b"ab")
         assert cache.main.token_ids == (2,)
         depths = len(cache.main) + 1
-        assert len(cache.states) == len(cache.log_rolling) == len(cache.dists) == depths == 2
+        assert len(cache.depths) == depths == 2
         alternatives = _alternatives(tiny_model, cache)
         assert list(alternatives[0]) == [2]
         assert set(alternatives[1]) == {0, 1, 2}
         assert _suffix_lengths(cache) == [2, 0]
-        assert [math.exp(lr) for lr in cache.log_rolling] == pytest.approx([1.0, 0.2])
+        assert [math.exp(lr) for lr in _rolling(cache)] == pytest.approx([1.0, 0.2])
 
     def test_empty_bytes(self, tiny_model):
         cache = refresh_cache(tiny_model, b"")
         assert cache.main.token_ids == ()
         depths = len(cache.main) + 1
-        assert len(cache.states) == len(cache.log_rolling) == len(cache.dists) == depths == 1
+        assert len(cache.depths) == depths == 1
         assert _suffix_lengths(cache) == [0]
         assert set(_alternatives(tiny_model, cache)[0]) == {0, 1, 2}
 
@@ -154,7 +154,7 @@ class TestRefreshCache:
         new = refresh_cache(tiny_model, b"ab", old=old)
         assert new.main.token_ids == (2,)  # "a" merged into "ab"
         fresh = refresh_cache(tiny_model, b"ab")
-        assert new.log_rolling == fresh.log_rolling
+        assert _rolling(new) == _rolling(fresh)
         assert new.main == fresh.main
 
     def test_scoring_reads_alternatives_through_the_module_name(self, tiny_model, monkeypatch):
@@ -192,7 +192,7 @@ class TestRefreshCache:
         before = tiny_model.forward_count
         extended = refresh_cache(tiny_model, b"aba", old=cache)
         assert extended.main.token_ids == (2, 0)
-        assert tiny_model.forward_count == before  # rolling reused the parent's slots
+        assert tiny_model.forward_count == before  # rolling reused the parent's records
 
     def test_extension_scores_with_one_forward_and_is_exact(self):
         v = build_vocabulary([b"a", b"b"])
@@ -209,16 +209,20 @@ class TestRefreshCache:
         assert reused.log_terminal == fresh.log_terminal
 
     def test_siblings_share_the_parents_last_slot(self):
+        # every sibling holds the parent's own records before its new token,
+        # so the distribution it reads there costs one forward for them all
         m = TableModel(build_vocabulary([b"a", b"b"]), [0.6, 0.4])
         parent = refresh_cache(m, b"ab")
-        assert parent.dists[2] is None  # nothing has read the last depth
+        assert parent.depths[2].dist is None  # nothing has read the last depth
         before = m.forward_count
         children = [refresh_cache(m, data, old=parent) for data in (b"aba", b"abb")]
         assert m.forward_count - before == 1
-        assert parent.dists[2] is not None
+        assert parent.depths[2].dist is not None
         for child in children:
-            assert child.dists[2] is parent.dists[2]
-            assert child.log_rolling == refresh_cache(m, child.main.source_bytes).log_rolling
+            assert len(child.depths) == 4
+            assert all(mine is theirs for mine, theirs in zip(child.depths[:3], parent.depths))
+            assert child.depths[2].dist is parent.depths[2].dist
+            assert _rolling(child) == _rolling(refresh_cache(m, child.main.source_bytes))
 
     def test_extending_the_parents_last_token_costs_no_forward(self, tiny_model):
         parent = refresh_cache(tiny_model, b"a")
@@ -226,16 +230,16 @@ class TestRefreshCache:
         child = refresh_cache(tiny_model, b"ab", old=parent)
         assert child.main.token_ids == (2,)  # "a" grew into "ab"
         assert tiny_model.forward_count == before
-        assert parent.dists[1] is None
+        assert parent.depths[1].dist is None
 
     def test_a_zero_probability_prefix_costs_no_forward(self):
         m = TableModel(build_vocabulary([b"a", b"b"]), [1.0, 0.0])
         parent = refresh_cache(m, b"ab")
-        assert parent.log_rolling[2] == NEG_INF
+        assert parent.depths[2].log_rolling == NEG_INF
         before = m.forward_count
         child = refresh_cache(m, b"aba", old=parent)
         assert m.forward_count == before
-        assert parent.dists[2] is None and child.log_rolling[3] == NEG_INF
+        assert parent.depths[2].dist is None and child.depths[3].log_rolling == NEG_INF
 
 
 class TestNextByteScores:
@@ -263,7 +267,7 @@ class TestNextByteScores:
         m = TableModel(v, [0.5, 0.4, 0.1])
         cache = refresh_cache(m, b"ab")
         sc = next_byte_scores(m, cache)
-        rolling = math.exp(cache.log_rolling[-1])
+        rolling = math.exp(cache.depths[-1].log_rolling)
         assert math.exp(sc.log_scores[ord("a")]) == pytest.approx(0.5 * rolling, abs=1e-12)
         assert math.exp(sc.log_scores[ord("b")]) == pytest.approx(0.4 * rolling, abs=1e-12)
         assert math.exp(sc.log_terminal) == pytest.approx(0.1 * rolling, abs=1e-12)
@@ -303,7 +307,7 @@ class TestNextByteScores:
         sc = next_byte_scores(m, cache, ctx)
         assert math.exp(sc.log_terminal) > 0.0
         assert math.exp(sc.log_terminal) == pytest.approx(
-            math.exp(cache.log_rolling[-1]), abs=1e-12
+            math.exp(cache.depths[-1].log_rolling), abs=1e-12
         )
 
 
@@ -354,7 +358,7 @@ class TestPendingTailAgainstOracle:
             for _ in range(rng.randint(1, 7)):
                 cold = refresh_cache(m, data)
                 assert cache.main == cold.main
-                assert cache.states == cold.states and cache.log_rolling == cold.log_rolling
+                assert _states(cache) == _states(cold) and _rolling(cache) == _rolling(cold)
                 log_score = approx_byte_log_score(m, data, cache=cache)
                 assert log_score == approx_byte_log_score(m, data, cache=cold)
                 assert math.exp(log_score) <= exact_byte_marginal(m, data) + 1e-12
@@ -422,7 +426,7 @@ class TestLiveDepthWindow:
         m = random_model(rng, v)
         cache = refresh_cache(m, data)  # a pending tail too
         for s in range(_tail_depth(v, cache.main)):
-            if cache.log_rolling[s] == NEG_INF:
+            if cache.depths[s].log_rolling == NEG_INF:
                 continue
             before = m.forward_count
             assert byte_transform._restricted_mass(m, cache, s, None) == {}
@@ -501,7 +505,7 @@ class TestEosPlacement:
             seen.clear()
             _assert_matches_reference(m, cache, None)
             (weights,) = seen
-            assert np.shares_memory(weights, cache.dists[0]) == view
+            assert np.shares_memory(weights, cache.depths[0].dist) == view
 
 
 class TestStepGroupings:
@@ -575,12 +579,18 @@ class TestOneByteRefresh:
             cold = refresh_cache(m, ext, ctx)
             warm = refresh_cache(m, ext, ctx, old=cache)
             assert warm.main == cold.main
-            assert warm.states == cold.states
-            assert warm.log_rolling == cold.log_rolling
-            assert len(warm.dists) == len(cold.dists)
-            for dist, want in zip(warm.dists, cold.dists):
-                if dist is not None and want is not None:
-                    assert dist.tolist() == want.tolist()
+            assert _states(warm) == _states(cold)
+            assert _rolling(warm) == _rolling(cold)
+            assert len(warm.depths) == len(cold.depths)
+            for depth, want in zip(warm.depths, cold.depths):
+                if depth.dist is not None and want.dist is not None:
+                    assert depth.dist.tolist() == want.dist.tolist()
+            # the parent's own records before the new token, all of them if
+            # the tail only grew; the records past them are new
+            kept = len(warm.main.token_ids) + (warm.main.covered < len(ext))
+            assert len(cache.depths) >= kept
+            assert all(mine is theirs for mine, theirs in zip(warm.depths[:kept], cache.depths))
+            assert not any(new is theirs for new in warm.depths[kept:] for theirs in cache.depths)
             if ancestors:
                 with pytest.raises(ValueError, match="minus its last byte"):
                     refresh_cache(m, ext, ctx, old=rng.choice(ancestors))
@@ -588,20 +598,25 @@ class TestOneByteRefresh:
             data, cache = ext, warm if rng.random() < 0.5 else cold
 
     def test_a_tail_no_token_covers_leaves_the_parent_slot_empty(self):
-        # only tokens covering a pending tail read the slot of its depth,
-        # so growing a tail that none covers costs no forward
+        # only tokens covering a pending tail read the distribution of its
+        # depth, so growing and scoring a tail that none covers costs no
+        # forward
         v = build_vocabulary([b"a", b"bc"], eos=True)
         m = TableModel(v, [0.5, 0.3, 0.2])
         old = refresh_cache(m, b"a")
         before = m.forward_count
         grown = refresh_cache(m, b"ac", old=old)
         assert grown.main.covered == 1  # "c" pends, and no token starts with it
+        next_byte_scores(m, grown)
         assert m.forward_count == before
-        assert old.dists[1] is None and grown.dists[1] is None
-        # a tail that "bc" covers fills the parent's slot, which scoring reads
+        assert grown.depths[1] is old.depths[1] and old.depths[1].dist is None
+        # a tail that "bc" covers: scoring reads the parent's own record, once
         covered = refresh_cache(m, b"ab", old=old)
+        assert m.forward_count == before
+        assert covered.depths[1] is old.depths[1]
+        next_byte_scores(m, covered)
         assert m.forward_count == before + 1
-        assert covered.dists[1] is old.dists[1] is not None
+        assert old.depths[1].dist is not None
         next_byte_scores(m, covered)
         assert m.forward_count == before + 1
 
@@ -628,6 +643,14 @@ class TestOneByteRefresh:
         with pytest.raises(ValueError, match="minus its last byte"):
             refresh_cache(m, data + b"ab", old=cache)  # no catch-up over two bytes
         assert len(calls) == 1
+
+
+def _states(cache):
+    return [depth.state for depth in cache.depths]
+
+
+def _rolling(cache):
+    return [depth.log_rolling for depth in cache.depths]
 
 
 def _reference_logsumexp(parts):

@@ -677,7 +677,7 @@ class TestStepGroupings:
                 state["new_step"] = False
             result = kernel(model, cache, s, *rest)
             if state["record"].keys:
-                steps[-1][0].append((state["record"], cache.dists[s]))
+                steps[-1][0].append((state["record"], cache.depths[s].dist))
             return result
 
         def counted(*args):
@@ -714,7 +714,7 @@ class TestStepGroupings:
             if not steps or steps[-1][0] is not groupings:
                 steps.append((groupings, set(), [0]))
             if model is lm:
-                steps[-1][1].add(cache.states[-1])
+                steps[-1][1].add(cache.depths[-1].state)
             return scores(model, cache, ctx, groupings)
 
         def counted(members, weights):

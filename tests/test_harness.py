@@ -197,6 +197,8 @@ class TestConfigFile:
             ("corpus", "alphabet", "aab"),
             ("lm", "alpha", "nan"),
             ("noise", "grid", "1.5"),
+            ("noise", "grid", ""),
+            ("noise", "grid", "0.1, 0.1"),
             ("corpus", "min_len", "0"),
             ("fusion", "feedback", "x"),
         ],

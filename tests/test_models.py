@@ -425,6 +425,40 @@ class TestNoisyChannel:
         assert memo.forward_count == 2 * sum(len(c.signal) + 3 for c in contexts)
 
 
+class TestContextBytes:
+    """A context's bytes follow ``build_vocabulary``'s rule: ``bytearray``
+    and ``memoryview`` convert to ``bytes``, and anything else is a
+    ``ValueError`` naming its type."""
+
+    @pytest.mark.parametrize("value", [b"ab", bytearray(b"ab"), memoryview(b"ab")])
+    def test_bytes_like_values_convert(self, value):
+        signal, prompt = SignalContext(value, noise=0.1), PromptContext(value)
+        assert type(signal.signal) is bytes and signal.signal == b"ab"
+        assert type(prompt.prompt) is bytes and prompt.prompt == b"ab"
+        assert hash(signal) == hash(SignalContext(b"ab", noise=0.1))
+        assert hash(prompt) == hash(PromptContext(b"ab"))
+        v = _vocab(eos=True)
+        for m, ctx, want in (
+            (NoisyChannelModel(v), signal, SignalContext(b"ab", noise=0.1)),
+            (NgramModel(v, 2, corpus=[b"abab", b"ba"]), prompt, PromptContext(b"ab")),
+        ):
+            for prefix in ([], [0], [0, 1]):
+                got = m.next_token_dist(prefix, ctx)
+                assert np.array_equal(got, m.next_token_dist(prefix, want))
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [("ab", "str"), ("", "str"), (None, "NoneType"), ([97, 98], "list"), (97, "int")],
+    )
+    def test_any_other_value_is_rejected_naming_its_type(self, value, name):
+        # a str signal used to decode to b"" with no error, and a str prompt
+        # failed only inside tokenize
+        with pytest.raises(ValueError, match=rf"^signal is {name} "):
+            SignalContext(value, noise=0.1)
+        with pytest.raises(ValueError, match=rf"^prompt is {name} "):
+            PromptContext(value)
+
+
 class TestSequenceLogProb:
     def test_empty_sequence_is_zero(self, tiny_model):
         assert tiny_model.sequence_log_prob([]) == 0.0
