@@ -7,7 +7,7 @@ Markov source the rescoring model is trained on (disjoint train/test
 streams), so the rescorer carries genuine signal about the data.
 
 Reports are plain text, one self-describing record per line, and are
-byte-identical across runs with the same config and seed; wall time goes
+byte-identical across runs with the same config; wall time goes
 to a separate sidecar file so it cannot break that guarantee.
 """
 
@@ -19,7 +19,7 @@ import os
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Sequence
 
@@ -27,9 +27,9 @@ from . import __version__
 from .fusion import DecodeFailure, FusionConfig, decode
 from .metrics import EvalReport, score_corpus
 from .models import NgramModel, NoisyChannelModel, SignalContext
-from .vocab import Vocabulary, build_vocabulary, escape_token, load_vocabulary, unescape_token
+from .vocab import Vocabulary, _as_bytes, build_vocabulary, escape_token
+from .vocab import load_vocabulary, unescape_token
 
-SEED_ENV_VAR = "FUSEDEC_SEED"
 DECODERS = ("greedy", "beam", "fused")
 # bytes a decode may run past the longest test reference
 MAX_BYTES_MARGIN = 8
@@ -47,6 +47,7 @@ class CorpusSpec:
     max_len: int = 14
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", _as_bytes(self.alphabet, "alphabet"))
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")
         repeated = [b for i, b in enumerate(self.alphabet) if b in self.alphabet[:i]]
@@ -243,9 +244,9 @@ def default_vocabulary(alphabet: bytes, seed: int, n_merges: int) -> Vocabulary:
     return build_vocabulary(entries, eos=True)
 
 
-def build_corpora(cfg: ExperimentConfig, seed: int) -> tuple[list[bytes], list[bytes]]:
-    """(train, test) reference corpora for a resolved seed."""
-    spec = cfg.corpus
+def build_corpora(cfg: ExperimentConfig) -> tuple[list[bytes], list[bytes]]:
+    """(train, test) reference corpora."""
+    spec, seed = cfg.corpus, cfg.seed
     if spec.path is not None:
         with open(spec.path, "rb") as fh:
             lines = [ln.rstrip(b"\r\n") for ln in fh if ln.strip()]
@@ -267,16 +268,14 @@ def build_corpora(cfg: ExperimentConfig, seed: int) -> tuple[list[bytes], list[b
 class ExperimentSetup:
     """Models and corpora materialized from a config."""
 
-    seed: int
     tr_model: NoisyChannelModel
     lm_model: NgramModel
     test: list[bytes]
 
 
 def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
-    seed = resolve_seed(cfg)
-    train, test = build_corpora(cfg, seed)
-    alphabet = cfg.corpus.alphabet
+    train, test = build_corpora(cfg)
+    alphabet, seed = cfg.corpus.alphabet, cfg.seed
     tr_vocab = (
         load_vocabulary(cfg.tr_vocab_path)
         if cfg.tr_vocab_path
@@ -288,21 +287,10 @@ def build_setup(cfg: ExperimentConfig) -> ExperimentSetup:
         else default_vocabulary(alphabet, seed + 11, n_merges=3)
     )
     return ExperimentSetup(
-        seed=seed,
         tr_model=NoisyChannelModel(tr_vocab),
         lm_model=NgramModel(lm_vocab, cfg.lm_order, corpus=train, alpha=cfg.lm_alpha),
         test=test,
     )
-
-
-def resolve_seed(cfg: ExperimentConfig) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if not env:
-        return cfg.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 # --- running ------------------------------------------------------------------
@@ -320,22 +308,27 @@ class ConditionResult:
 
 @dataclass
 class RunReport:
-    """Everything one experiment run produced.
+    """Everything one experiment run produced: the config it ran, the test
+    references every condition decoded, and one result per condition.
 
     ``records`` is the canonical, deterministic content; ``wall_time`` is
     informational only and is persisted separately.
     """
 
-    seed: int
+    config: ExperimentConfig
+    references: list[bytes]
     conditions: list[ConditionResult]
-    references: dict[float, list[bytes]]
-    status: str
     wall_time: float
-    config_echo: list[tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        """``failed`` when more than half of all decodes failed."""
+        failures = sum(cr.failures for cr in self.conditions)
+        return "failed" if failures > len(self.references) * len(self.conditions) / 2 else "ok"
 
     def records(self) -> list[str]:
-        lines = [f"artifact=fusedec version={__version__}", f"seed={self.seed}"]
-        lines += [f"config {key}={value}" for key, value in self.config_echo]
+        lines = [f"artifact=fusedec version={__version__}", f"seed={self.config.seed}"]
+        lines += [f"config {key}={value}" for key, value in _echo(self.config)]
         for cr in self.conditions:
             base = f"eps={cr.noise!r} decoder={cr.decoder}"
             lines.append(f"{base} metric=cer value={cr.report.cer!r}")
@@ -353,8 +346,8 @@ class RunReport:
             fh.write("\n".join(self.records()) + "\n")
         with open(os.path.join(out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
             fh.write(f"wall_time_seconds={self.wall_time}\n")
-        for noise, refs in self.references.items():
-            write_lines(os.path.join(out_dir, f"refs_eps{noise!r}.txt"), refs)
+        for noise in self.config.noise_grid:
+            write_lines(os.path.join(out_dir, f"refs_eps{noise!r}.txt"), self.references)
         for cr in self.conditions:
             write_lines(
                 os.path.join(out_dir, f"hyps_eps{cr.noise!r}_{cr.decoder}.txt"),
@@ -432,25 +425,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Sweep the noise grid with all decoder variants and score everything."""
     started = time.perf_counter()
     setup = build_setup(cfg)
-    conditions: list[ConditionResult] = []
-    references: dict[float, list[bytes]] = {}
-    total = failures = 0
-    for noise in cfg.noise_grid:
-        references[noise] = setup.test
-        for decoder in DECODERS:
-            cr = decode_corpus(decoder, setup, cfg, noise)
-            conditions.append(cr)
-            total += len(setup.test)
-            failures += cr.failures
-    status = "failed" if total and failures > total / 2 else "ok"
-    report = RunReport(
-        seed=setup.seed,
-        conditions=conditions,
-        references=references,
-        status=status,
-        wall_time=time.perf_counter() - started,
-        config_echo=_echo(cfg),
-    )
+    conditions = [decode_corpus(decoder, setup, cfg, noise)
+                  for noise in cfg.noise_grid for decoder in DECODERS]
+    report = RunReport(cfg, setup.test, conditions, time.perf_counter() - started)
     if cfg.out_dir:
         report.write(cfg.out_dir)
     return report

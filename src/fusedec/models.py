@@ -48,7 +48,7 @@ class SignalContext:
 
     ``noise`` in [0, 1] mixes the signal-consistent distribution with a
     uniform floor; ``confusions`` are symmetric byte pairs treated as
-    interchangeable when matching the signal.
+    interchangeable when matching the signal, held as a frozenset.
     """
 
     signal: bytes
@@ -57,6 +57,16 @@ class SignalContext:
 
     def __post_init__(self):
         object.__setattr__(self, "signal", _as_bytes(self.signal, "signal"))
+        try:
+            pairs = tuple(self.confusions)
+        except TypeError:
+            raise ValueError(f"confusions is {type(self.confusions).__name__} "
+                             f"{self.confusions!r}, not a set of pairs") from None
+        for pair in pairs:
+            if not (type(pair) is tuple and len(pair) == 2
+                    and all(type(b) is int and 0 <= b <= 255 for b in pair)):
+                raise ValueError(f"confusion {pair!r} is not a pair of ints in 0..255")
+        object.__setattr__(self, "confusions", frozenset(pairs))
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise level must be in [0, 1], got {self.noise}")
 

@@ -154,14 +154,6 @@ class TestExperiment:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("value", ["abc", " ", "1.5"])
-    def test_invalid_seed_variable_is_named(self, value, exp_config, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FUSEDEC_SEED", value)
-        out = tmp_path / "run"
-        assert cli_main(["experiment", "--config", exp_config, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "FUSEDEC_SEED" in err and repr(value) in err
-
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["frobnicate"])

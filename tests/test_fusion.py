@@ -103,11 +103,24 @@ class TestConfigValidation:
             {"length_penalty": float("-inf")},
             {"weights": [0.0, 0.0]},
             {"weights": [0.0]},
+            {"max_bytes": -1},
         ],
     )
     def test_non_finite_or_negative_numbers_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FusionConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, n_models, message",
+        [({"weights": [1, 1]}, 3, "2 weights for 3 models"),
+         ({}, 2, "multi-model decoding needs weights or r")],
+    )
+    def test_weights_that_do_not_fit_the_models_rejected_when_resolved(
+        self, kwargs, n_models, message
+    ):
+        cfg = FusionConfig(**kwargs)  # valid on its own; only the model count rules it out
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cfg.resolve_weights(n_models)
 
     def test_delayed_needs_two_models(self):
         v = build_vocabulary([b"a"])

@@ -4,9 +4,8 @@
 byte, and every hypothesis and reference file must match its committed
 SHA-256 digest. A change that claims identical outputs is held to this;
 a change that moves the demo on purpose regenerates the golden files with
-``fusedec experiment --config configs/demo.cfg --out DIR`` (with
-``FUSEDEC_SEED`` unset) and says why. The pinned decodes are described
-below.
+``fusedec experiment --config configs/demo.cfg --out DIR`` and says why.
+The pinned decodes are described below.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from fusedec import (
     decode,
 )
 from fusedec.cli import cli_main
-from fusedec.harness import SEED_ENV_VAR
 
 from conftest import random_model, random_partial_vocab, random_vocab
 
@@ -36,8 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_demo_report_and_outputs_match_golden(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_demo_report_and_outputs_match_golden(tmp_path, capsys):
     out = tmp_path / "demo"
     assert cli_main(["experiment", "--config", str(ROOT / "configs" / "demo.cfg"),
                      "--out", str(out)]) == 0

@@ -20,7 +20,6 @@ from fusedec.harness import (
     default_vocabulary,
     load_experiment_config,
     read_lines,
-    resolve_seed,
     run_experiment,
     write_lines,
 )
@@ -218,13 +217,6 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             ExperimentConfig(noise_grid=(0.0, 1.5))
 
-    def test_env_var_overrides_seed(self, monkeypatch):
-        cfg = small_config(seed=3)
-        monkeypatch.setenv("FUSEDEC_SEED", "99")
-        assert resolve_seed(cfg) == 99
-        monkeypatch.delenv("FUSEDEC_SEED")
-        assert resolve_seed(cfg) == 3
-
 
 def _reference_generate(alphabet: bytes, seed: int, rng: random.Random, length: int) -> bytes:
     """The source's documented draw, spelled out: a seeded cycle over the
@@ -269,11 +261,18 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match=rf"^length must be >= 1, got {length}$"):
             MarkovSource(b"ab", 1).generate(random.Random(0), length)
 
+    def test_alphabet_follows_the_bytes_rule(self):
+        # a str alphabet would otherwise fail only inside MarkovSource, with a TypeError
+        assert type(CorpusSpec(alphabet=bytearray(b"abcd")).alphabet) is bytes
+        assert CorpusSpec(alphabet=memoryview(b"abcd")) == CorpusSpec(alphabet=b"abcd")
+        with pytest.raises(ValueError, match=r"^alphabet is str 'abcd', not bytes$"):
+            CorpusSpec(alphabet="abcd")
+
     def test_corpora_split_by_stream(self):
         cfg = small_config()
-        train, test = build_corpora(cfg, seed=7)
+        train, test = build_corpora(cfg)
         assert len(train) == 60 and len(test) == 6
-        train2, test2 = build_corpora(cfg, seed=7)
+        train2, test2 = build_corpora(cfg)
         assert train == train2 and test == test2
 
     def test_corpus_from_file(self, tmp_path):
@@ -282,7 +281,7 @@ class TestSyntheticData:
         cfg = small_config(
             corpus=CorpusSpec(path=str(path), utterances=2, train_utterances=2)
         )
-        train, test = build_corpora(cfg, seed=7)
+        train, test = build_corpora(cfg)
         assert train == [b"aaa", b"bbb"]
         assert test == [b"ccc", b"ddd"]
 
@@ -293,7 +292,7 @@ class TestSyntheticData:
             path = tmp_path / name
             path.write_bytes(b"".join(ln + end for ln in lines))
             cfg = small_config(corpus=CorpusSpec(path=str(path), utterances=2, train_utterances=4))
-            corpora.append(build_corpora(cfg, seed=7))
+            corpora.append(build_corpora(cfg))
         assert corpora[0] == corpora[1] == (lines[:4], lines[4:])
 
     def test_one_line_corpus_file_rejected(self, tmp_path):
@@ -301,7 +300,7 @@ class TestSyntheticData:
         path.write_bytes(b"aaa\n\n")
         cfg = small_config(corpus=CorpusSpec(path=str(path)))
         with pytest.raises(ValueError, match=r"refs\.txt.*at least two non-empty lines"):
-            build_corpora(cfg, seed=7)
+            build_corpora(cfg)
 
     def test_default_vocabularies_are_mismatched(self):
         va = default_vocabulary(b"abcd", seed=1, n_merges=2)
@@ -425,7 +424,6 @@ class TestMultiByteFusion:
         tr_vocab = build_vocabulary(sorted({bytes([b]) for c in chars for b in c}), eos=True)
         lm_vocab = build_vocabulary(chars + words[:20], eos=True)
         return ExperimentSetup(
-            seed=7,
             tr_model=NoisyChannelModel(tr_vocab),
             lm_model=NgramModel(lm_vocab, 2, corpus=train, alpha=0.1),
             test=[text(s) for s in source.corpus(9, 50, 3, 8)],

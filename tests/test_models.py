@@ -458,6 +458,28 @@ class TestContextBytes:
         with pytest.raises(ValueError, match=rf"^prompt is {name} "):
             PromptContext(value)
 
+    @pytest.mark.parametrize("pairs", [[(97, 98)], {(97, 98)}, ((97, 98),)])
+    def test_confusions_are_held_as_a_frozenset(self, pairs):
+        # a context is hashed, so a list or set of pairs is not kept as given
+        ctx = SignalContext(b"ab", noise=0.1, confusions=pairs)
+        want = SignalContext(b"ab", noise=0.1, confusions=frozenset({(97, 98)}))
+        assert type(ctx.confusions) is frozenset and ctx == want and hash(ctx) == hash(want)
+
+    @pytest.mark.parametrize(
+        "confusions, message",
+        [([(97, 98), pair], f"confusion {pair!r} is not a pair of ints in 0..255")
+         for pair in [(1000, 2), (97, -1), ("a", "b"), (97.0, 98), (True, 98), (97,),
+                      (97, 98, 99), [97, 98], b"ab"]]
+        + [(None, "confusions is NoneType None, not a set of pairs"),
+           (5, "confusions is int 5, not a set of pairs")],
+    )
+    def test_confusions_other_than_byte_pairs_are_rejected_naming_the_pair(
+        self, confusions, message
+    ):
+        # such a pair would match no byte of a signal and be ignored in silence
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SignalContext(b"ab", noise=0.1, confusions=confusions)
+
 
 class TestSequenceLogProb:
     def test_empty_sequence_is_zero(self, tiny_model):
@@ -576,12 +598,17 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "text, line",
         [("ngram x\n", 1), ("iid\na 0.5\n\n# b\nb x\n", 5),
-         ("ngram 3\ncount <s>+a b 1\ncount a+<s> b 5\n", 3)],
+         ("ngram 3\ncount <s>+a b 1\ncount a+<s> b 5\n", 3),
+         ("ngram\n", 1), ("iid\ngiven\n", 2), ("iid\na\n", 2), ("ngram 2\ncount a b\n", 2),
+         ("ngram 2\nfoo 1\n", 2),
+         # a file of blank and comment lines names no line
+         ("\n# a\n", None)],
     )
     def test_unparsable_value_names_file_and_line(self, tmp_path, text, line):
         (tmp_path / "m.txt").write_text(text)
         v = build_vocabulary([b"a", b"b"])
-        with pytest.raises(ModelFileError, match=f"^{re.escape(str(tmp_path / 'm.txt'))}:{line}: "):
+        where = re.escape(str(tmp_path / "m.txt")) + ("" if line is None else f":{line}")
+        with pytest.raises(ModelFileError, match=f"^{where}: "):
             load_model(str(tmp_path / "m.txt"), v)
 
     def test_repeated_count_rejected_naming_its_line(self, tmp_path):
