@@ -48,7 +48,6 @@ from .models import Context, TokenModel
 from .vocab import (
     MainSequence,
     _greedy,
-    _suffix_start,
     _tail_depth,
     alternatives_for_suffix,
     group_by_next_byte,
@@ -85,7 +84,6 @@ def exact_byte_marginal(
     model: TokenModel,
     prefix: bytes,
     ctx: Context = None,
-    max_tokens: int | None = None,
     max_nodes: int = 500_000,
 ) -> float:
     """Total probability of byte continuations starting with ``prefix``.
@@ -99,13 +97,9 @@ def exact_byte_marginal(
     if not prefix:
         return 1.0
     vocab = model.vocabulary
-    if max_tokens is None:
-        max_tokens = len(prefix)
     nodes = [0]
 
-    def rec(offset: int, state: Any, weight: float, depth: int) -> float:
-        if depth >= max_tokens:
-            return 0.0
+    def rec(offset: int, state: Any, weight: float) -> float:
         nodes[0] += 1
         if nodes[0] > max_nodes:
             raise BudgetExceededError(
@@ -123,15 +117,10 @@ def exact_byte_marginal(
             if tb.startswith(rem):
                 total += weight * p  # covers the rest of the prefix
             elif rem.startswith(tb):
-                total += rec(
-                    offset + len(tb),
-                    model.advance_state(state, tid),
-                    weight * p,
-                    depth + 1,
-                )
+                total += rec(offset + len(tb), model.advance_state(state, tid), weight * p)
         return total
 
-    return rec(0, model.initial_state(ctx), 1.0, 0)
+    return rec(0, model.initial_state(ctx), 1.0)
 
 
 def exact_terminal_mass(
@@ -242,7 +231,7 @@ def refresh_cache(
             raise ValueError("old must hold data minus its last byte")
         main = tokenize_extension(vocab, old.main, data)
         # every depth before the new last token; all of them if the tail grew
-        depths = old.depths[: len(main.token_ids) + (main.covered < len(data))]
+        depths = old.depths[: len(main.token_ids) + (main.boundary_offsets[-1] < len(data))]
 
     for tid in main.token_ids[len(depths) - 1 :]:
         last = depths[-1]
@@ -272,7 +261,7 @@ def _restricted_mass(
     while it lives.
     """
     vocab = model.vocabulary
-    suffix = cache.main.source_bytes[_suffix_start(cache.main, s) :]
+    suffix = cache.main.source_bytes[cache.main.boundary_offsets[s] :]
     members = alternatives_for_suffix(vocab, suffix)
     if not members.keys:  # no member proposes a byte past the suffix
         return {}
@@ -318,7 +307,7 @@ def approx_byte_log_score(
     main = cache.main
     s_count = len(main.token_ids)
     # a pending tail drops the main path, and its covering tokens read depth S
-    pending = main.covered < len(main.source_bytes)
+    pending = main.boundary_offsets[-1] < len(main.source_bytes)
     depths = cache.depths
     parts = [] if pending else [depths[s_count].log_rolling]
     for s in range(_tail_depth(model.vocabulary, main), s_count + pending):
@@ -356,11 +345,11 @@ def next_byte_scores(
     holds cost none. ``groupings``, a step's memo shared by the calls of
     that step, changes no score: it only skips repeated groupings.
     """
-    eos = model.vocabulary.eos_id
-    s_count = len(cache.main.token_ids)
+    main, eos = cache.main, model.vocabulary.eos_id
+    s_count = len(main.token_ids)
     log, depths = math.log, cache.depths
     log_buckets: dict[int, list[float]] = {}
-    for s in range(_tail_depth(model.vocabulary, cache.main), s_count + 1):
+    for s in range(_tail_depth(model.vocabulary, main), s_count + 1):
         lr = depths[s].log_rolling
         if lr == NEG_INF:
             continue
@@ -373,7 +362,7 @@ def next_byte_scores(
 
     log_terminal = NEG_INF
     lr = depths[s_count].log_rolling
-    if eos is not None and lr > NEG_INF and cache.main.covered == len(cache.main.source_bytes):
+    if eos is not None and lr > NEG_INF and main.boundary_offsets[-1] == len(main.source_bytes):
         p = float(_dist_at(model, depths[s_count], ctx)[eos])
         if p > 0.0:
             log_terminal = lr + log(p)

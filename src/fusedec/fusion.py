@@ -13,16 +13,16 @@ Two feedback modes are supported. In ``synchronous`` mode every model
 scores the full candidate prefix each step. In ``delayed`` mode the
 first model proposes bytes while the second scores a prefix lagging
 behind the proposal, re-ranking beams on past bytes instead of reacting
-to the newest one: the prefix up to where the proposer's last
-main-sequence token starts, which the proposer has committed as whole
-tokens, or up to where its pending tail starts (see
-``vocab.MainSequence``).
+to the newest one: the prefix up to the proposer's next-to-last
+main-sequence boundary, where its last token starts, which the
+proposer has committed as whole tokens, or up to its last boundary,
+where its pending tail starts (see ``vocab.MainSequence``).
 
 Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is built from its parent's: its
 tokenization is the parent's up to one new last token, or the parent's
-with a longer pending tail, found with one lookup per live-tail token
-start (``vocab.tokenize_extension``), and it holds the parent's own
+with a longer pending tail, found with one lookup per live-tail
+boundary (``vocab.tokenize_extension``), and it holds the parent's own
 depth records on their shared token prefix, so the parent and its
 siblings share every distribution any of them evaluates (see
 ``refresh_cache``). Each model thus evaluates each token prefix at most
@@ -38,10 +38,10 @@ once, however many of its beams ask for it.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: extending a tokenization looks up,
-scoring scans and the lag search walks only the live tail, the tokens
-starting fewer than ``max_token_len`` bytes before the end
+scoring scans and the lag search walks only the live tail, the
+boundaries fewer than ``max_token_len`` bytes before the end
 (``vocab._tail_depth``); a beam finds the last-token lag of all its
-candidate bytes with one trie walk per proposer token start there
+candidate bytes with one trie walk per proposer boundary there
 (``vocab.last_token_starts``). Only candidates that take a slot build
 their bytes; copying those and a kept cache's list of depth records,
 done in C, is what grows with length.
@@ -258,8 +258,8 @@ def decode(
         n, main = len(beam.data), beam.caches[0].main
         starts = last_token_starts(models[0][0].vocabulary, main)
         # a byte missing from ``starts`` grows the proposer's pending tail
-        return [*(beam.lagged[starts.get(b, main.covered) - n - 1] for b in cand_bytes),
-                beam.lagged[-1]]
+        tail = main.boundary_offsets[-1]
+        return [*(beam.lagged[starts.get(b, tail) - n - 1] for b in cand_bytes), beam.lagged[-1]]
 
     live = [Beam(b"", refreshed(b"", [None] * len(models)), [0.0] * len(models), 0.0, (0.0,))]
     finished: list[Beam] = []

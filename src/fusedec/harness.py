@@ -378,7 +378,6 @@ def _decoder_config(decoder: str, fusion: FusionConfig, max_bytes: int) -> Fusio
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     return FusionConfig(
-        weights=[1.0],
         num_beams=1 if decoder == "greedy" else fusion.num_beams,
         max_bytes=max_bytes,
         length_penalty=fusion.length_penalty,

@@ -8,10 +8,11 @@ sees it.
 
 Tokenization is greedy longest match, one trie walk per token.
 It stops at the first start where no token ends; the bytes from there
-on are the segmentation's pending tail. ``tokenize`` requires whole
-tokens and raises on a tail; ``tokenize_extension`` grows a
-segmentation, tail included, by one byte without matching any byte
-again.
+on are the segmentation's pending tail. S tokens have S+1 boundaries:
+each token's start, then where the tokens end; depth ``s`` scores the
+bytes after boundary ``s``. ``tokenize`` requires whole tokens and
+raises on a tail; ``tokenize_extension`` grows a segmentation, tail
+included, by one byte without matching any byte again.
 """
 
 from __future__ import annotations
@@ -39,32 +40,23 @@ class TokenizationError(ValueError):
 class MainSequence:
     """Deterministic segmentation of a byte string into vocabulary tokens.
 
-    ``boundary_offsets[i]`` is the byte offset where token ``i`` starts;
-    concatenating the tokens' bytes reproduces ``source_bytes[:covered]``.
-    The rest, ``source_bytes[covered:]``, is the pending tail: it starts
-    where no token ends, and is empty when the tokens cover every byte.
+    ``boundary_offsets`` holds S+1 offsets, each token's start and then
+    where the tokens end; the bytes after the last, the pending tail,
+    start where no token ends, and are empty when the tokens cover every byte.
     """
 
     token_ids: tuple[int, ...]
     boundary_offsets: tuple[int, ...]
     source_bytes: bytes
-    covered: int
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
-
-def _suffix_start(main: MainSequence, s: int) -> int:
-    """Byte offset after the first ``s`` tokens of ``main``; after all of
-    them, where the pending tail starts."""
-    return main.boundary_offsets[s] if s < len(main) else main.covered
 
 
 def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
-    """Count of the tokens of ``main`` that start ``max_token_len`` or more
-    bytes before its end. The rest, the live tail, are all that extending
-    the tokenization (``tokenize_extension``, ``last_token_starts``),
-    next-byte scoring and the lag search read."""
+    """Count of the boundaries of ``main`` (its tokens' end included) that
+    lie ``max_token_len`` or more bytes before its end. The rest, the live
+    tail, are all that extending the tokenization (``tokenize_extension``,
+    ``last_token_starts``), next-byte scoring and the lag search read. A
+    pending tail of ``max_token_len`` bytes or more (partial vocabularies
+    only) gives S+1 and empty scans: no token covers it with a byte to spare."""
     return bisect_right(main.boundary_offsets, len(main.source_bytes) - vocab.max_token_len)
 
 
@@ -265,14 +257,15 @@ def _greedy(vocab: Vocabulary, data: bytes) -> MainSequence:
         ids.append(tid)
         offsets.append(pos)
         pos += len(tokens[tid])
-    return MainSequence(tuple(ids), tuple(offsets), data, pos)
+    offsets.append(pos)
+    return MainSequence(tuple(ids), tuple(offsets), data)
 
 
 def tokenize(vocab: Vocabulary, data: bytes) -> MainSequence:
     """Greedy longest-match segmentation of all of ``data``; a pending tail
     raises ``TokenizationError`` at its start."""
     main = _greedy(vocab, data)
-    pos, data = main.covered, main.source_bytes
+    pos, data = main.boundary_offsets[-1], main.source_bytes
     if pos < len(data):
         raise TokenizationError(
             f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})", offset=pos
@@ -284,20 +277,19 @@ def last_token_starts(vocab: Vocabulary, main: MainSequence) -> dict[int, int]:
     """Where the last token of greedy ``data + bytes([b])`` starts, per ``b``.
 
     ``main`` is the greedy segmentation of ``data``. Greedy matching of
-    ``data + b`` follows ``main`` up to the first token start ``t`` where
-    ``data[t:] + b`` is a token, which ends it; the tail start counts as
-    a token start. Such a ``t`` lies in the live tail (``_tail_depth``),
-    so one trie walk per start there answers every byte, whatever the
-    length of ``data``. A byte missing from the result leaves the tokens
-    as they are and grows the pending tail, which starts at
-    ``main.covered``. ``tokenize_extension`` applies the same rule to
-    one given byte.
+    ``data + b`` follows ``main`` up to the first boundary ``t`` where
+    ``data[t:] + b`` is a token, which ends it. Such a ``t`` lies in the
+    live tail (``_tail_depth``), so one trie walk per boundary there
+    answers every byte, whatever the length of ``data``. A byte missing
+    from the result leaves the tokens as they are and grows the pending
+    tail, which starts at ``main.boundary_offsets[-1]``.
+    ``tokenize_extension`` applies the same rule to one given byte.
     """
     data, root = main.source_bytes, vocab.prefix_index
     first = _tail_depth(vocab, main)
     starts: dict[int, int] = {}
     # latest start first, so the earliest qualifying start is written last
-    for t in reversed((*main.boundary_offsets[first:], main.covered)):
+    for t in reversed(main.boundary_offsets[first:]):
         node = root
         for x in data[t:]:
             if (node := node.children.get(x)) is None:
@@ -312,20 +304,19 @@ def tokenize_extension(vocab: Vocabulary, main: MainSequence, data: bytes) -> Ma
     bytes plus one byte.
 
     By the rule of ``last_token_starts``, the result is ``main``'s tokens
-    before the first start ``t`` where ``data[t:]`` is a token, plus that
-    token. The starts checked, in order, are those of the live tail
-    (``_tail_depth``), then the start of ``main``'s pending tail; each
-    costs one dictionary lookup, and no byte is matched again. With no
-    such start, the result is ``main``'s tokens with the new byte added
-    to the pending tail.
+    before the first boundary ``k`` where ``data[offsets[k]:]`` is a
+    token, plus that token. The boundaries checked, in order, are those
+    of the live tail (``_tail_depth``), the last being where ``main``'s
+    pending tail starts; each costs one dictionary lookup, and no byte is
+    matched again. With no such boundary, the result is ``main``'s tokens
+    with the new byte added to the pending tail.
     """
     ids, offsets = vocab._ids, main.boundary_offsets
-    for k in range(_tail_depth(vocab, main), len(offsets) + 1):
-        t = _suffix_start(main, k)
-        tid = ids.get(data[t:])  # never EOS: data[t:] holds at least the new byte
+    for k in range(_tail_depth(vocab, main), len(offsets)):
+        tid = ids.get(data[offsets[k]:])  # never EOS: it holds at least the new byte
         if tid is not None:
-            return MainSequence(main.token_ids[:k] + (tid,), offsets[:k] + (t,), data, len(data))
-    return MainSequence(main.token_ids, offsets, data, main.covered)
+            return MainSequence(main.token_ids[:k] + (tid,), offsets[:k + 1] + (len(data),), data)
+    return MainSequence(main.token_ids, offsets, data)
 
 
 def alternatives_for_suffix(vocab: Vocabulary, suffix: bytes) -> NextByteGroups:

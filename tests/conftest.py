@@ -140,10 +140,11 @@ def random_coverable_bytes(rng: random.Random, alphabet: bytes, max_len: int) ->
     return bytes(rng.choice(alphabet) for _ in range(n))
 
 
-def greedy_reference(vocab: Vocabulary, data: bytes) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def greedy_reference(vocab: Vocabulary, data: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy longest match by a scan of every token at each start:
-    (token ids, their starts, covered). It stops at the first start where
-    no token matches; ``data[covered:]`` is the pending tail."""
+    (token ids, boundaries), the boundaries being each token's start, then
+    where the tokens end. It stops at the first start where no token
+    matches; the bytes after the last boundary are the pending tail."""
     ids, offsets, pos = [], [], 0
     while pos < len(data):
         matches = [t for t in vocab.non_eos_ids if data.startswith(vocab.bytes_of(t), pos)]
@@ -153,4 +154,4 @@ def greedy_reference(vocab: Vocabulary, data: bytes) -> tuple[tuple[int, ...], t
         ids.append(tid)
         offsets.append(pos)
         pos += len(vocab.bytes_of(tid))
-    return tuple(ids), tuple(offsets), pos
+    return tuple(ids), (*offsets, pos)

@@ -30,6 +30,7 @@ from conftest import (
     VOCAB_KINDS,
     greedy_reference,
     random_coverable_bytes,
+    random_dist,
     random_model,
     random_partial_vocab,
     random_vocab,
@@ -61,10 +62,6 @@ class TestExactByteMarginal:
         with pytest.raises(BudgetExceededError):
             exact_byte_marginal(tiny_model, b"ababab", max_nodes=3)
 
-    def test_max_tokens_cuts_deep_paths(self, tiny_model):
-        # with at most one token, only ["ab"] covers "ab"
-        assert exact_byte_marginal(tiny_model, b"ab", max_tokens=1) == pytest.approx(0.2)
-
 
 class TestExactTerminalMass:
     def test_no_eos_means_zero(self, tiny_model):
@@ -76,6 +73,11 @@ class TestExactTerminalMass:
         # P(["ab"]) * P(eos) + P(["a","b"]) * P(eos)
         want = 0.2 * 0.1 + 0.4 * 0.3 * 0.1
         assert exact_terminal_mass(m, b"ab") == pytest.approx(want, abs=1e-15)
+
+    def test_budget_error_on_tiny_node_budget(self):
+        m = TableModel(build_vocabulary([b"a", b"b", b"ab"], eos=True), [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(BudgetExceededError):
+            exact_terminal_mass(m, b"ab", max_nodes=2)
 
 
 class TestApproxByteScore:
@@ -91,7 +93,7 @@ class TestApproxByteScore:
         rng = random.Random(5)
         v = build_vocabulary([b"a", b"b", b"c"])
         for _ in range(20):
-            m = TableModel(v, _rand_dist(rng, 3))
+            m = TableModel(v, random_dist(rng, 3, zeros=False))
             data = random_coverable_bytes(rng, b"abc", 6)
             assert abs(
                 approx_byte_score(m, data) - exact_byte_marginal(m, data)
@@ -123,7 +125,7 @@ class TestApproxByteScore:
             base = tokenize(v, data)
             for b in b"ab":
                 ext = data + bytes([b])
-                if tokenize(v, ext).token_ids[: len(base)] != base.token_ids:
+                if tokenize(v, ext).token_ids[: len(base.token_ids)] != base.token_ids:
                     continue
                 assert approx_byte_score(m, ext) <= approx_byte_score(m, data) + 1e-12
 
@@ -132,7 +134,7 @@ class TestRefreshCache:
     def test_structure_for_ab(self, tiny_model):
         cache = refresh_cache(tiny_model, b"ab")
         assert cache.main.token_ids == (2,)
-        depths = len(cache.main) + 1
+        depths = len(cache.main.boundary_offsets)
         assert len(cache.depths) == depths == 2
         alternatives = _alternatives(tiny_model, cache)
         assert list(alternatives[0]) == [2]
@@ -143,7 +145,7 @@ class TestRefreshCache:
     def test_empty_bytes(self, tiny_model):
         cache = refresh_cache(tiny_model, b"")
         assert cache.main.token_ids == ()
-        depths = len(cache.main) + 1
+        depths = len(cache.main.boundary_offsets)
         assert len(cache.depths) == depths == 1
         assert _suffix_lengths(cache) == [0]
         assert set(_alternatives(tiny_model, cache)[0]) == {0, 1, 2}
@@ -368,7 +370,8 @@ class TestPendingTailAgainstOracle:
                 for b, s in sc.log_scores.items():
                     assert math.exp(s) <= exact_byte_marginal(m, data + bytes([b])) + 1e-12
                 cases += 1
-                pending_finite += cache.main.covered < len(data) and log_score > NEG_INF
+                pending = cache.main.boundary_offsets[-1] < len(data)
+                pending_finite += pending and log_score > NEG_INF
                 # a proposed byte, or any byte of the alphabet
                 if sc.log_scores and rng.random() < 0.5:
                     b = rng.choice(sorted(sc.log_scores))
@@ -440,7 +443,7 @@ class TestLiveDepthWindow:
         cache = refresh_cache(m, b"")
         for i in range(len(data)):
             cache = refresh_cache(m, data[: i + 1], old=cache)
-        assert len(data) >= 200 and len(cache.main) >= 80
+        assert len(data) >= 200 and len(cache.main.token_ids) >= 80
         calls = []
         kernel = byte_transform._restricted_mass
 
@@ -471,7 +474,7 @@ class TestEosPlacement:
             m, ctx = NoisyChannelModel(v), SignalContext(walk, noise=0.1)
         else:
             m, ctx = random_model(rng, v), None
-        dist = np.array(_rand_dist(rng, v.size))
+        dist = np.array(random_dist(rng, v.size, zeros=False))
         for t in v.non_eos_ids:
             for d in range(len(v.bytes_of(t)) + 1):
                 record = alternatives_for_suffix(v, v.bytes_of(t)[:d])
@@ -524,7 +527,7 @@ class TestStepGroupings:
     def test_a_shared_memo_scores_bit_identically(self, seed, walks, place0, place1):
         rng = random.Random(seed)
         v0, v1 = random_vocab_with_eos(rng, place0), random_vocab_with_eos(rng, place1)
-        models = [(TableModel(v0, _rand_dist(rng, v0.size)), None)]
+        models = [(TableModel(v0, random_dist(rng, v0.size, zeros=False)), None)]
         if rng.random() < 0.3:
             models.append((NoisyChannelModel(v1), SignalContext(walks[0], noise=0.1)))
         else:
@@ -587,7 +590,7 @@ class TestOneByteRefresh:
                     assert depth.dist.tolist() == want.dist.tolist()
             # the parent's own records before the new token, all of them if
             # the tail only grew; the records past them are new
-            kept = len(warm.main.token_ids) + (warm.main.covered < len(ext))
+            kept = len(warm.main.token_ids) + (warm.main.boundary_offsets[-1] < len(ext))
             assert len(cache.depths) >= kept
             assert all(mine is theirs for mine, theirs in zip(warm.depths[:kept], cache.depths))
             assert not any(new is theirs for new in warm.depths[kept:] for theirs in cache.depths)
@@ -606,7 +609,7 @@ class TestOneByteRefresh:
         old = refresh_cache(m, b"a")
         before = m.forward_count
         grown = refresh_cache(m, b"ac", old=old)
-        assert grown.main.covered == 1  # "c" pends, and no token starts with it
+        assert grown.main.boundary_offsets[-1] == 1  # "c" pends, and no token starts with it
         next_byte_scores(m, grown)
         assert m.forward_count == before
         assert grown.depths[1] is old.depths[1] and old.depths[1].dist is None
@@ -670,8 +673,7 @@ def _reference_depths(model, data, ctx):
     cold; depth S's suffix is the pending tail, empty when the greedy
     tokens cover ``data``."""
     v = model.vocabulary
-    token_ids, offsets, covered = greedy_reference(v, data)
-    starts = list(offsets) + [covered]
+    token_ids, starts = greedy_reference(v, data)
     state, lr, depths = model.initial_state(ctx), 0.0, []
     for s, start in enumerate(starts):
         dist = model.dist_from_state(state, ctx)
@@ -698,7 +700,7 @@ def _reference_approx(model, data, ctx):
     if not data:
         return 0.0
     depths = _reference_depths(model, data, ctx)
-    if greedy_reference(model.vocabulary, data)[2] < len(data):
+    if greedy_reference(model.vocabulary, data)[1][-1] < len(data):
         parts, scanned = [], depths
     else:
         parts, scanned = [depths[-1][0]], depths[:-1]
@@ -726,7 +728,7 @@ def _assert_matches_reference(model, cache, ctx):
     lr, dist, _ = depths[-1]
     eos = model.vocabulary.eos_id
     want_terminal = NEG_INF  # a pending tail cannot end the sequence
-    pending = greedy_reference(model.vocabulary, data)[2] < len(data)
+    pending = greedy_reference(model.vocabulary, data)[1][-1] < len(data)
     if eos is not None and lr > NEG_INF and float(dist[eos]) > 0.0 and not pending:
         want_terminal = lr + math.log(float(dist[eos]))
     got = next_byte_scores(model, cache, ctx)
@@ -755,19 +757,14 @@ class TestConservation:
 
 
 def _alternatives(model, cache):
-    """Ids of the tokens covering the suffix after each of the cache's S+1 depths."""
+    """Ids of the tokens covering the suffix after each of the cache's S+1
+    boundaries, one per depth."""
     data = cache.main.source_bytes
-    starts = [*cache.main.boundary_offsets, len(data)]
-    return [alternatives_for_suffix(model.vocabulary, data[t:]).ids.tolist() for t in starts]
+    return [alternatives_for_suffix(model.vocabulary, data[t:]).ids.tolist()
+            for t in cache.main.boundary_offsets]
 
 
 def _suffix_lengths(cache):
-    """Byte length of the suffix after each of the cache's S+1 depths."""
+    """Byte length of the suffix after each of the cache's S+1 boundaries."""
     data = cache.main.source_bytes
-    return [len(data) - off for off in cache.main.boundary_offsets] + [0]
-
-
-def _rand_dist(rng, size):
-    w = [rng.random() + 1e-3 for _ in range(size)]
-    s = sum(w)
-    return [x / s for x in w]
+    return [len(data) - off for off in cache.main.boundary_offsets]

@@ -436,7 +436,7 @@ class TestDelayedFeedback:
         starts = last_token_starts(v, main)
         for b in b"abc":
             try:
-                want = tokenize(v, data + bytes([b])).boundary_offsets[-1]
+                want = tokenize(v, data + bytes([b])).boundary_offsets[-2]
             except TokenizationError as err:
                 assert err.offset == len(data)
                 want = None
@@ -458,7 +458,7 @@ class TestDelayedFeedback:
                 for data, fused in kept:
                     if len(data) == step + 1:
                         extensions += 1
-                        data = data[: tokenize(tr.vocabulary, data).boundary_offsets[-1]]
+                        data = data[: tokenize(tr.vocabulary, data).boundary_offsets[-2]]
                     assert fused == approx_byte_log_score(lm, data)
             for data, fused, (_, lm_score) in result.all_beams:
                 assert fused == lm_score == approx_byte_log_score(lm, data)
@@ -496,10 +496,10 @@ class TestDelayedFeedback:
             for step, kept in enumerate(result.trace):
                 for data, fused in kept:
                     if len(data) == step + 1:
-                        _, offsets, covered = greedy_reference(tr.vocabulary, data)
+                        _, offsets = greedy_reference(tr.vocabulary, data)
                         extensions += 1
-                        pending += covered < len(data)
-                        data = data[: offsets[-1] if covered == len(data) else covered]
+                        pending += offsets[-1] < len(data)
+                        data = data[: offsets[-2] if offsets[-1] == len(data) else offsets[-1]]
                     assert fused == approx_byte_log_score(lm, data)
             for data, fused, (_, lm_score) in result.all_beams:
                 assert fused == lm_score == approx_byte_log_score(lm, data)

@@ -200,6 +200,8 @@ class TestConfigFile:
             ("noise", "grid", "0.1, 0.1"),
             ("corpus", "min_len", "0"),
             ("fusion", "feedback", "x"),
+            ("corpus", "alphabet", ""),
+            ("noise", "confusions", "ab:c"),
         ],
     )
     def test_failed_validation_names_section_and_key(self, tmp_path, section, key, value):
@@ -207,6 +209,11 @@ class TestConfigFile:
         path.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: \[{section}\] {key}\b"):
             load_experiment_config(str(path))
+
+    def test_trailing_comma_ends_the_confusion_pairs(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[noise]\nconfusions = a:b,\n")
+        assert load_experiment_config(str(path)).confusions == frozenset({(ord("a"), ord("b"))})
 
     def test_demo_config_loads(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -384,6 +391,11 @@ class TestRunExperiment:
             setup.lm_model.forward_count - lm0,
         )
         assert cr.forward_counts[0] > 0 and cr.forward_counts[1] > 0
+
+    def test_unknown_decoder_rejected(self):
+        cfg = small_config(noise_grid=(0.2,))
+        with pytest.raises(ValueError, match="^unknown decoder 'sampled'$"):
+            decode_corpus("sampled", build_setup(cfg), cfg, 0.2)
 
 
 class TestDirectionalBenefit:

@@ -148,6 +148,8 @@ class TestTableModel:
             TableModel(v, [0.5, 0.3])
         with pytest.raises(ValueError):
             TableModel(v, [0.9, 0.3, 0.2])
+        with pytest.raises(ValueError, match="^probabilities must be non-negative$"):
+            TableModel(v, [1.2, -0.3, 0.1])
 
     @pytest.mark.parametrize("key", [7, 3, -1])
     def test_conditional_key_outside_the_vocabulary_rejected(self, key):
@@ -354,6 +356,10 @@ class TestNgramModel:
     def test_non_positive_or_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             NgramModel(_vocab(), 2, corpus=[b"ab"], alpha=alpha)
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^order must be >= 1$"):
+            NgramModel(_vocab(), 0)
 
 
 class TestNoisyChannel:

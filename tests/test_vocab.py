@@ -59,6 +59,8 @@ class TestBuildVocabulary:
     def test_empty_token_rejected(self):
         with pytest.raises(VocabError, match="empty"):
             build_vocabulary([b""])
+        with pytest.raises(VocabError, match="^vocabulary needs at least one token$"):
+            build_vocabulary([])
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -107,12 +109,12 @@ class TestTokenize:
     def test_longest_match_at_start(self, tiny_vocab):
         seq = tokenize(tiny_vocab, b"ab")
         assert seq.token_ids == (2,)
-        assert seq.boundary_offsets == (0,)
+        assert seq.boundary_offsets == (0, 2)
 
     def test_longest_match_per_step(self, tiny_vocab):
         seq = tokenize(tiny_vocab, b"aab")
         assert seq.token_ids == (0, 2)
-        assert seq.boundary_offsets == (0, 1)
+        assert seq.boundary_offsets == (0, 1, 3)
 
     def test_uncoverable_byte_reports_offset(self):
         v = build_vocabulary([b"a", b"b"])
@@ -149,8 +151,7 @@ _WALK = st.text(alphabet="abc", max_size=24).map(str.encode)
 
 def _greedy_reference(vocab, data):
     """The reference segmentation of ``data``, pending tail included."""
-    ids, offsets, covered = greedy_reference(vocab, data)
-    return MainSequence(ids, offsets, data, covered)
+    return MainSequence(*greedy_reference(vocab, data), data)
 
 
 class TestGreedyReference:
@@ -168,7 +169,7 @@ class TestGreedyReference:
         v = random_vocab_with_eos(random.Random(seed), placement)
         want = _greedy_reference(v, data)
         assert _greedy(v, data) == want
-        pos = want.covered
+        pos = want.boundary_offsets[-1]
         if pos < len(data):
             message = f"no token matches input at byte offset {pos} (byte 0x{data[pos]:02x})"
             with pytest.raises(TokenizationError, match=f"^{re.escape(message)}$") as got:
@@ -225,10 +226,10 @@ class TestOneRuleTwoReaders:
             got = tokenize_extension(v, main, ext)
             assert got == _greedy_reference(v, ext)
             if b in starts:
-                assert got.covered == len(ext)
-                assert starts[b] == got.boundary_offsets[-1]
+                assert got.boundary_offsets[-1] == len(ext)
+                assert starts[b] == got.boundary_offsets[-2]
             else:
-                assert got.covered == main.covered < len(ext)
+                assert got.boundary_offsets[-1] == main.boundary_offsets[-1] < len(ext)
                 assert got.token_ids == main.token_ids
 
 
@@ -244,6 +245,9 @@ class TestVocabularyLookups:
             assert all(v.id_of(tb) == t for t, tb in enumerate(surfaces))
         with pytest.raises(VocabError, match="no token"):
             v.id_of(b"\x00" * 9)
+        out_of_range = rf"^token id {v.size} out of range 0\.\.{v.size - 1}$"
+        with pytest.raises(VocabError, match=out_of_range):
+            v.bytes_of(v.size)
 
     def test_non_eos_ids_is_immutable(self):
         v = build_vocabulary([b"a", b"b"], eos=True)
@@ -506,6 +510,8 @@ class TestVocabularyFile:
         for b in range(256):
             token = bytes([b, b])
             assert unescape_token(escape_token(token)) == token
+        with pytest.raises(VocabError, match="non-byte character"):
+            unescape_token("\u20ac")
 
     def test_hex_escape_takes_exactly_two_hex_digits(self):
         assert unescape_token("\\x0F\\xa0") == b"\x0f\xa0"
