@@ -27,9 +27,9 @@ when given one, which is how the decoder scores a beam's own bytes, and
 builds a cold one otherwise. It and ``next_byte_scores`` score each
 depth of the live tail (``vocab._tail_depth``) through one kernel,
 ``_restricted_mass``, which groups the depth's distribution over the
-trie node of its suffix (``vocab.alternatives_for_suffix``). Both
-scorers take an optional memo shared by a decode step, so a step groups
-each (trie node, distribution array) pair once.
+trie node of its suffix (``vocab.alternatives_for_suffix``); that
+node's record keeps each array's grouping while the array lives, so a
+(node, array) pair is grouped once across steps and decodes.
 
 All accumulation is in log space with max-shift (via logsumexp), so
 long sequences do not underflow rolling products. Every log and exp is
@@ -39,6 +39,7 @@ long sequences do not underflow rolling products. Every log and exp is
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -243,9 +244,8 @@ def refresh_cache(
     return ModelCache(main=main, depths=depths)
 
 
-def _restricted_mass(
-    model: TokenModel, cache: ModelCache, s: int, ctx: Context, groupings: dict | None = None
-) -> dict[int, float]:
+def _restricted_mass(model: TokenModel, cache: ModelCache, s: int,
+                     ctx: Context) -> dict[int, float]:
     """Next-byte mass of the alternatives at depth ``s``, by byte.
 
     The depth-``s`` distribution is restricted to the tokens covering the
@@ -253,12 +253,11 @@ def _restricted_mass(
     Tokens that match the suffix exactly complete it through an off-main
     segmentation; the main-sequence approximation drops them. The tokens
     are the shared record of the suffix's node in the vocabulary's trie,
-    read through its ``index`` (a view at the root). Buckets
-    are returned unfiltered: callers skip masses <= 0. ``groupings`` is a
-    step's memo (see ``fusion.decode``): a (record, distribution) pair in
-    it is not grouped again, and its buckets are shared, so callers only
-    read them. It holds each distribution, so no id in a key is reused
-    while it lives.
+    read through its ``index`` (a view at the root). Buckets are returned
+    unfiltered: callers skip masses <= 0. An array the record has grouped
+    while it lives (``NextByteGroups.grouped``) is not grouped again, which
+    is sound only because distributions are read-only; its buckets are
+    shared, so callers only read them.
     """
     vocab = model.vocabulary
     suffix = cache.main.source_bytes[cache.main.boundary_offsets[s] :]
@@ -266,12 +265,13 @@ def _restricted_mass(
     if not members.keys:  # no member proposes a byte past the suffix
         return {}
     dist = _dist_at(model, cache.depths[s], ctx)
-    key = (id(members), id(dist))
-    if groupings is not None and (hit := groupings.get(key)) is not None:
+    grouped, key = members.grouped, id(dist)
+    hit = grouped.get(key)
+    if hit is not None and hit[0]() is dist:  # not a dead array whose id was reused
         return hit[1]
     result = group_by_next_byte(members, dist[members.index])
-    if groupings is not None:
-        groupings[key] = (dist, result)
+    # a weak reference, so the entry goes when the array dies
+    grouped[key] = (weakref.ref(dist, lambda _, g=grouped, k=key: g.pop(k, None)), result)
     return result
 
 
@@ -281,21 +281,21 @@ def approx_byte_score(model: TokenModel, data: bytes, ctx: Context = None) -> fl
     Evaluates the backbone tokenization plus, at each token boundary, the
     mass of single tokens covering the entire remaining byte suffix. The
     main path is counted once, via the full rolling product. Uses at most
-    S model forwards and never exceeds the exact marginal.
+    S model forwards and never exceeds the exact marginal, which it equals
+    for a canonical model, one with no mass on a token sequence other than
+    the greedy tokenization of its own bytes.
     """
     return math.exp(approx_byte_log_score(model, data, ctx))
 
 
-def approx_byte_log_score(
-    model: TokenModel, data: bytes, ctx: Context = None,
-    cache: ModelCache | None = None, groupings: dict | None = None,
-) -> float:
+def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None,
+                          cache: ModelCache | None = None) -> float:
     """Log-space form of :func:`approx_byte_score` (beam search ranks in logs).
 
     It reads ``cache``, which must hold ``data`` (any other is a
     ``ValueError``), or else a cold cache of ``data``. Only the live
     tail's depths (``vocab._tail_depth``) are scanned, as in
-    ``next_byte_scores``, through the same kernel and ``groupings``. With
+    ``next_byte_scores``, through the same kernel. With
     a pending tail the main path covers too little and is dropped, and
     depth S adds the tokens covering the tail; with none left, -inf."""
     if cache is None:
@@ -317,16 +317,14 @@ def approx_byte_log_score(
         # in order, as _logsumexp adds; empty buckets add 0.0, which leaves
         # the sum as it is
         mass = 0.0
-        for bucket in _restricted_mass(model, cache, s, ctx, groupings).values():
+        for bucket in _restricted_mass(model, cache, s, ctx).values():
             mass += bucket
         if mass > 0.0:
             parts.append(lr + math.log(mass))
     return _logsumexp(parts)
 
 
-def next_byte_scores(
-    model: TokenModel, cache: ModelCache, ctx: Context = None, groupings: dict | None = None
-) -> ByteScore:
+def next_byte_scores(model: TokenModel, cache: ModelCache, ctx: Context = None) -> ByteScore:
     """Joint scores for every candidate next byte, plus the terminal score.
 
     For each depth s each positive restricted next-byte mass
@@ -342,8 +340,7 @@ def next_byte_scores(
 
     A cold cache needs at most S+1 model forwards between
     ``refresh_cache`` and this call; distributions the cache already
-    holds cost none. ``groupings``, a step's memo shared by the calls of
-    that step, changes no score: it only skips repeated groupings.
+    holds cost none.
     """
     main, eos = cache.main, model.vocabulary.eos_id
     s_count = len(main.token_ids)
@@ -353,7 +350,7 @@ def next_byte_scores(
         lr = depths[s].log_rolling
         if lr == NEG_INF:
             continue
-        for b, mass in _restricted_mass(model, cache, s, ctx, groupings).items():
+        for b, mass in _restricted_mass(model, cache, s, ctx).items():
             if mass > 0.0:
                 if (parts := log_buckets.get(b)) is None:
                     log_buckets[b] = [lr + log(mass)]

@@ -32,9 +32,9 @@ delayed mode the proposer through ``next_byte_scores`` and the rescorer
 through ``approx_byte_log_score``, once per kept beam. A lagged prefix
 is an ancestor of its beam, so its rescorer score is read from the
 beam's window of its ancestors' scores (``Beam.lagged``), never
-recomputed. The scoring calls of one step share a memo of next-byte
-groupings, so a step groups each (trie node, distribution array) pair
-once, however many of its beams ask for it.
+recomputed. A trie node's record keeps each array's next-byte grouping
+while the array lives (``vocab.NextByteGroups.grouped``), so a (node,
+array) pair is grouped once, however many beams, steps and decodes ask.
 
 A step costs O(beams x (candidate bytes + ``max_token_len``)) work,
 whatever the hypothesis length: extending a tokenization looks up,
@@ -215,11 +215,9 @@ def decode(
     proposer does so (always, since it defines the candidate bytes), and
     each kept beam appends the rescorer's ``approx_byte_log_score`` to the
     window it inherits (``Beam.lagged``), which spans the longest lag, the
-    proposer's ``max_token_len``. The scoring calls of a step share one
-    memo of next-byte groupings (the ``max_bytes`` finishing pass has its
-    own), so each (trie node, distribution array) pair is grouped once
-    per step; models that hand equal states one array (see
-    :mod:`fusedec.models`) share that work. A candidate's lag is where the
+    proposer's ``max_token_len``. Models that hand equal states one array
+    (see :mod:`fusedec.models`) share its groupings across beams, steps
+    and decodes while it lives. A candidate's lag is where the
     proposer's last token, or else its pending tail, starts once the
     candidate takes its byte; its lagged score and every ending score are
     read from the window, never recomputed. A zero-weight model scores
@@ -270,7 +268,6 @@ def decode(
 
     while live and steps < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
-        groupings: dict = {}  # the step's (trie node, distribution) groupings
         # (-fused, beam bytes, next byte or -1, beam, per-model scores); -1
         # ends ``beam``, and a finished beam competes as its own ending. The
         # first three fields never tie and order as (-fused, bytes) does: live
@@ -281,7 +278,7 @@ def decode(
         ]
         for beam in live:
             scores = [
-                next_byte_scores(model, beam.caches[i], ctx, groupings) if scoring[i] else None
+                next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
                 for i, (model, ctx) in enumerate(models)
             ]
             cand_bytes = sorted({b for sc in scores if sc is not None for b in sc.log_scores})
@@ -316,7 +313,7 @@ def decode(
                 lagged = ()
                 if delayed and keeps_cache[1]:
                     m, ctx = models[1]
-                    score = approx_byte_log_score(m, data, ctx, caches[1], groupings)
+                    score = approx_byte_log_score(m, data, ctx, caches[1])
                     lagged = (*beam.lagged, score)[-window:]
                 new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
             kept.append((data, -neg_fused))
@@ -329,12 +326,11 @@ def decode(
     # anything still live ran into the byte budget: finish it with the
     # cache-consistent joint score of its committed bytes; the delayed
     # rescorer's is already the last entry of the beam's window
-    groupings = {}
     for beam in live:
         beam.per_model_scores = [
             NEG_INF if weights[i] == 0.0
             else beam.lagged[-1] if delayed and i == 1
-            else approx_byte_log_score(m, beam.data, ctx, beam.caches[i], groupings)
+            else approx_byte_log_score(m, beam.data, ctx, beam.caches[i])
             for i, (m, ctx) in enumerate(models)
         ]
         beam.fused_score = fuse_scores(beam.per_model_scores, weights)

@@ -7,13 +7,13 @@ deterministic and read-only (a model may hand the same array to many
 forwards), and incremental states reproduce from-scratch scoring bit
 for bit. ``forward_count`` tracks distribution evaluations.
 
-Sharing one array among equal states pays in the decoder: a step groups
-each (trie node, distribution array) pair by next byte once (see
-``fusion.decode``), so beams whose states share an array share that
-work. ``TableModel`` hands out one array per row, ``NgramModel`` one per
-counted (order-1)-token history plus one uniform array shared by every
-history without counted mass, and ``NoisyChannelModel`` one per byte
-offset.
+Sharing one array among equal states pays in the decoder: a trie node
+groups an array by next byte once while it lives (a memo sound only
+because arrays are read-only), so beams, steps and decodes whose states
+share an array share that work. ``TableModel`` hands out one array per
+row, ``NgramModel`` one per counted (order-1)-token history plus one
+uniform array shared by every history without counted mass, and
+``NoisyChannelModel`` one per byte offset.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ included, by one byte without matching any byte again.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -72,10 +73,11 @@ class NextByteGroups:
     ``np.bincount`` over every member in member order is the whole of
     ``group_by_next_byte``. ``index`` is a basic slice when the ids are
     consecutive, as at the root when EOS is the last id, so
-    ``dist[index]`` is a view; else ``ids``.
+    ``dist[index]`` is a view; else ``ids``. ``grouped`` is the memo of
+    ``byte_transform._restricted_mass``: array ``id`` -> (weak reference, buckets).
     """
 
-    __slots__ = ("ids", "slot", "keys", "index")
+    __slots__ = ("ids", "slot", "keys", "index", "grouped")
 
     def __init__(self, tokens: Sequence[bytes], ids: Sequence[int], depth: int):
         slot: list[int] = []
@@ -91,9 +93,13 @@ class NextByteGroups:
         n = len(self.ids)
         run = n > 0 and bool((self.ids == np.arange(self.ids[0], self.ids[0] + n)).all())
         self.index = slice(int(self.ids[0]), int(self.ids[0]) + n) if run else self.ids
+        self.grouped: dict[int, tuple[weakref.ref, dict[int, float]]] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __getstate__(self):  # weak references do not pickle: a copy's memo starts empty
+        return None, {**{name: getattr(self, name) for name in self.__slots__}, "grouped": {}}
 
 
 def _frozen(values: Sequence[int]) -> np.ndarray:
@@ -324,7 +330,7 @@ def alternatives_for_suffix(vocab: Vocabulary, suffix: bytes) -> NextByteGroups:
 
     The empty suffix returns every non-EOS token. The result is the trie
     node's grouping record, built by the first query that reaches the
-    node and shared by every later one, not a copy.
+    node and shared, memo included, by every later one, not a copy.
     """
     node = vocab.prefix_index
     for b in suffix:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from fusedec import NgramModel, TableModel, Vocabulary, build_vocabulary
+from fusedec import NgramModel, TableModel, TokenModel, Vocabulary, build_vocabulary
 
 # The hypothesis plugin imports this module when it reports a failing
 # example; it imports libcst, which warns about mypy_extensions.TypedDict.
@@ -133,6 +134,49 @@ def random_model(rng: random.Random, vocab: Vocabulary):
     if rng.random() < 0.5:
         return random_iid_model(rng, vocab)
     return random_bigram_model(rng, vocab)
+
+
+class CanonicalModel(TokenModel):
+    """``base`` with every token masked that would make the token sequence
+    non-canonical, i.e. not the greedy tokenization of its own bytes, and
+    the rest renormalized (all zeros when every token is masked); EOS is
+    never masked.
+
+    Greedy would have taken a longer token at an earlier start exactly
+    when the bytes from that start on (a remainder), followed by a
+    non-empty prefix of the new token, are a token. The state is the
+    base state plus the remainders shorter than ``max_token_len``; longer
+    ones extend to no token. Each forward builds a new array, as a model
+    whose state is its whole token prefix does.
+    """
+
+    def __init__(self, base: TokenModel):
+        super().__init__(base.vocabulary)
+        self.base = base
+        self._surfaces = {base.vocabulary.bytes_of(t) for t in base.vocabulary.non_eos_ids}
+
+    def initial_state(self, ctx=None):
+        return self.base.initial_state(ctx), ()
+
+    def advance_state(self, state, token_id):
+        base_state, remainders = state
+        tb = self.vocabulary.bytes_of(token_id)
+        longest = self.vocabulary.max_token_len
+        grown = tuple(r + tb for r in (*remainders, b"") if len(r) + len(tb) < longest)
+        return self.base.advance_state(base_state, token_id), grown
+
+    def _dist(self, state, ctx):
+        base_state, remainders = state
+        dist = np.array(self.base.dist_from_state(base_state, ctx), dtype=np.float64)
+        for tid in self.vocabulary.non_eos_ids:
+            tb = self.vocabulary.bytes_of(tid)
+            if any(r + tb[:j] in self._surfaces for r in remainders for j in range(1, len(tb) + 1)):
+                dist[tid] = 0.0
+        total = dist.sum()
+        if total > 0.0:
+            dist /= total
+        dist.flags.writeable = False
+        return dist
 
 
 def random_coverable_bytes(rng: random.Random, alphabet: bytes, max_len: int) -> bytes:

@@ -1,5 +1,9 @@
+import copy
+import gc
 import math
+import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from fusedec.vocab import NextByteGroups, _tail_depth, alternatives_for_suffix, 
 
 from conftest import (
     VOCAB_KINDS,
+    CanonicalModel,
     greedy_reference,
     random_coverable_bytes,
     random_dist,
@@ -113,6 +118,19 @@ class TestApproxByteScore:
             m = random_model(rng, v)
             data = random_coverable_bytes(rng, alphabet, 6)
             assert approx_byte_score(m, data) <= exact_byte_marginal(m, data) + 1e-12
+
+    @given(st.integers(0, 2**32 - 1),
+           st.text(alphabet="abc", min_size=1, max_size=8).map(str.encode))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_exact_marginal_for_a_canonical_model(self, seed, data):
+        # a canonical model puts no mass on a sequence greedy would not
+        # produce, so every covering sequence with mass follows the main
+        # tokenization up to its last token, the one sum the approximation keeps
+        rng = random.Random(seed)
+        v = random_vocab(rng, b"abc", max_tokens=12, max_len=3, eos=rng.random() < 0.5)
+        m = CanonicalModel(random_model(rng, v))
+        exact = exact_byte_marginal(m, data)
+        assert math.isclose(approx_byte_score(m, data), exact, rel_tol=1e-12, abs_tol=0.0)
 
     def test_monotone_under_main_extending_bytes(self):
         rng = random.Random(777)
@@ -447,9 +465,9 @@ class TestLiveDepthWindow:
         calls = []
         kernel = byte_transform._restricted_mass
 
-        def counted(model, cache, s, ctx, groupings=None):
+        def counted(model, cache, s, ctx):
             calls.append(s)
-            return kernel(model, cache, s, ctx, groupings)
+            return kernel(model, cache, s, ctx)
 
         monkeypatch.setattr(byte_transform, "_restricted_mass", counted)
         next_byte_scores(m, cache)
@@ -511,11 +529,13 @@ class TestEosPlacement:
             assert np.shares_memory(weights, cache.depths[0].dist) == view
 
 
-class TestStepGroupings:
-    """A step's memo (``groupings``) skips repeated groupings and changes no
-    score. One memo is shared by two models with different vocabularies and
-    by several caches of each; a ``TableModel`` hands every depth the same
-    array, so only the trie node tells its groupings apart."""
+class TestGroupingMemo:
+    """Each trie record keeps its grouping of every distribution array for
+    as long as the array lives (``NextByteGroups.grouped``). A warm memo
+    changes no score; an entry dies with its array, and one whose weak
+    reference no longer points to the array asked about is never read.
+    A ``TableModel`` hands every depth the same array, so only the trie
+    node tells its groupings apart."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -524,7 +544,7 @@ class TestStepGroupings:
         st.sampled_from(["first", "middle", "last", None]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_a_shared_memo_scores_bit_identically(self, seed, walks, place0, place1):
+    def test_a_warm_memo_scores_bit_identically(self, seed, walks, place0, place1):
         rng = random.Random(seed)
         v0, v1 = random_vocab_with_eos(rng, place0), random_vocab_with_eos(rng, place1)
         models = [(TableModel(v0, random_dist(rng, v0.size, zeros=False)), None)]
@@ -542,17 +562,99 @@ class TestStepGroupings:
                     cache = refresh_cache(m, data, ctx, old=cache)
                     scored.append((m, ctx, cache))
         rng.shuffle(scored)
-        groupings = {}
-        shared = [
-            (approx_byte_log_score(m, cache.main.source_bytes, ctx, cache, groupings),
-             next_byte_scores(m, cache, ctx, groupings))
-            for m, ctx, cache in scored
-        ]
-        for (m, ctx, cache), (log_score, scores) in zip(scored, shared):
-            assert log_score == _reference_approx(m, cache.main.source_bytes, ctx)
-            alone = next_byte_scores(m, cache, ctx)
-            assert list(scores.log_scores.items()) == list(alone.log_scores.items())
-            assert scores.log_terminal == alone.log_terminal
+        for _ in range(2):  # the first pass fills the records' memos, the second reads them
+            warm = [
+                (approx_byte_log_score(m, cache.main.source_bytes, ctx, cache),
+                 next_byte_scores(m, cache, ctx))
+                for m, ctx, cache in scored
+            ]
+        for (m, ctx, cache), (log_score, scores) in zip(scored, warm):
+            data = cache.main.source_bytes
+            assert log_score == _reference_approx(m, data, ctx)
+            twin = _twin(m)
+            cold = next_byte_scores(twin, refresh_cache(twin, data, ctx), ctx)
+            assert list(scores.log_scores.items()) == list(cold.log_scores.items())
+            assert scores.log_terminal == cold.log_terminal
+
+    def test_a_new_channel_context_frees_the_old_arrays_entries(self):
+        v = build_vocabulary([b"a", b"b", b"c", b"ab", b"bc", b"abc"], eos=True)
+        m = NoisyChannelModel(v)
+
+        def scored_walk(ctx):
+            cache = refresh_cache(m, b"", ctx)
+            for b in ctx.signal:
+                next_byte_scores(m, cache, ctx)
+                cache = refresh_cache(m, cache.main.source_bytes + bytes([b]), ctx, old=cache)
+            next_byte_scores(m, cache, ctx)
+            return cache
+
+        cache = scored_walk(SignalContext(b"abcab", noise=0.2))
+        old = [weakref.ref(dist) for dist in m._memo.values()]
+        assert any(ref() is entry() for record in _records(v)
+                   for entry, _ in record.grouped.values() for ref in old)
+        del cache
+        cache = scored_walk(SignalContext(b"cba", noise=0.1))  # the model drops the old arrays
+        gc.collect()
+        assert old and all(ref() is None for ref in old)
+        live = list(m._memo.values())
+        entries = [entry for record in _records(v) for entry, _ in record.grouped.values()]
+        assert entries and all(any(entry() is dist for dist in live) for entry in entries)
+
+    def test_an_entry_for_another_array_under_the_same_id_is_grouped_afresh(self, monkeypatch):
+        # a freed array's id may be reused by a new array; an entry left
+        # under that id must never be read for it, whether its array is
+        # dead or another live one
+        v = build_vocabulary([b"a", b"b", b"ab", b"ba"], eos=True)
+        root = alternatives_for_suffix(v, b"")
+        m = TableModel(v, [0.1, 0.2, 0.3, 0.15, 0.25])
+        dist = m.dist_from_state(None)
+        fresh = group_by_next_byte(root, dist[root.index])
+        stale = {b: mass + 1.0 for b, mass in fresh.items()}
+        gone = np.ones(v.size)
+        dead = weakref.ref(gone)
+        del gone
+        other = np.ones(v.size)
+        calls = []
+        monkeypatch.setattr(byte_transform, "group_by_next_byte",
+                            lambda *args: calls.append(args) or group_by_next_byte(*args))
+        for ref in (dead, weakref.ref(other)):
+            root.grouped[id(dist)] = (ref, stale)
+            assert byte_transform._restricted_mass(m, refresh_cache(m, b""), 0, None) == fresh
+            entry, buckets = root.grouped[id(dist)]
+            assert entry() is dist and buckets == fresh
+        assert len(calls) == 2
+        assert byte_transform._restricted_mass(m, refresh_cache(m, b""), 0, None) is buckets
+        assert len(calls) == 2
+
+    def test_a_scored_model_pickles_and_its_copies_start_with_empty_memos(self):
+        v = build_vocabulary([b"a", b"b", b"ab", b"ba"], eos=True)
+        m = TableModel(v, [0.1, 0.2, 0.3, 0.15, 0.25])
+        scores = next_byte_scores(m, refresh_cache(m, b"a"))
+        assert any(record.grouped for record in _records(v))
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert _records(twin.vocabulary) and not any(
+                record.grouped for record in _records(twin.vocabulary))
+            assert next_byte_scores(twin, refresh_cache(twin, b"a")) == scores
+
+
+def _twin(model):
+    """``model`` over a new vocabulary of the same tokens, whose trie
+    records have grouped nothing; it hands out the same arrays."""
+    twin = copy.copy(model)
+    v = model.vocabulary
+    twin.vocabulary = Vocabulary([v.bytes_of(t) for t in range(v.size)], v.eos_id)
+    return twin
+
+
+def _records(vocab):
+    """Every grouping record built so far in ``vocab``'s trie."""
+    nodes, records = [vocab.prefix_index], []
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children.values())
+        if node.groups is not None:
+            records.append(node.groups)
+    return records
 
 
 class TestOneByteRefresh:

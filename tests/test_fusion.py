@@ -661,85 +661,79 @@ class _PrefixModel(TokenModel):
         return np.array(random_dist(random.Random(repr((self.seed, state))), self.vocabulary.size))
 
 
-class TestStepGroupings:
-    def test_a_step_groups_each_node_and_array_once(self, monkeypatch):
+class TestGroupingMemo:
+    def test_a_decode_groups_each_node_and_array_once(self, monkeypatch):
         # the channel model hands every beam at one offset the same array, the
-        # bigram every beam with the same last token; the live beams of a step
-        # share a length, so they ask the same trie nodes to group the same
-        # arrays, and a step's memo groups each (node, array) pair once
+        # bigram every beam with the same last token; both keep each array for
+        # the whole decode (the channel for its one context, the bigram in its
+        # cache), and a trie record keeps its grouping of an array while the
+        # array lives, so the decode groups each (record, array) pair once
         tr = NoisyChannelModel(build_vocabulary([b"a", b"b", b"c", b"ab", b"bc", b"abc"], eos=True))
         lm = random_bigram_model(
             random.Random(15), build_vocabulary([b"a", b"b", b"c", b"ca", b"bca"], eos=True)
         )
-        steps = []  # per step: the (record, array) pairs the kernel needs, and the groupings made
-        state = {"new_step": True, "record": None}
+        pairs = []  # the (record, array) pairs the kernel needs
+        grouped = [0]
+        state = {"record": None}
         kernel, group = byte_transform._restricted_mass, byte_transform.group_by_next_byte
-        alternatives, refresh = byte_transform.alternatives_for_suffix, fusion.refresh_cache
-
-        def refreshed(*args, **kwargs):  # kept beams refresh after the step's scoring
-            state["new_step"] = True
-            return refresh(*args, **kwargs)
+        alternatives = byte_transform.alternatives_for_suffix
 
         def recorded(*args):
             state["record"] = alternatives(*args)
             return state["record"]
 
-        def observed(model, cache, s, *rest):
-            if state["new_step"]:
-                steps.append(([], [0]))
-                state["new_step"] = False
-            result = kernel(model, cache, s, *rest)
+        def observed(model, cache, s, ctx):
+            result = kernel(model, cache, s, ctx)
             if state["record"].keys:
-                steps[-1][0].append((state["record"], cache.depths[s].dist))
+                pairs.append((state["record"], cache.depths[s].dist))
             return result
 
         def counted(*args):
-            steps[-1][1][0] += 1
+            grouped[0] += 1
             return group(*args)
 
-        monkeypatch.setattr(fusion, "refresh_cache", refreshed)
         monkeypatch.setattr(byte_transform, "alternatives_for_suffix", recorded)
         monkeypatch.setattr(byte_transform, "_restricted_mass", observed)
         monkeypatch.setattr(byte_transform, "group_by_next_byte", counted)
         result = decode([(tr, SignalContext(b"abcabcabca", noise=0.2)), (lm, None)],
                          FusionConfig(r=0.3, num_beams=5, max_bytes=8))
         assert max(len(kept) for kept in result.trace) == 5
-        repeated = 0
-        for pairs, (calls,) in steps:
-            distinct = {(id(record), id(dist)) for record, dist in pairs}
-            assert calls == len(distinct)
-            repeated += len(pairs) - len(distinct)
-        assert repeated > 0
+        distinct = {(id(record), id(dist)) for record, dist in pairs}  # pairs keeps each alive
+        assert grouped[0] == len(distinct)
+        assert len(pairs) - len(distinct) > 0
 
     def test_uncounted_histories_share_one_grouping(self, monkeypatch):
         # a bigram counted only after BOS: from the second step on, the two
         # beams end in different tokens whose histories have no counts, so
-        # both hold the model's one uniform array, and a step groups the
-        # rescorer's root node once for the pair
+        # both hold the model's one uniform array, and the rescorer's root
+        # node groups it once for the whole decode
         lm_vocab = build_vocabulary([b"a", b"b"])
         lm = NgramModel(lm_vocab, 2, alpha=0.1, counts={(NgramModel.BOS,): {0: 1.0, 1: 3.0}})
         tr = TableModel(build_vocabulary([b"a", b"b"]), [0.5, 0.5])
         root = byte_transform.alternatives_for_suffix(lm_vocab, b"")
-        steps = []  # per step: its memo, the rescorer's histories, its root groupings
+        steps = []  # per step: the rescorer's histories, its root groupings
         scores, group = fusion.next_byte_scores, byte_transform.group_by_next_byte
 
-        def scored(model, cache, ctx, groupings):
-            if not steps or steps[-1][0] is not groupings:
-                steps.append((groupings, set(), [0]))
+        def scored(model, cache, ctx):
+            step = len(cache.main.source_bytes)  # the live beams of a step share a length
+            if step == len(steps):
+                steps.append((set(), [0]))
             if model is lm:
-                steps[-1][1].add(cache.depths[-1].state)
-            return scores(model, cache, ctx, groupings)
+                steps[step][0].add(cache.depths[-1].state)
+            return scores(model, cache, ctx)
 
         def counted(members, weights):
             if members is root:
-                steps[-1][2][0] += 1
+                steps[-1][1][0] += 1
             return group(members, weights)
 
         monkeypatch.setattr(fusion, "next_byte_scores", scored)
         monkeypatch.setattr(byte_transform, "group_by_next_byte", counted)
         decode([(tr, None), (lm, None)], FusionConfig(r=0.5, num_beams=2, max_bytes=4))
-        assert [hists for _, hists, _ in steps] == [{(NgramModel.BOS,)}] + [{(0,), (1,)}] * 3
-        assert [calls for _, _, (calls,) in steps] == [1, 1, 1, 1]
+        assert [hists for hists, _ in steps] == [{(NgramModel.BOS,)}] + [{(0,), (1,)}] * 3
+        # the BOS history's array at the first step, the uniform one at the
+        # second, and nothing after: the record still holds both groupings
+        assert [calls for _, (calls,) in steps] == [1, 1, 0, 0]
 
 
 class TestForwardMinimality:
