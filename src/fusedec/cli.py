@@ -119,7 +119,7 @@ def _cmd_decode(args) -> int:
         cfg = replace(cfg, fusion=replace(cfg.fusion, r=args.r))
     setup = build_setup(cfg)
     eps = args.eps if args.eps is not None else cfg.noise_grid[0]
-    result = decode_corpus(args.decoder, setup, cfg, eps)
+    (result,) = decode_corpus((args.decoder,), setup, cfg, eps)
     _emit([escape_token(h) for h in result.hypotheses], args.out)
     return 0
 

@@ -6,6 +6,10 @@ fused decoder, then scores all three. References are drawn from the same
 Markov source the rescoring model is trained on (disjoint train/test
 streams), so the rescorer carries genuine signal about the data.
 
+A reference's decoders run back to back on one signal context: the
+channel keeps only the last context's distributions, so all three read
+them, and a trie node's groupings of those arrays, as built once.
+
 Reports are plain text, one self-describing record per line, and are
 byte-identical across runs with the same config; wall time goes
 to a separate sidecar file so it cannot break that guarantee.
@@ -385,47 +389,51 @@ def _decoder_config(decoder: str, fusion: FusionConfig, max_bytes: int) -> Fusio
 
 
 def decode_corpus(
-    decoder: str,
+    decoders: Sequence[str],
     setup: ExperimentSetup,
     cfg: ExperimentConfig,
     noise: float,
-) -> ConditionResult:
-    """Decode every test utterance under one (decoder, noise) condition."""
+) -> list[ConditionResult]:
+    """Decode every test utterance at one noise level with each of
+    ``decoders``, one result per name. A reference's decoders run back to
+    back on one ``SignalContext``, so they share the channel's arrays for
+    it (kept until the next context) and their trie groupings. A
+    condition's forwards sum the deltas around its decodes, failed ones too.
+    """
+    if isinstance(decoders, str) or not decoders:
+        raise ValueError(f"decoders must be a non-empty sequence of names, got {decoders!r}")
     confusions = cfg.confusions if noise > 0.0 else frozenset()
     max_bytes = max(len(r) for r in setup.test) + MAX_BYTES_MARGIN
-    run_cfg = _decoder_config(decoder, cfg.fusion, max_bytes)
-    hyps: list[bytes] = []
-    failures = 0
-    before = (setup.tr_model.forward_count, setup.lm_model.forward_count)
+    run_cfgs = [_decoder_config(d, cfg.fusion, max_bytes) for d in decoders]
+    counted = (setup.tr_model, setup.lm_model)
+    hyps: list[list[bytes]] = [[] for _ in decoders]
+    failures = [0] * len(decoders)
+    forwards = [[0] * len(counted) for _ in decoders]
     for ref in setup.test:
         ctx = SignalContext(signal=ref, noise=noise, confusions=confusions)
-        models = [(setup.tr_model, ctx)]
-        if decoder == "fused":
-            models.append((setup.lm_model, None))
-        try:
-            result = decode(models, run_cfg)
-            hyps.append(result.best)
-        except DecodeFailure:
-            hyps.append(b"")
-            failures += 1
-    after = (setup.tr_model.forward_count, setup.lm_model.forward_count)
-    report = score_corpus(setup.test, hyps, unit="byte")
-    return ConditionResult(
-        noise=noise,
-        decoder=decoder,
-        report=report,
-        hypotheses=hyps,
-        failures=failures,
-        forward_counts=tuple(a - b for a, b in zip(after, before)),
-    )
+        for i, decoder in enumerate(decoders):
+            models = [(setup.tr_model, ctx)]
+            if decoder == "fused":
+                models.append((setup.lm_model, None))
+            before = [m.forward_count for m in counted]
+            try:
+                hyps[i].append(decode(models, run_cfgs[i]).best)
+            except DecodeFailure:
+                hyps[i].append(b"")
+                failures[i] += 1
+            for k, (m, b) in enumerate(zip(counted, before)):
+                forwards[i][k] += m.forward_count - b
+    return [ConditionResult(noise=noise, decoder=d, report=score_corpus(setup.test, h, unit="byte"),
+                            hypotheses=h, failures=f, forward_counts=tuple(n))
+            for d, h, f, n in zip(decoders, hyps, failures, forwards)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Sweep the noise grid with all decoder variants and score everything."""
     started = time.perf_counter()
     setup = build_setup(cfg)
-    conditions = [decode_corpus(decoder, setup, cfg, noise)
-                  for noise in cfg.noise_grid for decoder in DECODERS]
+    conditions = [cr for noise in cfg.noise_grid
+                  for cr in decode_corpus(DECODERS, setup, cfg, noise)]
     report = RunReport(cfg, setup.test, conditions, time.perf_counter() - started)
     if cfg.out_dir:
         report.write(cfg.out_dir)

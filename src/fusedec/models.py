@@ -280,9 +280,10 @@ class NoisyChannelModel(TokenModel):
     Beams at one offset share a distribution, so the distributions of
     the last context seen are kept, keyed by offset (every offset past
     the signal's end has the same one), and returned read-only; a new
-    context drops them and builds its map of confusion partners. They
-    take at most (len(signal) + 1) x V floats. ``forward_count`` still
-    counts every request.
+    context drops them and builds its map of confusion partners, so the
+    arrays live until the next context and decodes of one context in a row
+    share them. They take at most (len(signal) + 1) x V floats.
+    ``forward_count`` still counts every request.
     """
 
     def __init__(self, vocabulary: Vocabulary):

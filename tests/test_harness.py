@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusedec.harness as harness
 from fusedec import FusionConfig, NgramModel, NoisyChannelModel, build_vocabulary
+from fusedec.fusion import DecodeFailure
 from fusedec.harness import (
     CONFIG_SCHEMA,
+    DECODERS,
     CorpusSpec,
     ExperimentConfig,
     ExperimentSetup,
@@ -368,9 +371,6 @@ class TestRunExperiment:
         assert "metric=cer" in text and "status=ok" in text
 
     def test_majority_failures_mark_the_run(self, monkeypatch):
-        import fusedec.harness as harness
-        from fusedec.fusion import DecodeFailure
-
         def always_fail(models, cfg):
             raise DecodeFailure("forced")
 
@@ -385,17 +385,70 @@ class TestRunExperiment:
         cfg = small_config(noise_grid=(0.2,))
         setup = build_setup(cfg)
         tr0, lm0 = setup.tr_model.forward_count, setup.lm_model.forward_count
-        cr = decode_corpus("fused", setup, cfg, 0.2)
-        assert cr.forward_counts == (
+        results = decode_corpus(DECODERS, setup, cfg, 0.2)
+        assert [cr.decoder for cr in results] == list(DECODERS)
+        assert tuple(map(sum, zip(*(cr.forward_counts for cr in results)))) == (
             setup.tr_model.forward_count - tr0,
             setup.lm_model.forward_count - lm0,
         )
-        assert cr.forward_counts[0] > 0 and cr.forward_counts[1] > 0
+        fused = results[DECODERS.index("fused")]
+        assert fused.forward_counts[0] > 0 and fused.forward_counts[1] > 0
+        # the baselines decode with the proposer alone
+        assert all(cr.forward_counts[1] == 0 for cr in results if cr.decoder != "fused")
 
-    def test_unknown_decoder_rejected(self):
+    @pytest.mark.parametrize("decoders, message", [
+        (("sampled",), "^unknown decoder 'sampled'$"),
+        (("greedy", "sampled"), "^unknown decoder 'sampled'$"),
+        ("fused", "^decoders must be a non-empty sequence of names, got 'fused'$"),
+        ((), r"^decoders must be a non-empty sequence of names, got \(\)$"),
+    ])
+    def test_bad_decoders_rejected_before_any_decode(self, monkeypatch, decoders, message):
+        def no_decode(models, cfg):
+            raise AssertionError("decoded before the decoders were checked")
+
+        monkeypatch.setattr(harness, "decode", no_decode)
         cfg = small_config(noise_grid=(0.2,))
-        with pytest.raises(ValueError, match="^unknown decoder 'sampled'$"):
-            decode_corpus("sampled", build_setup(cfg), cfg, 0.2)
+        with pytest.raises(ValueError, match=message):
+            decode_corpus(decoders, build_setup(cfg), cfg, 0.2)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "all-failing"])
+    def test_decoders_together_match_each_alone(self, monkeypatch, fail):
+        if fail:
+            # every decode runs, and so forwards, before it raises
+            real = harness.decode
+
+            def decode_then_fail(models, cfg):
+                real(models, cfg)
+                raise DecodeFailure("forced")
+
+            monkeypatch.setattr(harness, "decode", decode_then_fail)
+        cfg = small_config()
+        for noise in cfg.noise_grid:
+            together = decode_corpus(DECODERS, build_setup(cfg), cfg, noise)
+            assert [cr.decoder for cr in together] == list(DECODERS)
+            for cr in together:
+                (alone,) = decode_corpus((cr.decoder,), build_setup(cfg), cfg, noise)
+                assert cr.hypotheses == alone.hypotheses
+                assert cr.failures == alone.failures == (len(cr.hypotheses) if fail else 0)
+                assert cr.report == alone.report
+                assert cr.forward_counts == alone.forward_counts
+                assert cr.forward_counts[0] > 0
+
+    def test_a_reference_builds_each_channel_distribution_once(self, monkeypatch):
+        cfg = small_config()
+        refs = build_corpora(cfg)[1]
+        # a reference that came round again would rebuild its arrays by design
+        assert len(set(refs)) == len(refs)
+        fresh_dist = NoisyChannelModel._fresh_dist
+        keys = []
+
+        def counted(self, state, ctx):
+            keys.append((ctx.signal, ctx.noise, state))
+            return fresh_dist(self, state, ctx)
+
+        monkeypatch.setattr(NoisyChannelModel, "_fresh_dist", counted)
+        run_experiment(cfg)
+        assert keys and len(keys) == len(set(keys))
 
 
 class TestDirectionalBenefit:
@@ -445,15 +498,14 @@ class TestMultiByteFusion:
         setup = self._setup()
         confusions = frozenset((0x80 + k, 0x81 + k) for k in range(0, 8, 2))
         cer = {}
-        for name, decoder, feedback in (("beam", "beam", "synchronous"),
-                                        ("synchronous", "fused", "synchronous"),
-                                        ("delayed", "fused", "delayed")):
+        for feedback, decoders in (("synchronous", ("beam", "fused")), ("delayed", ("fused",))):
             cfg = ExperimentConfig(confusions=confusions, fusion=FusionConfig(
                 r=0.2, num_beams=5, feedback=feedback, length_penalty=1.0))
             # a TokenizationError would escape decode_corpus and fail the test
-            result = decode_corpus(decoder, setup, cfg, 0.1)
-            assert result.failures == 0
-            assert b"" not in result.hypotheses
-            cer[name] = round(result.report.cer, 4)
+            for result in decode_corpus(decoders, setup, cfg, 0.1):
+                assert result.failures == 0
+                assert b"" not in result.hypotheses
+                name = feedback if result.decoder == "fused" else result.decoder
+                cer[name] = round(result.report.cer, 4)
         assert cer == {"beam": 0.1722, "synchronous": 0.0372, "delayed": 0.0471}
         assert cer["synchronous"] < cer["beam"] and cer["delayed"] < cer["beam"]
