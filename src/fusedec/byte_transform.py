@@ -65,13 +65,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def _logsumexp(parts: Sequence[float]) -> float:
+    # at most one part is -inf, approx's main path (any other is lr + log(mass) > -inf)
     if len(parts) == 1:
         return parts[0]  # what the general form gives: x + log(1.0) == x
     if not parts:
         return NEG_INF
     m = max(parts)
-    if m == NEG_INF:
-        return NEG_INF
     total = 0.0  # the additions sum() makes up to Python 3.11 (3.12's compensates)
     for p in parts:
         total += math.exp(p - m)
@@ -299,8 +298,6 @@ def approx_byte_log_score(model: TokenModel, data: bytes, ctx: Context = None,
     a pending tail the main path covers too little and is dropped, and
     depth S adds the tokens covering the tail; with none left, -inf."""
     if cache is None:
-        if not data:
-            return 0.0
         cache = refresh_cache(model, data, ctx)
     elif cache.main.source_bytes != data:
         raise ValueError("cache must hold data")

@@ -6,8 +6,8 @@ scores with per-model weights and runs a beam search over bytes, so
 models never need to share a tokenizer.
 
 The search has one kind of candidate: a beam extended by one byte, or
-ended where it is; a finished beam competes as its own ending. Ranking
-by fused score, then bytes, is a total order (see ``decode``).
+ended where it is; an ended hypothesis competes as its own ending.
+Ranking by fused score, then bytes, is a total order (see ``decode``).
 
 Two feedback modes are supported. In ``synchronous`` mode every model
 scores the full candidate prefix each step. In ``delayed`` mode the
@@ -71,7 +71,7 @@ DELAYED = "delayed"
 
 
 class DecodeFailure(RuntimeError):
-    """Every beam lost its fused probability mass before any finished.
+    """Every beam lost its fused probability mass before any ended.
 
     ``step`` is the step it happened at, when known.
     """
@@ -154,21 +154,21 @@ def fuse_scores(per_model: Sequence[float], weights: Sequence[float]) -> float:
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class Beam:
-    """One hypothesis: committed bytes plus per-model caches and scores.
+    """One live hypothesis: committed bytes plus per-model caches.
 
     ``caches[i]`` is None for a zero-weight model that does not propose;
     every other cache holds all of ``data``, as tokens and a pending tail.
-    In delayed mode a live beam's ``lagged`` holds the rescorer's scores
-    of its last prefixes, one per length, ending with ``data`` (-inf
-    where no token covers its tail); the root's is ``(0.0,)``.
+    In delayed mode ``lagged`` holds the rescorer's scores of the beam's
+    last prefixes, one per length, ending with ``data`` (-inf where no
+    token covers its tail); the root's is ``(0.0,)``. A beam's scores
+    live in the candidates and the trace; an ended hypothesis competes as
+    its own ending, as its ``DecodeResult.all_beams`` row.
     """
 
     data: bytes
     caches: list[ModelCache | None]
-    per_model_scores: list[float]
-    fused_score: float
     lagged: tuple[float, ...] = ()
 
 
@@ -198,14 +198,14 @@ def decode(
 
     Per step, every live beam asks each positively weighted model for
     joint next-byte scores. Each candidate extends a live beam by one byte
-    or ends it, with the models' terminal mass; a finished beam competes
-    as its own ending, with its final score. Candidates are fused
+    or ends it, with the models' terminal mass; an ended hypothesis
+    competes as its own ending, with its final score. Candidates are fused
     (cumulative joint log scores, no per-step renormalization), ranked by
     (-fused score, bytes), a total order because a step's candidates have
     distinct bytes, and pruned globally to ``num_beams``; only the kept
-    extensions build their bytes and refresh their caches. Anything
-    still live at ``max_bytes`` is finished with its main-sequence joint
-    score. A step costs
+    extensions build their bytes and refresh their caches, and a kept
+    ending becomes its ``all_beams`` row. Anything still live at
+    ``max_bytes`` is ended with its main-sequence joint score. A step costs
     O(beams x (candidate bytes + ``max_token_len``)) work, independent
     of the hypothesis length (see the module docstring).
 
@@ -259,22 +259,21 @@ def decode(
         tail = main.boundary_offsets[-1]
         return [*(beam.lagged[starts.get(b, tail) - n - 1] for b in cand_bytes), beam.lagged[-1]]
 
-    live = [Beam(b"", refreshed(b"", [None] * len(models)), [0.0] * len(models), 0.0, (0.0,))]
-    finished: list[Beam] = []
+    live = [Beam(b"", refreshed(b"", [None] * len(models)), (0.0,))]
+    ended: list[tuple[bytes, float, tuple[float, ...]]] = []  # all_beams rows
     trace: list[list[tuple[bytes, float]]] = []
     step_forwards: list[tuple[int, ...]] = []
     start_counts = [m.forward_count for m, _ in models]
-    steps = 0
 
-    while live and steps < cfg.max_bytes:
+    while live and len(trace) < cfg.max_bytes:
         before = [m.forward_count for m, _ in models]
         # (-fused, beam bytes, next byte or -1, beam, per-model scores); -1
-        # ends ``beam``, and a finished beam competes as its own ending. The
-        # first three fields never tie and order as (-fused, bytes) does: live
-        # beams have one length, an ending is a proper prefix of its beam's
-        # extensions, and carried finished beams are shorter.
-        candidates: list[tuple[float, bytes, int, Beam, Sequence[float]]] = [
-            (-fb.fused_score, fb.data, -1, fb, fb.per_model_scores) for fb in finished
+        # ends ``beam``, and an ended hypothesis competes as its own ending, with
+        # no beam. The first three fields never tie and order as (-fused, bytes)
+        # does: live beams have one length, an ending is a proper prefix of its
+        # beam's extensions, and carried endings are shorter.
+        candidates: list[tuple[float, bytes, int, Beam | None, tuple[float, ...]]] = [
+            (-fused, data, -1, None, per_model) for data, fused, per_model in ended
         ]
         for beam in live:
             scores = [
@@ -298,15 +297,15 @@ def decode(
                     candidates.append((-fused, beam.data, b, beam, per_model))
 
         if not candidates:
-            raise DecodeFailure(f"all beams lost fused probability mass at step {steps}", steps)
+            step = len(trace)
+            raise DecodeFailure(f"all beams lost fused probability mass at step {step}", step)
         candidates.sort()
 
         kept: list[tuple[bytes, float]] = []
-        new_live: list[Beam] = []
-        new_finished: list[Beam] = []
+        live, ended = [], []
         for neg_fused, data, b, beam, per_model in candidates[: cfg.num_beams]:
             if b < 0:
-                new_finished.append(Beam(data, beam.caches, list(per_model), -neg_fused))
+                ended.append((data, -neg_fused, per_model))
             else:
                 data += bytes((b,))
                 caches = refreshed(data, beam.caches)
@@ -315,39 +314,37 @@ def decode(
                     m, ctx = models[1]
                     score = approx_byte_log_score(m, data, ctx, caches[1])
                     lagged = (*beam.lagged, score)[-window:]
-                new_live.append(Beam(data, caches, list(per_model), -neg_fused, lagged))
+                live.append(Beam(data, caches, lagged))
             kept.append((data, -neg_fused))
-        live, finished = new_live, new_finished
         trace.append(kept)
         after = [m.forward_count for m, _ in models]
         step_forwards.append(tuple(a - b for a, b in zip(after, before)))
-        steps += 1
 
-    # anything still live ran into the byte budget: finish it with the
+    # anything still live ran into the byte budget: end it with the
     # cache-consistent joint score of its committed bytes; the delayed
     # rescorer's is already the last entry of the beam's window
     for beam in live:
-        beam.per_model_scores = [
+        per_model = tuple(
             NEG_INF if weights[i] == 0.0
             else beam.lagged[-1] if delayed and i == 1
             else approx_byte_log_score(m, beam.data, ctx, beam.caches[i])
             for i, (m, ctx) in enumerate(models)
-        ]
-        beam.fused_score = fuse_scores(beam.per_model_scores, weights)
-        finished.append(beam)
+        )
+        ended.append((beam.data, fuse_scores(per_model, weights), per_model))
 
     alpha = cfg.length_penalty
 
-    def final_key(b: Beam) -> tuple[float, bytes]:
-        norm = max(len(b.data), 1) ** alpha if alpha != 0.0 else 1.0
-        return (-(b.fused_score / norm), b.data)
+    def final_key(row: tuple[bytes, float, tuple[float, ...]]) -> tuple[float, bytes]:
+        data, fused, _ = row
+        norm = max(len(data), 1) ** alpha if alpha != 0.0 else 1.0
+        return (-(fused / norm), data)
 
-    finished.sort(key=final_key)
+    ended.sort(key=final_key)
     end_counts = [m.forward_count for m, _ in models]
     return DecodeResult(
-        best=finished[0].data,
-        all_beams=[(b.data, b.fused_score, tuple(b.per_model_scores)) for b in finished],
-        step_count=steps,
+        best=ended[0][0],
+        all_beams=ended,
+        step_count=len(trace),
         forward_counts=tuple(e - s for e, s in zip(end_counts, start_counts)),
         trace=trace,
         step_forwards=step_forwards,

@@ -115,6 +115,12 @@ class TokenModel(ABC):
             state = self.advance_state(state, tid)
         return total
 
+    def _prompt_ids(self, ctx: Context) -> tuple[int, ...]:
+        """A prompt context's token ids; () for any other context."""
+        if isinstance(ctx, PromptContext) and ctx.prompt:
+            return tokenize(self.vocabulary, ctx.prompt).token_ids
+        return ()
+
     def _check_id(self, token_id: int) -> int:
         if not 0 <= token_id < self.vocabulary.size:
             raise ValueError(
@@ -148,11 +154,8 @@ class TableModel(TokenModel):
             self._cond[tid] = _normalized(row, vocabulary.size)
 
     def initial_state(self, ctx: Context = None) -> int | None:
-        if isinstance(ctx, PromptContext) and ctx.prompt:
-            ids = tokenize(self.vocabulary, ctx.prompt).token_ids
-            if ids:
-                return ids[-1]
-        return None  # last token id; None at sequence start
+        ids = self._prompt_ids(ctx)
+        return ids[-1] if ids else None  # last token id; None at sequence start
 
     def advance_state(self, state: int | None, token_id: int) -> int:
         return self._check_id(token_id)
@@ -238,11 +241,8 @@ class NgramModel(TokenModel):
             totals[hist] = totals.get(hist, 0.0) + 1.0
 
     def initial_state(self, ctx: Context = None) -> tuple[int, ...]:
-        hist = [self.BOS] * (self.order - 1)
-        if isinstance(ctx, PromptContext) and ctx.prompt:
-            for tid in tokenize(self.vocabulary, ctx.prompt).token_ids:
-                hist = (hist[1:] + [tid]) if self.order > 1 else hist
-        return tuple(hist)
+        hist = (self.BOS,) * (self.order - 1) + self._prompt_ids(ctx)
+        return hist[len(hist) - (self.order - 1):]
 
     def advance_state(self, state: tuple[int, ...], token_id: int) -> tuple[int, ...]:
         self._check_id(token_id)

@@ -400,6 +400,50 @@ class TestPendingTailAgainstOracle:
         assert cases >= 3000 and pending_finite >= 200
 
 
+class TestEstimatorPremises:
+    """Relations between the two estimators that a search may lean on, on
+    random models over every vocabulary kind and prefixes ``d`` of up to 6
+    bytes over ``abc``."""
+
+    @staticmethod
+    def _instances(seed):
+        rng = random.Random(seed)
+        for kind in VOCAB_KINDS:
+            for _ in range(24):
+                m = random_model(rng, random_vocab_of_kind(rng, kind))
+                for _ in range(10):
+                    yield m, bytes(rng.choice(b"abc") for _ in range(rng.randint(0, 6)))
+
+    def test_a_dead_prefix_has_no_live_extension(self):
+        # approx's -inf and the oracle's 0.0 each carry over to every d + b
+        approx_dead = exact_dead = 0
+        for m, d in self._instances(3030):
+            if approx_byte_log_score(m, d) == NEG_INF:
+                for b in range(256):
+                    assert approx_byte_log_score(m, d + bytes([b])) == NEG_INF
+                approx_dead += 1
+            if exact_byte_marginal(m, d) == 0.0:
+                for b in b"abc":
+                    assert exact_byte_marginal(m, d + bytes([b])) == 0.0
+                exact_dead += 1
+        assert approx_dead >= 200 and exact_dead >= 200
+
+    def test_a_step_score_bounds_the_score_of_the_extended_prefix(self):
+        # approx(d + b) <= next_byte_scores(d)[b], -inf for a byte the step does
+        # not propose; 1e-12 allows for rounding when the step's bucket sum is
+        # split in two, a relative 1e-12 in probability
+        lower = equal = 0
+        for m, d in self._instances(3131):
+            step = next_byte_scores(m, refresh_cache(m, d)).log_scores
+            for b in b"abc":
+                extended = approx_byte_log_score(m, d + bytes([b]))
+                bound = step.get(b, NEG_INF)
+                assert extended <= bound + 1e-12
+                lower += extended < bound
+                equal += extended == bound > NEG_INF
+        assert lower >= 400 and equal >= 1000
+
+
 class TestLiveDepthWindow:
     """Scoring scans only the depths whose suffix a token can cover.
 

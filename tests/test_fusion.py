@@ -355,6 +355,54 @@ class TestDecodeFuzz:
         assert finished > 0
 
 
+class TestResultRows:
+    @pytest.mark.parametrize("length_penalty", [0.0, 1.0])
+    @pytest.mark.parametrize("feedback", ["synchronous", "delayed"])
+    @pytest.mark.parametrize("r", [0.0, 0.2, 0.5, 1.0])
+    def test_all_beams_are_the_last_step_ended(self, r, feedback, length_penalty):
+        # every all_beams row is a hypothesis kept at the last step: an ending
+        # keeps its trace score bit for bit, and a beam cut at max_bytes is
+        # scored on its committed bytes
+        rng = random.Random(2000 + int(r * 10) + 100 * (feedback == "delayed")
+                            + 1000 * int(length_penalty))
+        alphabet = b"abcd"
+        returned = 0
+        for _ in range(25):
+            tr_vocab = (random_vocab(rng, alphabet, max_tokens=10, max_len=3, eos=True)
+                        if rng.random() < 0.5 else random_partial_vocab(rng, alphabet))
+            lm_vocab = random_partial_vocab(rng, alphabet)
+            models = [(random_model(rng, tr_vocab), None), (random_model(rng, lm_vocab), None)]
+            cfg = FusionConfig(r=r, num_beams=rng.randint(1, 4), max_bytes=rng.randint(0, 7),
+                               feedback=feedback, length_penalty=length_penalty)
+            try:
+                result = decode(models, cfg)
+            except DecodeFailure as failure:
+                assert failure.step < cfg.max_bytes
+                continue
+            returned += 1
+            weights = cfg.resolve_weights(2)
+            assert result.step_count == len(result.trace) == len(result.step_forwards)
+            rows = {data: (fused, per_model) for data, fused, per_model in result.all_beams}
+            assert len(rows) == len(result.all_beams)
+            if not result.trace:
+                assert list(rows) == [b""]
+                last = {}
+            else:
+                last = dict(result.trace[-1])
+                assert set(rows) == set(last)
+            for data, (fused, per_model) in rows.items():
+                if len(data) < cfg.max_bytes:
+                    assert fused == last[data]
+                else:
+                    assert len(data) == cfg.max_bytes == result.step_count
+                    assert per_model == tuple(
+                        NEG_INF if w == 0.0 else approx_byte_log_score(m, data, ctx)
+                        for w, (m, ctx) in zip(weights, models)
+                    )
+                    assert fused == fuse_scores(per_model, weights)
+        assert returned > 0
+
+
 class TestMonotoneScores:
     def test_fused_scores_non_increasing_along_lineage(self):
         # at step t (0-based) live selections have length t+1, fresh terminal

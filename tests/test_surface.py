@@ -126,6 +126,13 @@ def test_attributes_the_benchmark_reads_exist():
     assert vocab.Vocabulary([b"a", b""], eos_id=1).prefix_index.children.keys() == {ord("a")}
     fields = {f.name for f in dataclasses.fields(fusion.DecodeResult)}
     assert {"best", "all_beams", "step_count", "forward_counts"} <= fields
+    # workloads.result_problems unpacks each row as (bytes, fused, per-model scores)
+    m = models.TableModel(vocab.build_vocabulary([b"a"], eos=True), [0.5, 0.5])
+    result = fusion.decode([(m, None), (m, None)], fusion.FusionConfig(r=0.5, max_bytes=2))
+    assert len(result.all_beams) == 3  # two endings and one cut beam
+    for data, fused, per_model in result.all_beams:
+        assert type(data) is bytes and type(fused) is float and type(per_model) is tuple
+        assert [type(score) for score in per_model] == [float, float]
     for name in ("decode", "build_setup", "MarkovSource", "run_experiment",
                  "load_experiment_config"):
         assert callable(getattr(harness, name)), name
