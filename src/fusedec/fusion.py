@@ -9,14 +9,14 @@ The search has one kind of candidate: a beam extended by one byte, or
 ended where it is; an ended hypothesis competes as its own ending.
 Ranking by fused score, then bytes, is a total order (see ``decode``).
 
-Two feedback modes are supported. In ``synchronous`` mode every model
-scores the full candidate prefix each step. In ``delayed`` mode the
-first model proposes bytes while the second scores a prefix lagging
-behind the proposal, re-ranking beams on past bytes instead of reacting
-to the newest one: the prefix up to the proposer's next-to-last
-main-sequence boundary, where its last token starts, which the
-proposer has committed as whole tokens, or up to its last boundary,
-where its pending tail starts (see ``vocab.MainSequence``).
+Two feedback modes are supported. In ``synchronous`` mode the proposer
+scores every beam, and the others each beam that can still place a
+candidate. In ``delayed`` mode the first model proposes bytes while the
+second scores a prefix lagging behind the proposal, re-ranking beams on
+past bytes instead of reacting to the newest one: the prefix up to the
+proposer's next-to-last main-sequence boundary, where its last token
+starts, which the proposer has committed as whole tokens, or up to its
+last boundary, where its pending tail starts (see ``vocab.MainSequence``).
 
 Each beam keeps one cache per positively weighted model, in both modes.
 A surviving candidate's cache is built from its parent's: its
@@ -68,6 +68,8 @@ from .vocab import tokenize  # noqa: F401
 
 SYNCHRONOUS = "synchronous"
 DELAYED = "delayed"
+
+_BOUND_SLACK = 1e-9  # rounding the bound allows for, per unit of weight (seen: 3.6e-15)
 
 
 class DecodeFailure(RuntimeError):
@@ -154,7 +156,7 @@ def fuse_scores(per_model: Sequence[float], weights: Sequence[float]) -> float:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen dataclass sets each field several times slower
 class Beam:
     """One live hypothesis: committed bytes plus per-model caches.
 
@@ -162,13 +164,14 @@ class Beam:
     every other cache holds all of ``data``, as tokens and a pending tail.
     In delayed mode ``lagged`` holds the rescorer's scores of the beam's
     last prefixes, one per length, ending with ``data`` (-inf where no
-    token covers its tail); the root's is ``(0.0,)``. A beam's scores
-    live in the candidates and the trace; an ended hypothesis competes as
-    its own ending, as its ``DecodeResult.all_beams`` row.
+    token covers its tail); the root's is ``(0.0,)``. ``per_model`` holds
+    the scores the beam was kept with, 0.0 each at the root; an ended
+    hypothesis competes as its own ending, as its ``all_beams`` row.
     """
 
     data: bytes
     caches: list[ModelCache | None]
+    per_model: tuple[float, ...]
     lagged: tuple[float, ...] = ()
 
 
@@ -197,21 +200,28 @@ def decode(
     """Fused byte-level beam search.
 
     Per step, every live beam asks each positively weighted model for
-    joint next-byte scores. Each candidate extends a live beam by one byte
-    or ends it, with the models' terminal mass; an ended hypothesis
-    competes as its own ending, with its final score. Candidates are fused
-    (cumulative joint log scores, no per-step renormalization), ranked by
-    (-fused score, bytes), a total order because a step's candidates have
-    distinct bytes, and pruned globally to ``num_beams``; only the kept
-    extensions build their bytes and refresh their caches, and a kept
-    ending becomes its ``all_beams`` row. Anything still live at
-    ``max_bytes`` is ended with its main-sequence joint score. A step costs
-    O(beams x (candidate bytes + ``max_token_len``)) work, independent
-    of the hypothesis length (see the module docstring).
+    joint next-byte scores, the proposer (model 0) first; in synchronous
+    mode only a beam that can place a candidate asks the others (below).
+    Each candidate extends a live beam by one byte or ends it, with the
+    models' terminal mass; an ended hypothesis competes as its own
+    ending, with its final score. Candidates are fused (cumulative joint
+    log scores, no per-step renormalization), ranked by (-fused score,
+    bytes), a total order because a step's candidates have distinct
+    bytes, and pruned globally to ``num_beams``; only the kept extensions
+    build their bytes and refresh their caches, and a kept ending becomes
+    its ``all_beams`` row. Anything still live at ``max_bytes`` is ended
+    with its main-sequence joint score. A step costs O(beams x (candidate
+    bytes + ``max_token_len``)) work, independent of the hypothesis
+    length (see the module docstring).
 
     Every positively weighted model keeps a per-beam cache of the bytes
     the beam commits, built from its parent's cache. In synchronous mode
-    each of them scores through ``next_byte_scores``. In delayed mode the
+    each of them scores through ``next_byte_scores``. A score never rises
+    as a hypothesis grows, so a beam's candidates fuse to at most its
+    bound, w0 times its best proposer score plus the other weights times
+    its ``Beam.per_model``; beams go by descending bound, and from the
+    first bound below the ``num_beams``-th best fused score so far, the
+    other models score no more beams that step. In delayed mode the
     proposer does so (always, since it defines the candidate bytes), and
     each kept beam appends the rescorer's ``approx_byte_log_score`` to the
     window it inherits (``Beam.lagged``), which spans the longest lag, the
@@ -259,7 +269,9 @@ def decode(
         tail = main.boundary_offsets[-1]
         return [*(beam.lagged[starts.get(b, tail) - n - 1] for b in cand_bytes), beam.lagged[-1]]
 
-    live = [Beam(b"", refreshed(b"", [None] * len(models)), (0.0,))]
+    bounded = not delayed and weights[0] > 0.0 and any(scoring[1:])
+
+    live = [Beam(b"", refreshed(b"", [None] * len(models)), (0.0,) * len(models), (0.0,))]
     ended: list[tuple[bytes, float, tuple[float, ...]]] = []  # all_beams rows
     trace: list[list[tuple[bytes, float]]] = []
     step_forwards: list[tuple[int, ...]] = []
@@ -275,9 +287,22 @@ def decode(
         candidates: list[tuple[float, bytes, int, Beam | None, tuple[float, ...]]] = [
             (-fused, data, -1, None, per_model) for data, fused, per_model in ended
         ]
-        for beam in live:
+        if bounded:  # proposer first; ``bound`` adds the slack, ``top`` ascends
+            first = {id(beam): next_byte_scores(models[0][0], beam.caches[0], models[0][1])
+                     for beam in live}
+            bound = {id(beam): weights[0] * max([sc.log_terminal, *sc.log_scores.values()])
+                     + sum(w * s for w, s in zip(weights[1:], beam.per_model[1:]) if w > 0.0)
+                     + _BOUND_SLACK * sum(weights) for beam, sc in zip(live, first.values())}
+            order, top, seen = sorted(live, key=lambda beam: -bound[id(beam)]), [], 0
+        for beam in order if bounded else live:
+            if bounded:  # the num_beams best fused scores so far
+                top = sorted([*top, *(-c[0] for c in candidates[seen:])])[-cfg.num_beams:]
+                if len(top) == cfg.num_beams and bound[id(beam)] < top[0]:
+                    break
+                seen = len(candidates)
             scores = [
-                next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
+                first[id(beam)] if bounded and i == 0
+                else next_byte_scores(model, beam.caches[i], ctx) if scoring[i] else None
                 for i, (model, ctx) in enumerate(models)
             ]
             cand_bytes = sorted({b for sc in scores if sc is not None for b in sc.log_scores})
@@ -314,7 +339,7 @@ def decode(
                     m, ctx = models[1]
                     score = approx_byte_log_score(m, data, ctx, caches[1])
                     lagged = (*beam.lagged, score)[-window:]
-                live.append(Beam(data, caches, lagged))
+                live.append(Beam(data, caches, per_model, lagged))
             kept.append((data, -neg_fused))
         trace.append(kept)
         after = [m.forward_count for m, _ in models]

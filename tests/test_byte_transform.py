@@ -443,6 +443,21 @@ class TestEstimatorPremises:
                 equal += extended == bound > NEG_INF
         assert lower >= 400 and equal >= 1000
 
+    def test_no_step_score_exceeds_the_parents_step_score_for_the_last_byte(self):
+        # every next byte and the ending of d score at most what the step of
+        # d[:-1] gave d's last byte (0.0 for d == b""), -inf where it gave none:
+        # the bound the synchronous decoder skips rescorers with; 1e-12 allows
+        # for rounding, as above
+        lower = 0
+        for m, d in self._instances(3232):
+            parent = (next_byte_scores(m, refresh_cache(m, d[:-1])).log_scores.get(d[-1], NEG_INF)
+                      if d else 0.0)
+            step = next_byte_scores(m, refresh_cache(m, d))
+            for score in (*step.log_scores.values(), step.log_terminal):
+                assert score <= parent + 1e-12
+                lower += score < parent
+        assert lower >= 3500
+
 
 class TestLiveDepthWindow:
     """Scoring scans only the depths whose suffix a token can cover.

@@ -28,6 +28,7 @@ from fusedec import byte_transform, fusion
 from fusedec.vocab import last_token_starts
 
 from conftest import (
+    VOCAB_KINDS,
     greedy_reference,
     random_bigram_model,
     random_dist,
@@ -35,6 +36,7 @@ from conftest import (
     random_model,
     random_partial_vocab,
     random_vocab,
+    random_vocab_of_kind,
 )
 
 NEG_INF = float("-inf")
@@ -244,6 +246,23 @@ class TestDegeneracy:
         assert [b[0] for b in fused.all_beams] == [b[0] for b in solo.all_beams]
         assert fused.forward_counts[1] == 0
 
+
+    def test_a_zero_weight_entry_changes_nothing_but_the_row_width(self):
+        # a third model of weight 0 leaves the decode of the first two as it
+        # is, forwards too, so the synchronous bound ignores it, and it is
+        # never asked; it cannot tokenize "c", which would otherwise matter
+        for seed in range(6):
+            weights = [(0.8, 0.2), (0.5, 0.5), (0.3, 0.7)][seed % 3]
+            tr, ctx, lm = _rescorer_gap_instance() if seed % 2 else _fusion_instance(seed)
+            pair = decode([(tr, ctx), (lm, None)], FusionConfig(weights=weights, num_beams=3,
+                                                                max_bytes=8))
+            third = random_model(random.Random(seed), build_vocabulary([b"a", b"b"], eos=True))
+            trio = decode([(tr, ctx), (lm, None), (third, None)],
+                          FusionConfig(weights=(*weights, 0.0), num_beams=3, max_bytes=8))
+            assert trio.best == pair.best
+            assert trio.trace == pair.trace
+            assert [row[:2] for row in trio.all_beams] == [row[:2] for row in pair.all_beams]
+            assert trio.forward_counts == (*pair.forward_counts, 0)
 
     @pytest.mark.parametrize("max_bytes", [3, 8], ids=lambda m: f"{m}-last-tr-token")
     def test_delayed_rescorer_scores_untokenizable_prefixes_minus_inf(self, max_bytes):
@@ -666,6 +685,29 @@ class TestFailureAndEdges:
         assert result.forward_counts == tuple(a - b for a, b in zip(after, before))
         assert len(result.step_forwards) == result.step_count
 
+    def test_forward_counts_are_this_decodes_forwards(self):
+        # models already warm from one decode: the counts are this decode's
+        # delta of each forward_count and the sum of its per-step counts
+        tr, ctx, lm = _fusion_instance(2)
+        decode([(tr, ctx), (lm, None)], FusionConfig(r=0.2, num_beams=2, max_bytes=4))
+        before = (tr.forward_count, lm.forward_count)
+        assert min(before) > 0
+        result = decode([(tr, ctx), (lm, None)], FusionConfig(r=0.4, num_beams=3, max_bytes=8))
+        after = (tr.forward_count, lm.forward_count)
+        assert result.forward_counts == tuple(a - b for a, b in zip(after, before))
+        assert result.forward_counts == tuple(map(sum, zip(*result.step_forwards)))
+        assert min(result.forward_counts) > 0
+
+    def test_a_nul_byte_extends_a_beam(self):
+        # byte 0x00 is a candidate like any other, not the -1 that ends a beam
+        tr = TableModel(build_vocabulary([b"\x00", b"a"], eos=True), [0.6, 0.3, 0.1])
+        lm = NgramModel(build_vocabulary([b"\x00", b"a", b"\x00a"], eos=True), 2,
+                        corpus=[b"\x00a\x00a", b"\x00a"], alpha=0.1)
+        result = decode([(tr, None), (lm, None)], FusionConfig(r=0.3, num_beams=3, max_bytes=4))
+        assert result.best[:1] == b"\x00" and len(result.best) > 1
+        assert result.trace[0][0][0] == b"\x00"
+        assert any(data.endswith(b"\x00") for step in result.trace for data, _ in step)
+
     def test_length_penalty_changes_final_ranking_only(self):
         tr, ctx, lm = _fusion_instance(4)
         plain = decode([(tr, ctx), (lm, None)], FusionConfig(r=0.2, num_beams=3, max_bytes=12))
@@ -751,10 +793,11 @@ class TestGroupingMemo:
         assert len(pairs) - len(distinct) > 0
 
     def test_uncounted_histories_share_one_grouping(self, monkeypatch):
-        # a bigram counted only after BOS: from the second step on, the two
-        # beams end in different tokens whose histories have no counts, so
-        # both hold the model's one uniform array, and the rescorer's root
-        # node groups it once for the whole decode
+        # a bigram counted only after BOS: from the second step on, the beams
+        # end in tokens whose histories have no counts, so each holds the
+        # model's one uniform array, and the rescorer's root node groups it
+        # once for the whole decode. At the second step the beam "a" cannot
+        # place whatever the rescorer says, so only "b" asks it
         lm_vocab = build_vocabulary([b"a", b"b"])
         lm = NgramModel(lm_vocab, 2, alpha=0.1, counts={(NgramModel.BOS,): {0: 1.0, 1: 3.0}})
         tr = TableModel(build_vocabulary([b"a", b"b"]), [0.5, 0.5])
@@ -778,10 +821,49 @@ class TestGroupingMemo:
         monkeypatch.setattr(fusion, "next_byte_scores", scored)
         monkeypatch.setattr(byte_transform, "group_by_next_byte", counted)
         decode([(tr, None), (lm, None)], FusionConfig(r=0.5, num_beams=2, max_bytes=4))
-        assert [hists for hists, _ in steps] == [{(NgramModel.BOS,)}] + [{(0,), (1,)}] * 3
+        assert [hists for hists, _ in steps] == [{(NgramModel.BOS,)}, {(1,)}] + [{(0,), (1,)}] * 2
         # the BOS history's array at the first step, the uniform one at the
         # second, and nothing after: the record still holds both groupings
         assert [calls for _, (calls,) in steps] == [1, 1, 0, 0]
+
+
+class TestBoundedSkip:
+    @staticmethod
+    def _decode(seed, length_penalty):
+        """A random synchronous decode, rebuilt from ``seed`` with fresh models:
+        its result or failure message, and each model's forwards."""
+        rng = random.Random(seed)
+        n = rng.choice([2, 3])
+        models = [(random_model(rng, random_vocab_of_kind(rng, rng.choice(VOCAB_KINDS))), None)
+                  for _ in range(n)]
+        weights = [rng.choice([0.0, 0.1, 0.3, 0.5, 1.0]) for _ in range(n)]
+        weights[rng.randrange(n)] = rng.choice([0.2, 0.6])
+        cfg = FusionConfig(weights=weights, num_beams=rng.randint(1, 5),
+                           max_bytes=rng.randint(0, 8), length_penalty=length_penalty)
+        try:
+            result = decode(models, cfg)
+        except DecodeFailure as failure:
+            return f"DecodeFailure: {failure}", tuple(m.forward_count for m, _ in models)
+        outcome = (result.best, result.all_beams, result.trace, result.step_count)
+        assert result.forward_counts == tuple(m.forward_count for m, _ in models)
+        return outcome, result.forward_counts
+
+    @pytest.mark.parametrize("length_penalty", [0.0, 1.0])
+    def test_skipping_changes_nothing_but_forwards(self, length_penalty, monkeypatch):
+        # a beam that skips the rescorers could not have placed a candidate, so
+        # with the slack at inf, which skips nothing, a decode is the same;
+        # comparing with == holds every score bit for bit
+        failed = saved = 0
+        for seed in range(300):
+            monkeypatch.setattr(fusion, "_BOUND_SLACK", math.inf)
+            full, full_forwards = self._decode(seed, length_penalty)
+            monkeypatch.undo()
+            skipped, forwards = self._decode(seed, length_penalty)
+            assert skipped == full
+            assert all(f <= g for f, g in zip(forwards, full_forwards))
+            failed += isinstance(full, str)
+            saved += sum(full_forwards) - sum(forwards)
+        assert failed > 0 and saved > 0
 
 
 class TestForwardMinimality:
