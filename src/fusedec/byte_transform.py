@@ -247,28 +247,28 @@ def _restricted_mass(model: TokenModel, cache: ModelCache, s: int,
                      ctx: Context) -> dict[int, float]:
     """Next-byte mass of the alternatives at depth ``s``, by byte.
 
-    The depth-``s`` distribution is restricted to the tokens covering the
-    whole remaining suffix and routed to the byte each proposes past it.
-    Tokens that match the suffix exactly complete it through an off-main
-    segmentation; the main-sequence approximation drops them. The tokens
-    are the shared record of the suffix's node in the vocabulary's trie,
-    read through its ``index`` (a view at the root). Buckets are returned
-    unfiltered: callers skip masses <= 0. An array the record has grouped
-    while it lives (``NextByteGroups.grouped``) is not grouped again, which
-    is sound only because distributions are read-only; its buckets are
-    shared, so callers only read them.
+    The depth-``s`` distribution is restricted to the tokens that run past
+    the whole remaining suffix and routed to the byte each proposes after
+    it. A token that matches the suffix exactly completes it through an
+    off-main segmentation, which the main-sequence approximation drops.
+    The tokens are the shared record of the suffix's node in the
+    vocabulary's trie. Buckets are returned unfiltered: callers skip
+    masses <= 0. An array the record has grouped while it lives
+    (``NextByteGroups.grouped``) is not grouped again, which is sound
+    only because distributions are read-only; its buckets are shared, so
+    callers only read them.
     """
     vocab = model.vocabulary
     suffix = cache.main.source_bytes[cache.main.boundary_offsets[s] :]
     members = alternatives_for_suffix(vocab, suffix)
-    if not members.keys:  # no member proposes a byte past the suffix
+    if not members:  # no token runs past the suffix
         return {}
     dist = _dist_at(model, cache.depths[s], ctx)
     grouped, key = members.grouped, id(dist)
     hit = grouped.get(key)
     if hit is not None and hit[0]() is dist:  # not a dead array whose id was reused
         return hit[1]
-    result = group_by_next_byte(members, dist[members.index])
+    result = group_by_next_byte(members, dist[members.ids])
     # a weak reference, so the entry goes when the array dies
     grouped[key] = (weakref.ref(dist, lambda _, g=grouped, k=key: g.pop(k, None)), result)
     return result

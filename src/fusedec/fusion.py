@@ -50,7 +50,6 @@ done in C, is what grows with length.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,7 +61,7 @@ from .byte_transform import (
     refresh_cache,
 )
 from .models import Context, TokenModel
-from .vocab import last_token_starts
+from .vocab import _require_int, last_token_starts
 # not called here, but kept bound: the benchmark tracer patches fusion.tokenize
 from .vocab import tokenize  # noqa: F401
 
@@ -102,10 +101,8 @@ class FusionConfig:
     length_penalty: float = 0.0
 
     def __post_init__(self):
-        for name in ("num_beams", "max_bytes"):
-            value = getattr(self, name)  # a fractional count never prunes or stops
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("num_beams", "max_bytes"):  # a fractional count never prunes or stops
+            _require_int(getattr(self, name), name)
         if self.num_beams < 1:
             raise ValueError("num_beams must be >= 1")
         if self.max_bytes < 0:

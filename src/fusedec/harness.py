@@ -31,7 +31,7 @@ from . import __version__
 from .fusion import DecodeFailure, FusionConfig, decode
 from .metrics import EvalReport, score_corpus
 from .models import NgramModel, NoisyChannelModel, SignalContext
-from .vocab import Vocabulary, _as_bytes, build_vocabulary, escape_token
+from .vocab import Vocabulary, _as_bytes, _require_int, build_vocabulary, escape_token
 from .vocab import load_vocabulary, unescape_token
 
 DECODERS = ("greedy", "beam", "fused")
@@ -51,6 +51,8 @@ class CorpusSpec:
     max_len: int = 14
 
     def __post_init__(self):
+        for name in ("utterances", "train_utterances", "min_len", "max_len"):
+            _require_int(getattr(self, name), name)
         object.__setattr__(self, "alphabet", _as_bytes(self.alphabet, "alphabet"))
         if not self.alphabet:
             raise ValueError("alphabet must be non-empty")
@@ -82,6 +84,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each message names the config file's section and key
+        _require_int(self.seed, "[experiment] seed")
+        _require_int(self.lm_order, "[lm] order")
         if not self.noise_grid or len(set(self.noise_grid)) < len(self.noise_grid):
             raise ValueError(f"[noise] grid must list distinct levels, got {self.noise_grid}")
         for eps in self.noise_grid:

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .vocab import Vocabulary, _as_bytes, matching_ids, tokenize, unescape_token
+from .vocab import Vocabulary, _as_bytes, _require_int, matching_ids, tokenize, unescape_token
 
 
 class ModelFileError(ValueError):
@@ -188,6 +188,7 @@ class NgramModel(TokenModel):
         counts: dict[tuple[int, ...], dict[int, float]] | None = None,
     ):
         super().__init__(vocabulary)
+        _require_int(order, "order")
         if order < 1:
             raise ValueError("order must be >= 1")
         if not (math.isfinite(alpha) and alpha > 0):

@@ -17,6 +17,7 @@ included, by one byte without matching any byte again.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
@@ -62,37 +63,28 @@ def _tail_depth(vocab: Vocabulary, main: MainSequence) -> int:
 
 
 class NextByteGroups:
-    """Token ids sharing a byte prefix, grouped by the byte that follows it.
+    """The tokens that extend a byte prefix by at least one byte, grouped
+    by the byte that follows it.
 
-    Holds the member ids (``ids``, a read-only array) and has their
-    count as its length. ``keys`` are the distinct bytes that follow the
-    prefix in the members longer than it, in order of first appearance,
-    and ``slot`` gives each member the position of its next byte in
-    ``keys``. The member that matches the prefix exactly, if any (one at
-    most: surfaces are unique), gets the extra slot ``len(keys)``, so
-    ``np.bincount`` over every member in member order is the whole of
-    ``group_by_next_byte``. ``index`` is a basic slice when the ids are
-    consecutive, as at the root when EOS is the last id, so
-    ``dist[index]`` is a view; else ``ids``. ``grouped`` is the memo of
+    Holds the member ids (``ids``, a read-only array, ascending) and has
+    their count as its length. ``keys`` are the distinct bytes that
+    follow the prefix in the members, in order of first appearance, and
+    ``slot`` gives each member the position of its next byte in ``keys``,
+    so ``np.bincount`` over every member in member order is the whole of
+    ``group_by_next_byte``. ``grouped`` is the memo of
     ``byte_transform._restricted_mass``: array ``id`` -> (weak reference, buckets).
     """
 
-    __slots__ = ("ids", "slot", "keys", "index", "grouped")
+    __slots__ = ("ids", "slot", "keys", "grouped")
 
     def __init__(self, tokens: Sequence[bytes], ids: Sequence[int], depth: int):
-        slot: list[int] = []
-        slot_of: dict[int, int] = {}
         for tid in ids:
-            tb = tokens[tid]
-            if depth > len(tb):
-                raise AssertionError(f"depth {depth} exceeds byte length of token {tid}")
-            slot.append(slot_of.setdefault(tb[depth], len(slot_of)) if len(tb) > depth else -1)
+            if depth >= len(tokens[tid]):
+                raise AssertionError(f"token {tid} has no byte after depth {depth}")
+        slot_of: dict[int, int] = {}
+        self.slot = _frozen([slot_of.setdefault(tokens[tid][depth], len(slot_of)) for tid in ids])
         self.ids = _frozen(ids)
         self.keys = tuple(slot_of)
-        self.slot = _frozen([len(slot_of) if k < 0 else k for k in slot])
-        n = len(self.ids)
-        run = n > 0 and bool((self.ids == np.arange(self.ids[0], self.ids[0] + n)).all())
-        self.index = slice(int(self.ids[0]), int(self.ids[0]) + n) if run else self.ids
         self.grouped: dict[int, tuple[weakref.ref, dict[int, float]]] = {}
 
     def __len__(self) -> int:
@@ -116,7 +108,7 @@ class _TrieNode:
 
     def __init__(self):
         self.children: dict[int, _TrieNode] = {}
-        self.ids: list[int] = []  # the tokens through or ending here, ascending
+        self.ids: list[int] = []  # the tokens running past this node, ascending
         self.terminal: int | None = None  # id of the token ending here
         self.groups: NextByteGroups | None = None  # built on the first query
 
@@ -178,13 +170,12 @@ class Vocabulary:
         self.prefix_index = _TrieNode()
         for tid in self._non_eos:
             node = self.prefix_index
-            node.ids.append(tid)
             for b in self._tokens[tid]:
+                node.ids.append(tid)
                 child = node.children.get(b)
                 if child is None:
                     child = node.children[b] = _TrieNode()
                 node = child
-                node.ids.append(tid)
             node.terminal = tid
 
     @property
@@ -219,6 +210,12 @@ def _as_bytes(value: object, what: str, error: type[ValueError] = ValueError) ->
     if not isinstance(value, (bytes, bytearray, memoryview)):
         raise error(f"{what} is {type(value).__name__} {value!r}, not bytes")
     return bytes(value)
+
+
+def _require_int(value: object, what: str) -> None:
+    """A bool or a non-``Integral`` ``value`` is a ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def build_vocabulary(entries: Iterable[bytes], eos: bool = False) -> Vocabulary:
@@ -326,7 +323,8 @@ def tokenize_extension(vocab: Vocabulary, main: MainSequence, data: bytes) -> Ma
 
 
 def alternatives_for_suffix(vocab: Vocabulary, suffix: bytes) -> NextByteGroups:
-    """Ids of the tokens whose bytes start with ``suffix``, ascending.
+    """Ids of the tokens whose bytes start with ``suffix`` and run past
+    it, ascending: the tokens that propose a byte after ``suffix``.
 
     The empty suffix returns every non-EOS token. The result is the trie
     node's grouping record, built by the first query that reaches the
@@ -345,18 +343,16 @@ def alternatives_for_suffix(vocab: Vocabulary, suffix: bytes) -> NextByteGroups:
 def group_by_next_byte(members: NextByteGroups, weights: Sequence[float]) -> dict[int, float]:
     """Route the members' weights to the bucket of the byte after their prefix.
 
-    ``weights[i]`` belongs to the member ``members.ids[i]``. Members
-    longer than the prefix add their weight to the bucket of the byte
-    right after it. A member that matches it exactly completes the match
-    and proposes no new byte: its weight goes to the extra last bin, which
-    is dropped. Buckets are keyed in order of first appearance and each
-    sums its weights in member order; a bucket may be 0. ``weights`` is
-    summed as given, so a view is not copied.
+    ``weights[i]`` belongs to the member ``members.ids[i]``, and goes to
+    the bucket of the byte right after the prefix in that member. Buckets
+    are keyed in order of first appearance and each sums its weights in
+    member order; a bucket may be 0. ``weights`` is summed as given, so a
+    view is not copied.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if len(members.ids) != len(weights):
         raise ValueError("members and weights must have equal length")
-    sums = np.bincount(members.slot, weights=weights, minlength=len(members.keys))
+    sums = np.bincount(members.slot, weights=weights)
     return dict(zip(members.keys, sums.tolist()))
 
 

@@ -81,8 +81,8 @@ def random_partial_vocab(
 
 def random_vocab_with_eos(rng: random.Random, placement: str | None) -> Vocabulary:
     """Random partial-coverage vocabulary with EOS first, in the middle, last
-    or absent (None). ``build_vocabulary`` always puts EOS last, which keeps
-    the root's members one run of ids; the other placements split it."""
+    or absent (None). ``build_vocabulary`` always puts EOS last; the other
+    placements put it among the ids the trie's records hold."""
     base = random_partial_vocab(rng, b"abc", max_tokens=10, max_len=3, eos=False)
     tokens = [base.bytes_of(t) for t in base.non_eos_ids]
     rng.shuffle(tokens)

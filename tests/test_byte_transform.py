@@ -67,6 +67,25 @@ class TestExactByteMarginal:
         with pytest.raises(BudgetExceededError):
             exact_byte_marginal(tiny_model, b"ababab", max_nodes=3)
 
+    def test_the_budget_is_the_count_of_nodes_visited(self, tiny_model):
+        # each node visited makes one forward, so a call's forward count is
+        # its node count: that budget suffices and one less does not
+        before = tiny_model.forward_count
+        want = exact_byte_marginal(tiny_model, b"ababab")
+        visited = tiny_model.forward_count - before
+        assert visited > 1
+        assert exact_byte_marginal(tiny_model, b"ababab", max_nodes=visited) == want
+        with pytest.raises(BudgetExceededError):
+            exact_byte_marginal(tiny_model, b"ababab", max_nodes=visited - 1)
+
+    def test_a_zero_probability_token_is_not_expanded(self):
+        # "a" has no mass, so its branch would add nothing: the root's one
+        # forward is the whole cost of "ab"
+        m = TableModel(build_vocabulary([b"a", b"b", b"ab"], eos=True), [0.0, 0.4, 0.4, 0.2])
+        before = m.forward_count
+        assert exact_byte_marginal(m, b"ab") == pytest.approx(0.4)
+        assert m.forward_count - before == 1
+
 
 class TestExactTerminalMass:
     def test_no_eos_means_zero(self, tiny_model):
@@ -83,6 +102,25 @@ class TestExactTerminalMass:
         m = TableModel(build_vocabulary([b"a", b"b", b"ab"], eos=True), [0.4, 0.3, 0.2, 0.1])
         with pytest.raises(BudgetExceededError):
             exact_terminal_mass(m, b"ab", max_nodes=2)
+
+    def test_the_budget_is_the_count_of_nodes_visited(self):
+        # as for exact_byte_marginal: one forward per node visited
+        m = TableModel(build_vocabulary([b"a", b"b", b"ab"], eos=True), [0.4, 0.3, 0.2, 0.1])
+        before = m.forward_count
+        want = exact_terminal_mass(m, b"abab")
+        visited = m.forward_count - before
+        assert visited > 1
+        assert exact_terminal_mass(m, b"abab", max_nodes=visited) == want
+        with pytest.raises(BudgetExceededError):
+            exact_terminal_mass(m, b"abab", max_nodes=visited - 1)
+
+    def test_a_zero_probability_token_is_not_expanded(self):
+        # as for exact_byte_marginal: "a" is never expanded, so "ab" costs
+        # the root and the node after "ab"
+        m = TableModel(build_vocabulary([b"a", b"b", b"ab"], eos=True), [0.0, 0.4, 0.4, 0.2])
+        before = m.forward_count
+        assert exact_terminal_mass(m, b"ab") == pytest.approx(0.4 * 0.2)
+        assert m.forward_count - before == 2
 
 
 class TestApproxByteScore:
@@ -155,7 +193,7 @@ class TestRefreshCache:
         depths = len(cache.main.boundary_offsets)
         assert len(cache.depths) == depths == 2
         alternatives = _alternatives(tiny_model, cache)
-        assert list(alternatives[0]) == [2]
+        assert list(alternatives[0]) == []  # "ab" ends there and proposes no byte past it
         assert set(alternatives[1]) == {0, 1, 2}
         assert _suffix_lengths(cache) == [2, 0]
         assert [math.exp(lr) for lr in _rolling(cache)] == pytest.approx([1.0, 0.2])
@@ -534,9 +572,9 @@ class TestLiveDepthWindow:
 
 
 class TestEosPlacement:
-    """The kernel reads a depth's distribution through the trie record's
-    ``index``: a view where its ids are one run, a gather elsewhere. Both
-    must score bit for bit as the reference does, wherever EOS sits."""
+    """Wherever EOS sits, each trie record holds only the tokens that run
+    past its node, and the kernel, which gathers a depth's distribution at
+    the record's ids, scores bit for bit as the reference does."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -551,11 +589,12 @@ class TestEosPlacement:
             m, ctx = NoisyChannelModel(v), SignalContext(walk, noise=0.1)
         else:
             m, ctx = random_model(rng, v), None
-        dist = np.array(random_dist(rng, v.size, zeros=False))
         for t in v.non_eos_ids:
             for d in range(len(v.bytes_of(t)) + 1):
-                record = alternatives_for_suffix(v, v.bytes_of(t)[:d])
-                assert list(dist[record.index]) == list(dist[record.ids])
+                prefix = v.bytes_of(t)[:d]
+                assert alternatives_for_suffix(v, prefix).ids.tolist() == [
+                    u for u in v.non_eos_ids
+                    if len(v.bytes_of(u)) > d and v.bytes_of(u).startswith(prefix)]
         data, cache = b"", refresh_cache(m, b"", ctx)
         for b in walk:  # prefixes with a pending tail are scored too
             _assert_matches_reference(m, cache, ctx)
@@ -563,29 +602,6 @@ class TestEosPlacement:
             data += bytes([b])
             assert approx_byte_log_score(m, data, ctx, cache) == _reference_approx(m, data, ctx)
         _assert_matches_reference(m, cache, ctx)
-
-    def test_root_reads_the_distribution_through_a_view(self, monkeypatch):
-        # with EOS last the root's members are ids 0..V-2, so the kernel hands
-        # group_by_next_byte a view of the distribution, not a copy; EOS in
-        # the middle splits them, and the gathered copy scores the same
-        seen = []
-        kernel = byte_transform.group_by_next_byte
-
-        def recorded(members, weights):
-            seen.append(weights)
-            return kernel(members, weights)
-
-        monkeypatch.setattr(byte_transform, "group_by_next_byte", recorded)
-        for eos_id, view in ((4, True), (2, False)):
-            tokens = [b"a", b"b", b"ab", b"ba"]
-            tokens.insert(eos_id, b"")
-            v = Vocabulary(tokens, eos_id)
-            m = TableModel(v, [0.1, 0.2, 0.3, 0.15, 0.25])
-            cache = refresh_cache(m, b"")
-            seen.clear()
-            _assert_matches_reference(m, cache, None)
-            (weights,) = seen
-            assert np.shares_memory(weights, cache.depths[0].dist) == view
 
 
 class TestGroupingMemo:
@@ -667,7 +683,7 @@ class TestGroupingMemo:
         root = alternatives_for_suffix(v, b"")
         m = TableModel(v, [0.1, 0.2, 0.3, 0.15, 0.25])
         dist = m.dist_from_state(None)
-        fresh = group_by_next_byte(root, dist[root.index])
+        fresh = group_by_next_byte(root, dist[root.ids])
         stale = {b: mass + 1.0 for b, mass in fresh.items()}
         gone = np.ones(v.size)
         dead = weakref.ref(gone)
@@ -839,7 +855,8 @@ def _reference_depths(model, data, ctx):
     for s, start in enumerate(starts):
         dist = model.dist_from_state(state, ctx)
         suffix = data[start:]
-        members = [t for t in v.non_eos_ids if v.bytes_of(t).startswith(suffix)]
+        members = [t for t in v.non_eos_ids
+                   if len(v.bytes_of(t)) > len(suffix) and v.bytes_of(t).startswith(suffix)]
         masses = {}
         if members:
             groups = NextByteGroups(v._tokens, members, len(suffix))
@@ -918,8 +935,8 @@ class TestConservation:
 
 
 def _alternatives(model, cache):
-    """Ids of the tokens covering the suffix after each of the cache's S+1
-    boundaries, one per depth."""
+    """Ids of the tokens that run past the suffix after each of the
+    cache's S+1 boundaries, one per depth."""
     data = cache.main.source_bytes
     return [alternatives_for_suffix(model.vocabulary, data[t:]).ids.tolist()
             for t in cache.main.boundary_offsets]

@@ -227,6 +227,20 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             ExperimentConfig(noise_grid=(0.0, 1.5))
 
+    @pytest.mark.parametrize("field", ["utterances", "train_utterances", "min_len", "max_len"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, "8", True, None])
+    def test_corpus_counts_must_be_integers(self, field, value):
+        # unchecked, 2.5 utterances fails late with TypeError and True runs as 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            CorpusSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, key", [("seed", r"\[experiment\] seed"),
+                                            ("lm_order", r"\[lm\] order")])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
+    def test_experiment_counts_must_be_integers(self, field, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            ExperimentConfig(**{field: value})
+
 
 def _reference_generate(alphabet: bytes, seed: int, rng: random.Random, length: int) -> bytes:
     """The source's documented draw, spelled out: a seeded cycle over the

@@ -361,6 +361,11 @@ class TestNgramModel:
         with pytest.raises(ValueError, match="^order must be >= 1$"):
             NgramModel(_vocab(), 0)
 
+    @pytest.mark.parametrize("order", [2.5, 2.0, "2", True, None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match="^order must be an integer"):
+            NgramModel(_vocab(), order)
+
 
 class TestNoisyChannel:
     def test_zero_noise_uniform_over_consistent_tokens(self):

@@ -90,13 +90,14 @@ class TestVocabularyTable:
             ([b"a", b"", b"b"], None, r"^entry 1 is empty"),
             ([b"a", b"", b""], 1, r"^entry 2 is empty"),
             ([b"a", b"b"], 5, r"^eos_id 5 must name an empty token in 0\.\.1$"),
+            ([b"a", b""], 2, r"^eos_id 2 must name an empty token in 0\.\.1$"),
             ([b"a", b""], -1, r"^eos_id -1 must name an empty token in 0\.\.1$"),
             ([b"a", b""], 0, r"^eos_id 0 must name an empty token in 0\.\.1$"),
             (["ab", "a"], None, r"^entry 0 is str 'ab', not bytes$"),
             ([b"a", bytearray(b"b")], None, r"^entry 1 is bytearray bytearray\(b'b'\), not bytes$"),
         ],
-        ids=["duplicate", "empty", "second-empty", "eos-past-end", "eos-negative", "eos-not-empty",
-             "str", "bytearray"],
+        ids=["duplicate", "empty", "second-empty", "eos-past-end", "eos-at-size", "eos-negative",
+             "eos-not-empty", "str", "bytearray"],
     )
     def test_malformed_table_rejected(self, tokens, eos_id, message):
         # a duplicate surface made id_of and greedy tokenize disagree; str
@@ -276,12 +277,13 @@ class TestVocabularyLookups:
 
 class TestAlternativesForSuffix:
     def test_single_byte_suffix(self, tiny_vocab):
+        # "a" itself ends at the suffix and proposes no byte past it
         alts = alternatives_for_suffix(tiny_vocab, b"a")
-        assert set(alts.ids.tolist()) == {0, 2}
+        assert set(alts.ids.tolist()) == {2}
 
     def test_full_token_suffix(self, tiny_vocab):
         alts = alternatives_for_suffix(tiny_vocab, b"ab")
-        assert set(alts.ids.tolist()) == {2}
+        assert set(alts.ids.tolist()) == set()
 
     def test_empty_suffix_returns_all_non_eos(self):
         v = build_vocabulary([b"a", b"b", b"ab"], eos=True)
@@ -303,7 +305,7 @@ class TestAlternativesForSuffix:
             want = {
                 t
                 for t in v.non_eos_ids
-                if v.bytes_of(t).startswith(suffix)
+                if len(v.bytes_of(t)) > len(suffix) and v.bytes_of(t).startswith(suffix)
             }
             assert got == want
 
@@ -318,23 +320,20 @@ class TestGroupByNextByte:
         buckets = group_by_next_byte(_groups(tiny_vocab, [2], 1), [0.2])
         assert buckets == {ord("b"): 0.2}
 
-    def test_exact_match_routed_to_exact_mass(self, tiny_vocab):
-        # "a" matches exactly: its 0.5 completes the match and is left out
-        buckets = group_by_next_byte(_groups(tiny_vocab, [0, 2], 1), [0.5, 0.2])
-        assert buckets == {ord("b"): 0.2}
-        assert 0.5 + 0.2 - sum(buckets.values()) == pytest.approx(0.5)
-
     def test_first_byte_grouping(self, tiny_vocab):
         buckets = group_by_next_byte(_groups(tiny_vocab, [0, 1, 2], 0), [0.5, 0.3, 0.2])
         assert buckets == {ord("a"): 0.7, ord("b"): 0.3}
 
     def test_matched_len_beyond_token_is_invariant_violation(self, tiny_vocab):
-        with pytest.raises(AssertionError):
-            group_by_next_byte(_groups(tiny_vocab, [0], 2), [0.5])
+        # every member runs past the prefix: "a" ends before depth 2, and
+        # at depth 1 it matches exactly and proposes no byte
+        for members, depth in (([0], 2), ([0, 2], 1)):
+            with pytest.raises(AssertionError):
+                group_by_next_byte(_groups(tiny_vocab, members, depth), [0.5] * len(members))
 
     def test_weights_must_match_the_members(self, tiny_vocab):
         with pytest.raises(ValueError):
-            group_by_next_byte(_groups(tiny_vocab, [0, 2], 1), [0.5])
+            group_by_next_byte(_groups(tiny_vocab, [0, 2], 0), [0.5])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
@@ -342,13 +341,10 @@ class TestGroupByNextByte:
         rng = random.Random(seed)
         v = random_vocab(rng, b"abc", max_tokens=16, max_len=3)
         suffix_len = rng.randint(0, 2)
-        members = [t for t in v.non_eos_ids if len(v.bytes_of(t)) >= suffix_len]
+        members = [t for t in v.non_eos_ids if len(v.bytes_of(t)) > suffix_len]
         weights = [rng.random() for _ in members]
         buckets = group_by_next_byte(_groups(v, members, suffix_len), weights)
-        exact = sum(
-            w for t, w in zip(members, weights) if len(v.bytes_of(t)) == suffix_len
-        )
-        assert abs(sum(buckets.values()) + exact - sum(weights)) <= 1e-12
+        assert abs(sum(buckets.values()) - sum(weights)) <= 1e-12
 
 
 def _brute_force_grouping(vocab, members, weights, matched_len):
@@ -387,7 +383,9 @@ class TestNextByteGroups:
         for prefix in _trie_prefixes(v):
             record = alternatives_for_suffix(v, prefix)
             ids = record.ids.tolist()
-            assert ids == sorted(t for t in v.non_eos_ids if v.bytes_of(t).startswith(prefix))
+            assert ids == sorted(t for t in v.non_eos_ids
+                                 if len(v.bytes_of(t)) > len(prefix)
+                                 and v.bytes_of(t).startswith(prefix))
             want = list(_brute_force_grouping(v, ids, dist[ids], len(prefix)).items())
             assert list(group_by_next_byte(record, dist[record.ids]).items()) == want
             weights = [float(dist[t]) for t in ids]
@@ -407,15 +405,6 @@ class TestNextByteGroups:
                     if len(arr):
                         with pytest.raises(ValueError):
                             arr[0] = 0
-
-    def test_an_exact_member_takes_the_discarded_last_slot(self, tiny_vocab):
-        # "a" matches the prefix exactly: its weight goes to slot len(keys),
-        # which the grouping drops, so the full member weights group as is
-        record = alternatives_for_suffix(tiny_vocab, b"a")
-        assert record.ids.tolist() == [0, 2] and record.keys == (ord("b"),)
-        assert record.slot.tolist() == [1, 0]
-        w = np.array([0.5, 0.2])
-        assert group_by_next_byte(record, w) == {ord("b"): w[1]}
 
     def test_record_fields_for_the_root(self, tiny_vocab):
         record = alternatives_for_suffix(tiny_vocab, b"")
@@ -510,12 +499,13 @@ class TestVocabularyFile:
         for b in range(256):
             token = bytes([b, b])
             assert unescape_token(escape_token(token)) == token
+        assert unescape_token("\xff") == b"\xff"  # U+00FF is the last byte, not past it
         with pytest.raises(VocabError, match="non-byte character"):
             unescape_token("\u20ac")
 
     def test_hex_escape_takes_exactly_two_hex_digits(self):
         assert unescape_token("\\x0F\\xa0") == b"\x0f\xa0"
         # int(_, 16) would read a sign or a space as part of the number
-        for text in ("\\x+f", "\\x f", "\\x 1", "\\x-1", "\\xg0", "\\x1", "a\\x", "\\y00"):
+        for text in ("\\x+f", "\\x f", "\\x 1", "\\x-1", "\\xg0", "\\x1", "a\\x", "\\y00", "a\\"):
             with pytest.raises(VocabError, match="bad escape"):
                 unescape_token(text)
